@@ -163,7 +163,10 @@ func (ix *Index) BuildParallel(workers int) error {
 	// while the sorted raw sets are still in hand (under compressed storage
 	// they are garbage once encoded). This is what makes doc counts exact
 	// regardless of how documents arrived (Add, duplicate Add, AddPosting).
-	ix.docIDs = sets.UnionKInto(make([]uint32, 0, 64), rawSets...)
+	// Tens of thousands of lists over one docID span are dense by
+	// UnionKInto's rule, so this is one bitmap pass — O(postings + span/64),
+	// whatever the term count — and docIDs comes out exactly sized.
+	ix.docIDs = sets.UnionKInto(nil, rawSets...)
 	if ix.storage == StorageCompressed {
 		ix.stored = stored
 	} else {

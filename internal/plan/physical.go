@@ -29,7 +29,7 @@ const (
 	// composite kids ascending by estimated size, then subtracts its
 	// negated kids.
 	OpAnd
-	// OpOr unions its kids with one k-way merge.
+	// OpOr unions its kids with one k-way union (sets.UnionKInto).
 	OpOr
 )
 

@@ -151,15 +151,15 @@ type Frozen struct {
 // the segment's own documents so LiveDocs stays exact.
 func FrozenFromParts(terms map[string][]uint32, tombs []uint32) (*Frozen, error) {
 	postings := 0
-	var docIDs []uint32
+	lists := make([][]uint32, 0, len(terms))
 	for t, ps := range terms {
 		if err := sets.Validate(ps); err != nil {
 			return nil, fmt.Errorf("segment: term %q: %w", t, err)
 		}
 		postings += len(ps)
-		docIDs = sets.Union(docIDs, ps)
+		lists = append(lists, ps)
 	}
-	f := &Frozen{terms: terms, docIDs: docIDs, postings: postings}
+	f := &Frozen{terms: terms, docIDs: sets.UnionKInto(nil, lists...), postings: postings}
 	for _, id := range tombs {
 		f.AddTomb(id)
 	}
@@ -235,10 +235,11 @@ func Merge(inputs []*Frozen, tombSnaps [][]uint32) *Frozen {
 	terms := map[string][]uint32{}
 	var scratch []uint32
 	postings := 0
-	var docIDs []uint32
+	live := make([][]uint32, len(inputs))
 	for i, in := range inputs {
-		docIDs = sets.Union(docIDs, sets.Difference(in.docIDs, tombSnaps[i]))
+		live[i] = sets.Difference(in.docIDs, tombSnaps[i])
 	}
+	docIDs := sets.UnionKInto(nil, live...)
 	for i, in := range inputs {
 		for t, ps := range in.terms {
 			scratch = sets.DifferenceInto(scratch[:0], ps, tombSnaps[i])

@@ -3,6 +3,8 @@ package sets
 import (
 	"math/rand"
 	"testing"
+
+	"fastintersect/internal/race"
 )
 
 func randomSet(rng *rand.Rand, n int, universe uint32) []uint32 {
@@ -72,18 +74,17 @@ func TestIntersectGallopInto(t *testing.T) {
 	}
 }
 
-// unionRef is the obviously-correct oracle: pairwise unions left to right.
+// unionRef is the obviously-correct oracle: concatenate, sort, deduplicate.
 func unionRef(lists ...[]uint32) []uint32 {
 	var out []uint32
 	for _, l := range lists {
-		out = Union(out, l)
+		out = append(out, l...)
 	}
-	return out
+	return SortDedup(out)
 }
 
-// TestUnionKInto10Way is the dedicated satellite check: a single k-way heap
-// merge over ten overlapping sets must equal the pairwise-union reference,
-// with duplicates across lists emitted once.
+// TestUnionKInto10Way: a k-way union over ten overlapping sets must equal
+// the reference, with duplicates across lists emitted once.
 func TestUnionKInto10Way(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lists := make([][]uint32, 10)
@@ -142,8 +143,13 @@ func TestUnionKIntoPreservesPrefix(t *testing.T) {
 }
 
 // TestUnionKIntoAllocs pins the zero-allocation guarantee for k ≤ 16 when
-// dst has capacity: the engine's OR path depends on it.
+// dst has capacity: the engine's OR path depends on it. The first case
+// takes the dense path, the second the sparse one; both draw their scratch
+// from pools once warm.
 func TestUnionKIntoAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; the allocation bound cannot hold")
+	}
 	rng := rand.New(rand.NewSource(3))
 	lists := make([][]uint32, 10)
 	total := 0
@@ -157,5 +163,22 @@ func TestUnionKIntoAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("UnionKInto allocates %.1f times per op, want 0", n)
+	}
+	if lo, hi := spanOf(lists); !unionDense(total, len(lists), lo, hi) {
+		t.Fatal("the first case takes the sparse path")
+	}
+
+	// Sparse: ten lists of 100 spread over a 2^24 span.
+	for i := range lists {
+		lists[i] = randomSet(rng, 100, 1<<24)
+	}
+	if lo, hi := spanOf(lists); unionDense(total, len(lists), lo, hi) {
+		t.Fatal("the sparse case takes the dense path")
+	}
+	n = testing.AllocsPerRun(100, func() {
+		UnionKInto(dst[:0], lists...)
+	})
+	if n != 0 {
+		t.Fatalf("sparse UnionKInto allocates %.1f times per op, want 0", n)
 	}
 }

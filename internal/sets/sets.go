@@ -13,8 +13,11 @@ package sets
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // IsSorted reports whether s is strictly increasing (sorted and duplicate
@@ -210,82 +213,168 @@ func UnionInto(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
-// unionKStack bounds the stack-allocated k-way merge state; unions wider
-// than this fall back to heap-allocated state (never seen in practice: the
-// engine's OR fan-in and shard count are both small).
+// unionKStack bounds the stack-allocated merge state of the sparse path;
+// wider sparse unions allocate theirs (the engine's OR fan-in and shard
+// count are both small, and its one wide union — an index build's docID
+// universe — is dense).
 const unionKStack = 16
 
-// UnionKInto appends the sorted union of k sorted sets to dst with a single
-// k-way merge: a binary min-heap of list heads, O(N log k) for N total
-// elements, versus the O(k·N) of a pairwise cascade. Duplicates across
-// lists are emitted once. No input may alias dst. For k ≤ 16 it performs no
-// allocations beyond growing dst.
+// UnionKInto appends the sorted union of k sorted sets to dst, each element
+// once. No input may alias dst. It is output-sensitive: of the inputs' N
+// elements, spanning W 64-bit words from the smallest to the largest, with
+// k counting the non-empty lists, it takes
+//
+//   - the dense path when W ≤ N·⌈log₂ k⌉: set every element's bit in a
+//     pooled bitmap, then read the bits back with trailing-zero scans —
+//     O(N + W), whatever k is;
+//   - the sparse path otherwise: a balanced cascade of two-way merges,
+//     ⌈log₂ k⌉ linear passes over at most N elements — O(N log k).
+//
+// The rule prices one bitmap word read back like one element merged in one
+// pass: the two cost about the same, which puts the paths' crossover at
+// W ≈ N·⌈log₂ k⌉ (BenchmarkUnionKCrossover times both on either side).
+//
+// Scratch comes from package-level pools: W words of bitmap on the dense
+// path, 2N elements of merge buffers on the sparse path. Warm, neither path
+// allocates beyond growing dst, except that a sparse union of more than 16
+// non-empty lists allocates O(k) merge state. When dst lacks room for N more
+// elements, the dense path counts the union first (a popcount pass) and
+// grows dst once, so a fresh dst comes out exactly sized.
 func UnionKInto(dst []uint32, lists ...[]uint32) []uint32 {
-	// Compact away empty operands without touching the caller's slice.
-	var idxArr [unionKStack]int
-	var posArr [unionKStack]int
-	heap, pos := idxArr[:0], posArr[:unionKStack]
-	if len(lists) > unionKStack {
-		heap = make([]int, 0, len(lists))
-		pos = make([]int, len(lists))
-	}
+	n, k, one := 0, 0, -1
+	lo, hi := uint32(math.MaxUint32), uint32(0)
 	for i, l := range lists {
-		if len(l) > 0 {
-			heap = append(heap, i)
-			pos[i] = 0
+		if len(l) == 0 {
+			continue
 		}
+		n += len(l)
+		k++
+		one = i
+		lo = min(lo, l[0])
+		hi = max(hi, l[len(l)-1])
 	}
-	switch len(heap) {
-	case 0:
+	switch {
+	case k == 0:
 		return dst
-	case 1:
-		return append(dst, lists[heap[0]]...)
-	case 2:
-		return UnionInto(dst, lists[heap[0]], lists[heap[1]])
+	case k == 1:
+		return append(dst, lists[one]...)
+	case unionDense(n, k, lo, hi):
+		return unionBitmap(dst, lists, n, lo>>6, int(hi>>6-lo>>6)+1)
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		unionSiftDown(lists, heap, pos, i)
+	return unionCascade(dst, lists, n, k)
+}
+
+// unionDense is UnionKInto's selection rule for k ≥ 2 non-empty lists of n
+// elements in all, spanning [lo, hi]: W ≤ N·⌈log₂ k⌉. Word indices are
+// taken before subtracting, so the span cannot overflow at MaxUint32.
+func unionDense(n, k int, lo, hi uint32) bool {
+	return int(hi>>6-lo>>6)+1 <= n*bits.Len(uint(k-1))
+}
+
+// unionBitmaps pools the dense path's bitmaps. A pooled bitmap is all zero:
+// the read-back clears every word it reads.
+var unionBitmaps = sync.Pool{New: func() any { return new([]uint64) }}
+
+// unionBitmap is UnionKInto's dense path: words bitmap words from word
+// index base cover every element, and n is the total input length (an
+// upper bound on the output).
+func unionBitmap(dst []uint32, lists [][]uint32, n int, base uint32, words int) []uint32 {
+	p := unionBitmaps.Get().(*[]uint64)
+	if cap(*p) < words {
+		*p = make([]uint64, words)
 	}
-	first := true
-	var last uint32
-	for len(heap) > 0 {
-		li := heap[0]
-		v := lists[li][pos[li]]
-		if first || v != last {
-			dst = append(dst, v)
-			last = v
-			first = false
-		}
-		pos[li]++
-		if pos[li] == len(lists[li]) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		if len(heap) > 0 {
-			unionSiftDown(lists, heap, pos, 0)
+	bm := (*p)[:words]
+	for _, l := range lists {
+		for _, x := range l {
+			bm[x>>6-base] |= 1 << (x & 63)
 		}
 	}
+	if cap(dst)-len(dst) < n {
+		u := 0
+		for _, w := range bm {
+			u += bits.OnesCount64(w)
+		}
+		dst = slices.Grow(dst, u)
+	}
+	out := dst[len(dst):cap(dst)]
+	j := 0
+	for i, w := range bm {
+		bm[i] = 0
+		hi := (base + uint32(i)) << 6
+		if c := bits.OnesCount64(w); c <= 4 && j+4 <= len(out) {
+			// Sparse word: write four candidates unconditionally and keep
+			// the first c, trading stores for the branch mispredictions a
+			// data-dependent loop costs at a few bits per word.
+			o := out[j : j+4 : j+4]
+			o[0] = hi | uint32(bits.TrailingZeros64(w))
+			w &= w - 1
+			o[1] = hi | uint32(bits.TrailingZeros64(w))
+			w &= w - 1
+			o[2] = hi | uint32(bits.TrailingZeros64(w))
+			w &= w - 1
+			o[3] = hi | uint32(bits.TrailingZeros64(w))
+			j += c
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			out[j] = hi | uint32(bits.TrailingZeros64(w))
+			j++
+		}
+	}
+	unionBitmaps.Put(p)
+	return dst[:len(dst)+j]
+}
+
+// unionScratch pools the sparse path's merge buffers.
+var unionScratch = sync.Pool{New: func() any { return new([]uint32) }}
+
+// unionCascade is UnionKInto's sparse path: a balanced tree of two-way
+// merges over the k ≥ 2 non-empty lists, n elements in all, each level
+// one linear pass. Intermediate results ping-pong between the two halves
+// of one pooled buffer.
+func unionCascade(dst []uint32, lists [][]uint32, n, k int) []uint32 {
+	var runArr [unionKStack][]uint32
+	runs := runArr[:0]
+	if k > unionKStack {
+		runs = make([][]uint32, 0, k)
+	}
+	for _, l := range lists {
+		if len(l) > 0 {
+			runs = append(runs, l)
+		}
+	}
+	if k == 2 {
+		return UnionInto(dst, runs[0], runs[1])
+	}
+	p := unionScratch.Get().(*[]uint32)
+	if cap(*p) < 2*n {
+		*p = make([]uint32, 2*n)
+	}
+	a, b := (*p)[:n], (*p)[n:2*n]
+	nl := 0
+	for _, r := range runs[:k/2] {
+		nl += len(r)
+	}
+	dst = UnionInto(dst, unionTree(runs[:k/2], a[:nl], b[:nl]), unionTree(runs[k/2:], a[nl:], b[nl:]))
+	unionScratch.Put(p)
 	return dst
 }
 
-// unionSiftDown restores the min-heap property of heap (list indices ordered
-// by their current head value) downward from position i.
-func unionSiftDown(lists [][]uint32, heap, pos []int, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(heap) && lists[heap[l]][pos[heap[l]]] < lists[heap[min]][pos[heap[min]]] {
-			min = l
-		}
-		if r < len(heap) && lists[heap[r]][pos[heap[r]]] < lists[heap[min]][pos[heap[min]]] {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		heap[i], heap[min] = heap[min], heap[i]
-		i = min
+// unionTree returns the union of runs: the run itself when there is one,
+// otherwise merged into out, with tmp (as long as out) holding the
+// subtrees' results.
+func unionTree(runs [][]uint32, out, tmp []uint32) []uint32 {
+	switch len(runs) {
+	case 1:
+		return runs[0]
+	case 2:
+		return UnionInto(out[:0], runs[0], runs[1])
 	}
+	mid, nl := len(runs)/2, 0
+	for _, r := range runs[:mid] {
+		nl += len(r)
+	}
+	return UnionInto(out[:0], unionTree(runs[:mid], tmp[:nl], out[:nl]), unionTree(runs[mid:], tmp[nl:], out[nl:]))
 }
 
 // Difference returns the sorted elements of a that are not in b as a fresh
