@@ -88,11 +88,10 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 		name, strings.Join(algoNames[:], ", "))
 }
 
-// KernelAlgorithm maps the query planner's list-kernel choice
-// (internal/plan) onto the Algorithm executing it — the single source of
-// truth for every executor (the engine's per-shard dispatch, the fsi CLI).
-// Stored-tier kernels have no public Algorithm and map to the family
-// default, RanGroupScan.
+// KernelAlgorithm maps a query-planner kernel (internal/plan) onto the
+// public Algorithm implementing it — how the fsi CLI runs the cost model's
+// raw-list choice through this package. Stored-tier kernels have no public
+// Algorithm and map to the family default, RanGroupScan.
 func KernelAlgorithm(k plan.Kernel) Algorithm {
 	switch k {
 	case plan.KernelMerge:

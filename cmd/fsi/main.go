@@ -79,15 +79,11 @@ func main() {
 		// without -explain never consults the cost model.
 		costs := plan.Calibrated()
 		if algo == fastintersect.Auto && len(lists) >= 2 {
-			sizes := make([]int, len(lists))
-			span := 0
+			ops := make([]plan.Operand, len(lists))
 			for i, l := range lists {
-				sizes[i] = l.Len()
-				if sp := l.Span(); sp > 0 && (span == 0 || sp < span) {
-					span = sp
-				}
+				ops[i] = plan.Operand{Len: l.Len(), Shape: plan.ShapeRaw, Span: l.Span()}
 			}
-			algo = fastintersect.KernelAlgorithm(plan.ChooseListKernel(costs, plan.KernelsCost, sizes, span))
+			algo = fastintersect.KernelAlgorithm(plan.ChooseStored(costs, plan.KernelsCost, ops))
 		}
 		if *explain {
 			var parts []string

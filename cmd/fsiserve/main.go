@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"fastintersect"
 	"fastintersect/internal/admission"
 	"fastintersect/internal/engine"
 	"fastintersect/internal/invindex"
@@ -65,8 +64,7 @@ func main() {
 		shards      = flag.Int("shards", 4, "index shards")
 		workers     = flag.Int("workers", 0, "shard-query worker pool size (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache", 4096, "result-cache entries (0 disables)")
-		algoName    = flag.String("algo", "Auto", "intersection algorithm for conjunctions (raw storage only)")
-		storageName = flag.String("storage", "raw", "posting storage: 'raw' or 'compressed' (adaptive per-list encoding)")
+		storageName = flag.String("storage", "raw", "posting encoding policy: 'raw' (every list uncompressed: fastest) or 'compressed' (per-list adaptive encoding: smaller heap, slower queries)")
 		docs        = flag.Uint("docs", 200_000, "synthetic corpus: number of documents")
 		terms       = flag.Int("terms", 20_000, "synthetic corpus: vocabulary size")
 		queries     = flag.Int("queries", 2_000, "synthetic corpus: base query count")
@@ -91,11 +89,6 @@ func main() {
 	)
 	flag.Parse()
 
-	algo, err := fastintersect.ParseAlgorithm(*algoName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fsiserve: %v\n", err)
-		os.Exit(2)
-	}
 	storage, err := invindex.ParseStorage(*storageName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fsiserve: %v\n", err)
@@ -125,7 +118,6 @@ func main() {
 		Shards:           *shards,
 		Workers:          *workers,
 		CacheSize:        *cacheSize,
-		Algorithm:        algo,
 		Storage:          storage,
 		CompactThreshold: *compactAt,
 		TraceSample:      *traceSample,

@@ -34,8 +34,7 @@
 // you pay only for the algorithms you run.
 //
 // Algorithm names round-trip through ParseAlgorithm and Algorithm.String,
-// which is how the CLI tools (cmd/fsi, cmd/fsibench, cmd/fsiserve) select
-// algorithms.
+// which is how the CLI tools (cmd/fsi, cmd/fsibench) select algorithms.
 //
 // High-QPS callers can eliminate per-query allocations entirely: acquire a
 // pooled ExecContext with GetExecContext and use IntersectInto (append into
@@ -55,22 +54,28 @@
 // query, batch execution (Engine.QueryBatch) that plans once per canonical
 // form and shares decode memos across a batch, and an HTTP JSON API with a
 // built-in load generator — the search-engine setting that motivates the
-// paper, end to end. The corpus stays live: each shard pairs
-// its frozen base segment with a small delta segment and a tombstone set,
-// so documents added or deleted at serving time (Engine.AddDocument /
+// paper, end to end. The corpus stays live: each shard pairs its frozen
+// base segment with a tier of in-memory segments and tombstone sets, so
+// documents added or deleted at serving time (Engine.AddDocument /
 // DeleteDocument, or POST /index/doc over HTTP) are queryable immediately,
-// and a background compaction folds the deltas back into preprocessed base
-// segments. See ARCHITECTURE.md's mutable-tier section for the design.
+// and background compactions freeze, merge and rebuild the tier. One plan
+// evaluator runs over every segment. See ARCHITECTURE.md's mutable-tier
+// section for the design.
 //
-// The serving tier's posting storage is pluggable (§4.1 and Appendix B of
-// the paper): besides raw slices, internal/invindex can hold each posting
-// list compressed — Elias γ/δ gap codes behind a bucket directory, or the
-// paper's Lowbits grouping whose decode is a single bit concatenation —
-// with the encoding chosen per list from its length and density (short
-// lists stay raw, γ wins on dense lists, δ on sparse ones, and long
-// mid-density lists take Lowbits, trading ≤2× the best gap-coded size for
-// the fastest compressed intersections). Queries intersect directly over
-// the compressed representations, and engine.Stats reports the exact
-// bytes-per-posting footprint per encoding. See ARCHITECTURE.md for the
+// The serving tier holds every posting list as one type,
+// internal/compress's Stored, under a per-list encoding (§4.1 and
+// Appendix B of the paper): raw sorted slices — intersected by merge,
+// galloping or a lazily attached bitmap form — Elias γ/δ gap codes behind
+// a bucket directory, density-partitioned bitmaps, or the paper's Lowbits
+// grouping whose decode is a single bit concatenation. The storage policy
+// only chooses the encodings: raw keeps every list raw, compressed picks
+// per list from its length and density (short lists stay raw, γ wins on
+// dense lists, δ on sparse ones, and long mid-density lists take Lowbits,
+// trading ≤2× the best gap-coded size for the fastest compressed
+// intersections). Queries intersect directly over whatever encodings the
+// lists hold, and engine.Stats reports the exact bytes-per-posting
+// footprint per encoding. The serving path chooses among Merge, galloping,
+// the bitmap AND and the compressed strategies; the full algorithm set
+// above stays available through this package. See ARCHITECTURE.md for the
 // full map from packages to paper sections.
 package fastintersect

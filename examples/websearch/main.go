@@ -1,8 +1,10 @@
 // Websearch: conjunctive keyword queries over an inverted index — the
 // paper's motivating application. A synthetic corpus of documents is
 // indexed; multi-keyword queries are answered by intersecting posting
-// lists, with the Auto policy switching between RanGroupScan and HashBin
-// depending on how skewed the posting sizes are.
+// lists with the kernel the calibrated cost model picks for their sizes
+// (a linear merge for balanced lists, galloping once they are skewed).
+// The paper's full algorithm set stays available through the public
+// fastintersect API, shown at the end.
 //
 //	go run ./examples/websearch
 package main
@@ -54,10 +56,10 @@ func main() {
 		{"data", "system"},
 		{"fast", "set", "intersection"},
 		{"search", "latency", "ranking"},
-		{"scan", "data"}, // rare ∧ frequent: skewed sizes, Auto → HashBin
+		{"scan", "data"}, // rare ∧ frequent: skewed sizes favor galloping
 	}
 	for _, q := range queries {
-		if _, err := ix.Query(q...); err != nil { // warm: builds lazy structures
+		if _, err := ix.Query(q...); err != nil { // warm: calibrates the cost model
 			log.Fatal(err)
 		}
 		start := time.Now()
@@ -68,8 +70,17 @@ func main() {
 		fmt.Printf("query %-35s %6d hits in %v\n", fmt.Sprintf("%v", q), len(hits), time.Since(start).Round(time.Microsecond))
 	}
 
-	// Any specific algorithm can be forced, e.g. for benchmarking:
-	hits, err := ix.QueryWith(fastintersect.Merge, "fast", "set", "intersection")
+	// Any of the paper's algorithms can be forced through the public API,
+	// e.g. for benchmarking: preprocess the posting lists, then pick one.
+	var lists []*fastintersect.List
+	for _, w := range []string{"fast", "set", "intersection"} {
+		l, err := fastintersect.Preprocess(ix.Stored(w).Decode())
+		if err != nil {
+			log.Fatal(err)
+		}
+		lists = append(lists, l)
+	}
+	hits, err := fastintersect.IntersectWith(fastintersect.Merge, lists...)
 	if err != nil {
 		log.Fatal(err)
 	}

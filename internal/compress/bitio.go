@@ -5,14 +5,19 @@
 // t bits are the group identifier — whose decoding is a single concatenation
 // (Appendix B).
 //
-// Beyond reproducing the paper's Figure 8 variants, the package is the
-// storage tier of the serving path: Stored holds one posting list under one
-// Encoding (raw, γ, δ, or Lowbits), ChooseEncoding picks the encoding per
-// list from its length and density (exact γ/δ bit counts from the gaps,
-// with a bounded space allowance that buys Lowbits' concatenation decode
-// for long lists), and IntersectStored intersects directly over the stored
-// representations without materializing raw slices. internal/invindex and
-// internal/engine build on these under StorageCompressed.
+// Beyond reproducing the paper's Figure 8 variants, the package holds the
+// one posting type of the serving path: Stored keeps one posting list under
+// one Encoding (raw, γ, δ, Lowbits or bitseg), and each encoding brings its
+// kernels — Merge, Gallop and BitsegAnd (over a lazily attached bitmap
+// form) for raw lists, Algorithm 5 for Lowbits pairs, bucket probes for
+// γ/δ, word ANDs for bitseg, filter chains for mixes. ChooseEncoding picks
+// the encoding per list from its length and density (exact γ/δ bit counts
+// from the gaps, with a bounded space allowance that buys Lowbits'
+// concatenation decode for long lists), and IntersectStoredStrategy runs
+// whichever kernel the planner's one chooser (plan.ChooseStored) picked,
+// directly over the stored representations. internal/invindex stores every
+// list as a Stored — all EncRaw under StorageRaw — and internal/engine
+// wraps its in-memory segment lists as EncRaw views (SetView).
 //
 // Bit streams are LSB-first within 64-bit words, so unary runs are scanned
 // with a single TrailingZeros instruction.

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fastintersect/internal/bitseg"
 	"fastintersect/internal/bitword"
@@ -16,27 +17,35 @@ import (
 // non-matching group pairs.
 const StoredHashImages = 1
 
-// Stored is one posting list held under a serving-tier Encoding: the
-// pluggable representation behind invindex's compressed storage mode.
-// A Stored is immutable after construction and safe for concurrent use.
+// Stored is one posting list held under a serving-tier Encoding — the one
+// posting type the serving path intersects, whatever the storage policy.
+// A Stored is immutable after construction (apart from the lazily attached
+// bitseg form of an EncRaw list) and safe for concurrent use.
 //
 // Each encoding keeps exactly one structure:
 //
-//	EncRaw      the sorted []uint32 itself (shared with the caller)
+//	EncRaw      the sorted []uint32 itself, intersected by Merge, Gallop
+//	            or — through a bitseg.List attached on first use — BitsegAnd
 //	EncGamma/δ  a LookupList — gap-coded buckets behind a directory, so
 //	            intersections decode only the buckets they visit
 //	EncLowbits  an RGSList — the Appendix B grouped structure whose decode
 //	            is a single bit concatenation
 //	EncBitseg   a bitseg.List — density-partitioned bitmap segments and
 //	            sorted runs, intersected word-at-a-time with no decode
+//
+// A view (SetView) is an EncRaw Stored over memory the caller owns for one
+// evaluation — an in-memory segment list or an intermediate result.
 type Stored struct {
 	enc    Encoding
+	view   bool
 	n      int
 	span   int
 	raw    []uint32
 	lookup *LookupList
 	rgs    *RGSList
-	bits   *bitseg.List
+	// bits is the EncBitseg structure, or the bitseg form an EncRaw list
+	// attaches the first time it runs BitsegAnd (see bitsegList).
+	bits atomic.Pointer[bitseg.List]
 }
 
 // NewStored stores a sorted set under the given encoding. EncLowbits needs
@@ -57,7 +66,10 @@ func NewStored(fam *core.Family, set []uint32, enc Encoding) (*Stored, error) {
 	case EncLowbits:
 		s.rgs, err = NewRGSList(fam, set, StoredHashImages, RGSLowbits)
 	case EncBitseg:
-		s.bits, err = bitseg.FromSorted(set)
+		var b *bitseg.List
+		if b, err = bitseg.FromSorted(set); err == nil {
+			s.bits.Store(b)
+		}
 	default:
 		err = fmt.Errorf("compress: unknown encoding %d", int(enc))
 	}
@@ -78,6 +90,24 @@ const DefaultStoredBucket = 32
 // picks from its length and density.
 func NewStoredAdaptive(fam *core.Family, set []uint32) (*Stored, error) {
 	return NewStored(fam, set, ChooseEncoding(set))
+}
+
+// SetView makes s an EncRaw view of set, neither validated nor copied:
+// the form the engine's evaluator wraps in-memory segment lists and
+// intermediate results in, drawn from a pooled arena and reused across
+// evaluations. set must be strictly increasing and outlive every use of s.
+// The planner never prices a view for BitsegAnd, and a forced one builds
+// its bitmaps afresh rather than attaching them to a recycled slot.
+func (s *Stored) SetView(set []uint32) {
+	s.enc, s.view, s.n, s.raw = EncRaw, true, len(set), set
+	s.span = 0
+	if len(set) > 0 {
+		s.span = int(set[len(set)-1]) + 1
+	}
+	s.lookup, s.rgs = nil, nil
+	if s.bits.Load() != nil {
+		s.bits.Store(nil)
+	}
 }
 
 // Encoding returns the representation the list is stored under.
@@ -101,7 +131,7 @@ func (s *Stored) SizeBytes() int {
 	case EncLowbits:
 		return s.rgs.SizeBytes()
 	case EncBitseg:
-		return s.bits.SizeBytes()
+		return s.bits.Load().SizeBytes()
 	}
 	return 0
 }
@@ -129,13 +159,36 @@ func (s *Stored) DecodeInto(dst []uint32) []uint32 {
 	case EncLowbits:
 		return s.rgs.DecodeDocsInto(dst)
 	case EncBitseg:
-		return s.bits.DecodeInto(dst)
+		return s.bits.Load().DecodeInto(dst)
 	}
 	return dst
 }
 
+// bitsegList returns the list's bitseg form: the stored structure of an
+// EncBitseg list; for EncRaw, one built on first use and attached for every
+// later query. Concurrent first uses may each build one; the first attach
+// wins. A view builds afresh every time — its arena slot is recycled, and
+// an attached structure would outlive the list it was built from. Nil for
+// the other encodings.
+func (s *Stored) bitsegList() *bitseg.List {
+	if b := s.bits.Load(); b != nil {
+		return b
+	}
+	if s.enc != EncRaw {
+		return nil
+	}
+	b, _ := bitseg.FromSorted(s.raw) // raw lists are validated (or caller-vouched views)
+	if s.view || s.bits.CompareAndSwap(nil, b) {
+		return b
+	}
+	return s.bits.Load()
+}
+
 // Shape maps the list's encoding onto the planner's operand vocabulary.
 func (s *Stored) Shape() plan.Shape {
+	if s.view {
+		return plan.ShapeView
+	}
 	switch s.enc {
 	case EncGamma:
 		return plan.ShapeGamma
@@ -146,7 +199,7 @@ func (s *Stored) Shape() plan.Shape {
 	case EncBitseg:
 		return plan.ShapeBitseg
 	default:
-		return plan.ShapeRawStored
+		return plan.ShapeRaw
 	}
 }
 
@@ -154,9 +207,9 @@ func (s *Stored) Shape() plan.Shape {
 // representations, returning ascending document IDs. Operands are
 // cost-ordered by length and the kernel is chosen by the planner's
 // calibrated cost model (plan.ChooseStored) over the shapes at hand:
-// Algorithm 5 over a Lowbits pair, bucket-directory probes for γ/δ,
-// decode-and-filter chains or full decode-and-merge for mixed shapes (see
-// the Kernel docs in internal/plan).
+// Merge, Gallop or BitsegAnd over raw lists, Algorithm 5 over a Lowbits
+// pair, bucket-directory probes for γ/δ, decode-and-filter chains or full
+// decode-and-merge for mixed shapes (see the Kernel docs in internal/plan).
 //
 // The result may share memory with an EncRaw operand when only one list was
 // given; callers must treat it as read-only. IntersectStoredInto never
@@ -170,8 +223,8 @@ func IntersectStored(ss ...*Stored) []uint32 {
 
 // IntersectStoredInto is IntersectStored appending into dst. All per-call
 // workspace comes from the package's scratch pool, so steady-state calls
-// allocate only when the result outgrows dst. The result never aliases
-// stored memory.
+// allocate only when the result outgrows dst (or when a raw list first
+// attaches its bitseg form). The result never aliases stored memory.
 func IntersectStoredInto(dst []uint32, ss ...*Stored) []uint32 {
 	switch len(ss) {
 	case 0:
@@ -190,29 +243,63 @@ func IntersectStoredInto(dst []uint32, ss ...*Stored) []uint32 {
 	}
 	sc.ops = sc.ops[:0]
 	for _, s := range ord {
-		sc.ops = append(sc.ops, plan.Operand{Len: s.n, Shape: s.Shape(), Span: s.span})
+		sc.ops = append(sc.ops, s.Operand())
 	}
 	strat := plan.ChooseStored(plan.Calibrated(), plan.KernelsCost, sc.ops)
 	return execStored(dst, sc, strat, ord)
 }
 
+// Operand describes the list to the planner's chooser.
+func (s *Stored) Operand() plan.Operand {
+	return plan.Operand{Len: s.n, Shape: s.Shape(), Span: s.span}
+}
+
 // IntersectStoredStrategy executes a planner-chosen strategy over operands
 // in the caller's order (ss[0] is the probe side — callers pass their
 // plan's cost order). A strategy the operand shapes cannot satisfy (e.g.
-// KernelRGSPair without two Lowbits lists) falls back to the filter chain,
-// so a plan built from aggregate statistics stays executable on a shard
-// whose local encodings differ.
+// KernelRGSPair without two Lowbits lists, or Merge over a compressed
+// list) falls back to the filter chain, so a plan built from aggregate
+// statistics stays executable on a shard whose local encodings differ.
 func IntersectStoredStrategy(dst []uint32, strat plan.Kernel, ss ...*Stored) []uint32 {
 	switch len(ss) {
 	case 0:
 		return dst
 	case 1:
 		return ss[0].DecodeInto(dst)
+	case 2:
+		// The raw pair kernels need no workspace: skip the scratch pool.
+		if pair := rawPairKernel(strat); pair != nil && ss[0].enc == EncRaw && ss[1].enc == EncRaw {
+			return pair(dst, ss[0].raw, ss[1].raw)
+		}
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	sc.ord = append(sc.ord[:0], ss...)
 	return execStored(dst, sc, strat, sc.ord)
+}
+
+// rawPairKernel returns the sorted-pair form of a raw-list strategy — the
+// linear merge or the gallop of the smaller list through the larger — or
+// nil when strat is not one.
+func rawPairKernel(strat plan.Kernel) func(dst, a, b []uint32) []uint32 {
+	switch strat {
+	case plan.KernelMerge:
+		return sets.IntersectInto
+	case plan.KernelGallop:
+		return sets.IntersectGallopInto
+	}
+	return nil
+}
+
+// allEnc reports whether every operand is stored under one of the given
+// encodings.
+func allEnc(ord []*Stored, a, b Encoding) bool {
+	for _, s := range ord {
+		if s.enc != a && s.enc != b {
+			return false
+		}
+	}
+	return true
 }
 
 // execStored runs one stored-intersection strategy over ord (ord[0] is the
@@ -223,20 +310,32 @@ func execStored(dst []uint32, sc *scratch, strat plan.Kernel, ord []*Stored) []u
 		return dst
 	}
 	switch strat {
-	case plan.KernelBitsegAnd:
-		ok := true
-		for _, s := range ord {
-			if s.enc != EncBitseg {
-				ok = false
+	case plan.KernelMerge, plan.KernelGallop:
+		if !allEnc(ord, EncRaw, EncRaw) {
+			break
+		}
+		// Pairwise chain from the probe side: each step merges (or gallops)
+		// the running result into the next list, ping-ponging between two
+		// scratch buffers.
+		pair := rawPairKernel(strat)
+		cur := pair(sc.bufC[:0], ord[0].raw, ord[1].raw)
+		spare := sc.bufB
+		for _, s := range ord[2:] {
+			if len(cur) == 0 {
 				break
 			}
+			out := pair(spare[:0], cur, s.raw)
+			cur, spare = out, cur
 		}
-		if !ok {
+		sc.bufB, sc.bufC = cur, spare
+		return append(dst, cur...)
+	case plan.KernelBitsegAnd:
+		if !allEnc(ord, EncBitseg, EncRaw) {
 			break
 		}
 		sc.bits = sc.bits[:0]
 		for _, s := range ord {
-			sc.bits = append(sc.bits, s.bits)
+			sc.bits = append(sc.bits, s.bitsegList())
 		}
 		return bitseg.IntersectKInto(dst, sc.bits...)
 	case plan.KernelRGSPair:
@@ -248,14 +347,7 @@ func execStored(dst []uint32, sc *scratch, strat plan.Kernel, ord []*Stored) []u
 		sets.SortU32(dst[start:])
 		return dst
 	case plan.KernelLookupProbe:
-		ok := true
-		for _, s := range ord {
-			if s.enc != EncGamma && s.enc != EncDelta {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !allEnc(ord, EncGamma, EncDelta) {
 			break
 		}
 		sc.llsIn = sc.llsIn[:0]
@@ -310,7 +402,7 @@ func (s *Stored) filterSortedInto(probe, out []uint32, sc *scratch) []uint32 {
 	case EncLowbits:
 		return s.rgs.filterDocs(probe, out, &sc.bufA)
 	case EncBitseg:
-		return s.bits.FilterInto(probe, out)
+		return s.bits.Load().FilterInto(probe, out)
 	}
 	return out
 }

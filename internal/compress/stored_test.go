@@ -3,6 +3,7 @@ package compress
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fastintersect/internal/core"
 	"fastintersect/internal/sets"
@@ -172,5 +173,14 @@ func TestParseEncodingRoundtrip(t *testing.T) {
 	}
 	if Encoding(99).String() != "Encoding(?)" {
 		t.Fatal("unknown stringer wrong")
+	}
+}
+
+// TestStoredSize pins the posting header inside the 80-byte allocation
+// size class: an index holds one Stored per (term, shard), so every byte
+// past the class boundary multiplies across hundreds of thousands of lists.
+func TestStoredSize(t *testing.T) {
+	if n := unsafe.Sizeof(Stored{}); n > 80 {
+		t.Fatalf("Stored is %d bytes, want ≤ 80", n)
 	}
 }

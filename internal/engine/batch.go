@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/sets"
 )
@@ -143,7 +142,6 @@ type batchPending struct {
 // shard by shard: one execution context per shard runs the whole batch, so
 // its decoded-term memo and buffers are shared across queries.
 func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, countOnly bool) {
-	stored := e.cfg.Storage == invindex.StorageCompressed
 	var stats *planStats
 	for _, u := range pending {
 		u.pc = getPlanCtx()
@@ -151,7 +149,7 @@ func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batch
 			u.pc.stats.fill(shards)
 			stats = &u.pc.stats
 		}
-		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts(), e.cfg.PlanPolicy, stored)
+		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts(), e.cfg.PlanPolicy)
 	}
 
 	nS := len(shards)

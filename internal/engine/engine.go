@@ -3,14 +3,17 @@
 // algorithms and a search service.
 //
 // Documents are hash-partitioned across S shards. Each shard is a tiered
-// segmented index: a frozen base segment (an invindex.Index, raw or
-// compressed), k frozen in-memory segments and one active mutable segment
-// (internal/segment), each segment carrying its own tombstone filter, so the
-// corpus stays mutable (AddDocument / DeleteDocument) without giving up the
-// preprocessed read path — every document is visible in exactly one segment,
-// so each shard evaluates a query f as the k-way union of
-// (f(segment) − segment tombstones) across its tier, with conjunctions
-// still pushed down to the fastintersect / compressed kernels on the base.
+// segmented index: a frozen base segment (an invindex.Index of
+// compress.Stored lists), k frozen in-memory segments and one active
+// mutable segment (internal/segment), each segment carrying its own
+// tombstone filter, so the corpus stays mutable (AddDocument /
+// DeleteDocument) — every document is visible in exactly one segment, so
+// each shard evaluates a query f as the k-way union of
+// (f(segment) − segment tombstones) across its tier. One evaluator runs
+// the plan over every segment: the base hands it stored lists, the
+// in-memory segments EncRaw views of their sorted lists, and conjunctions
+// push down to whichever kernel the cost model picks for the encodings at
+// hand.
 // Background compaction (see mutable.go) is incremental: the active segment
 // freezes into the tier by a map move, a size-tiered merge coalesces only
 // the smallest frozen segments, and a full rebuild through the parallel
@@ -29,12 +32,12 @@
 // plan; QueryBatch amortizes planning and decode memos across many
 // queries.
 //
-// The posting storage is pluggable (Config.Storage): under
-// invindex.StorageCompressed each shard's base stores every posting list
-// under the encoding compress.ChooseEncoding picks from its density,
-// conjunctions run compress.IntersectStored directly over the compressed
-// representations, and Stats reports the exact per-encoding
-// bytes-per-posting footprint.
+// Config.Storage is the encoding policy of the base segments:
+// invindex.StorageRaw stores every list as EncRaw (fastest),
+// invindex.StorageCompressed lets compress.ChooseEncoding pick per list
+// from its density (smaller heap, slower intersections). Both run the same
+// evaluator; Stats reports the exact per-encoding bytes-per-posting
+// footprint.
 package engine
 
 import (
@@ -47,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastintersect"
 	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
 	"fastintersect/internal/plan"
@@ -63,15 +65,10 @@ type Config struct {
 	Workers int
 	// CacheSize is the result-cache capacity in entries (0 disables it).
 	CacheSize int
-	// Algorithm intersects term conjunctions (default Auto). Algorithms
-	// with a set-count limit fall back to Auto for wider conjunctions.
-	// Ignored under StorageCompressed, which intersects directly over the
-	// compressed representations.
-	Algorithm fastintersect.Algorithm
-	// Storage selects the posting-list representation of every shard
-	// (default StorageRaw). StorageCompressed stores each list under the
-	// encoding compress.ChooseEncoding picks from its length and density;
-	// Stats then reports the per-encoding footprint.
+	// Storage is the encoding policy of every shard's base (default
+	// StorageRaw: every list EncRaw). StorageCompressed stores each list
+	// under the encoding compress.ChooseEncoding picks from its length and
+	// density; Stats reports the per-encoding footprint.
 	Storage invindex.Storage
 	// CompactThreshold triggers a background compaction of a shard once its
 	// active segment holds that many postings — or, under CompactRebuild,
@@ -106,9 +103,6 @@ type Config struct {
 	// through the feedback epoch). Purely a performance feature — kernel
 	// choice never changes results — and off by default.
 	PlanFeedback bool
-	// IndexOptions are forwarded to fastintersect.Preprocess for every
-	// posting list.
-	IndexOptions []fastintersect.Option
 	// TraceSample traces 1 in N queries with per-stage and per-operator
 	// timing (0 = the package default of 64). Sampled traces feed the stage
 	// histograms and per-kernel counters on Metrics(); unsampled queries
@@ -251,11 +245,11 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty builder with the engine's sharding and
-// preprocessing configuration.
+// storage configuration.
 func (e *Engine) NewBuilder() *Builder {
 	b := &Builder{cfg: e.cfg, shards: make([]*invindex.Index, e.cfg.Shards)}
 	for i := range b.shards {
-		b.shards[i] = invindex.NewWithStorage(e.cfg.Storage, e.cfg.IndexOptions...)
+		b.shards[i] = invindex.NewWithStorage(e.cfg.Storage)
 	}
 	return b
 }
@@ -591,22 +585,21 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	} else {
 		pc = getPlanCtx()
 		pc.stats.fill(shards)
-		stored := e.cfg.Storage == invindex.StorageCompressed
 		if cacheablePlan {
 			// Build into a cache-owned plan (shared read-only by later
 			// queries); Explain/Analyze rebuild into the pooled arena so
 			// their rendering always reflects current statistics.
 			e.met.planMisses.Inc()
-			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
+			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy)
 			e.plans.put(key, pp, epoch)
 		} else {
-			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy, stored)
+			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy)
 		}
 	}
 	stamp(tr, obs.StagePlan, &t0)
 	expl := ""
 	if mode == modeExplain {
-		expl = pp.Explain() + e.algorithmNote()
+		expl = pp.Explain()
 	}
 	if hit {
 		putPlanCtx(pc)
@@ -629,7 +622,7 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 		}
 	}
 	if mode == modeAnalyze {
-		expl = renderAnalyze(pc, pp, agg, tr) + e.algorithmNote()
+		expl = renderAnalyze(pc, pp, agg, tr)
 	}
 	putTraceRec(agg)
 	putPlanCtx(pc)
@@ -641,17 +634,6 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	}
 	e.cache.put(key, merged, gen)
 	return &Result{Docs: merged, Count: count, Normalized: key}, expl, nil
-}
-
-// algorithmNote flags a configured intersection algorithm on explain
-// output: the plan renders the cost model's choices, but a configured
-// algorithm overrides them at execution (see listAlgorithm), so say so
-// rather than show a kernel that never ran.
-func (e *Engine) algorithmNote() string {
-	if e.cfg.Algorithm == fastintersect.Auto {
-		return ""
-	}
-	return fmt.Sprintf("note: Config.Algorithm=%v overrides the list-kernel choices above\n", e.cfg.Algorithm)
 }
 
 // renderAnalyze renders the executed plan with actuals plus the stage and

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"fastintersect"
+	"fastintersect/internal/plan"
 	"fastintersect/internal/sets"
 )
 
@@ -19,16 +19,7 @@ func buildTestEngine(t testing.TB, cfg Config, numDocs uint32) *Engine {
 	e := New(cfg)
 	b := e.NewBuilder()
 	for d := uint32(0); d < numDocs; d++ {
-		terms := []string{"all"}
-		for k := uint32(2); k <= 13; k++ {
-			if d%k == 0 {
-				terms = append(terms, fmt.Sprintf("m%d", k))
-			}
-		}
-		if d%97 == 0 {
-			terms = append(terms, "rare")
-		}
-		if err := b.Add(d, terms); err != nil {
+		if err := b.Add(d, testDocTerms(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,6 +27,40 @@ func buildTestEngine(t testing.TB, cfg Config, numDocs uint32) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// testDocTerms is the test corpus: document d carries "all", "m<k>" for
+// every k in 2..13 dividing d, and "rare" when 97 divides d.
+func testDocTerms(d uint32) []string {
+	terms := []string{"all"}
+	for k := uint32(2); k <= 13; k++ {
+		if d%k == 0 {
+			terms = append(terms, fmt.Sprintf("m%d", k))
+		}
+	}
+	if d%97 == 0 {
+		terms = append(terms, "rare")
+	}
+	return terms
+}
+
+// addTier re-adds every stride-th document (its terms unchanged) in three
+// batches, freezing the first two: the shard tiers end up with two frozen
+// segments and a non-empty active one while every query answer stays put.
+func addTier(t testing.TB, e *Engine, numDocs, stride uint32) {
+	t.Helper()
+	for batch := uint32(0); batch < 3; batch++ {
+		for d := batch; d < numDocs; d += stride {
+			if err := e.AddDocument(d, testDocTerms(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batch < 2 {
+			if err := e.FreezeActive(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // refEval answers the same queries from first principles.
@@ -128,22 +153,39 @@ func TestEngineShardCountInvariance(t *testing.T) {
 	}
 }
 
-func TestEngineEveryAlgorithmAgrees(t *testing.T) {
+// forceKernel returns cost coefficients under which the raw-list chooser
+// picks k wherever it is applicable: every other raw kernel is priced out
+// through its correction factor.
+func forceKernel(k plan.Kernel) *plan.Costs {
+	c := plan.DefaultCosts()
+	for _, other := range []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd} {
+		if other != k {
+			c.Corr[other] = 1e9
+		}
+	}
+	return c
+}
+
+// TestEngineEveryKernelAgrees forces each raw-list kernel through the
+// serving path — over the base and over frozen and active segments, whose
+// views fall back from BitsegAnd to the cheaper of the others — and holds
+// every answer to the reference.
+func TestEngineEveryKernelAgrees(t *testing.T) {
 	const numDocs = 2000
-	want := refEval(numDocs, func(d uint32) bool { return d%6 == 0 })
-	algos := append([]fastintersect.Algorithm{fastintersect.Auto}, fastintersect.Algorithms()...)
-	for _, algo := range algos {
-		e := buildTestEngine(t, Config{Shards: 4, Algorithm: algo}, numDocs)
-		res, err := e.Query("m2 AND m3")
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+	for _, k := range []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd} {
+		e := buildTestEngine(t, Config{Shards: 4, TraceSample: 1, PlanCosts: forceKernel(k)}, numDocs)
+		for _, tq := range testQueries {
+			checkQuery(t, e, numDocs, tq.q, tq.pred)
 		}
-		if !sets.Equal(res.Docs, want) {
-			t.Fatalf("%v: wrong result (%d docs, want %d)", algo, len(res.Docs), len(want))
+		// Checked on the base-only tier: with segments, the costliest run
+		// names each traced operator, and under these corrections that is
+		// a view's priced-out Merge or Gallop.
+		if got := e.Stats().KernelExecs; got[k.String()] == 0 {
+			t.Errorf("forced %v, but it never ran (kernel executions %v)", k, got)
 		}
-		// Wider than IntGroup's 2-set limit: must fall back, not fail.
-		if _, err := e.Query("m2 AND m3 AND m5"); err != nil {
-			t.Fatalf("%v: 3-term conjunction: %v", algo, err)
+		addTier(t, e, numDocs, 7)
+		for _, tq := range testQueries {
+			checkQuery(t, e, numDocs, tq.q, tq.pred)
 		}
 	}
 }

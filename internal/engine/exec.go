@@ -4,64 +4,51 @@ import (
 	"fmt"
 	"time"
 
-	"fastintersect"
 	"fastintersect/internal/compress"
 	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
+	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
 )
 
-// Physical-plan execution against one shard's base segment. The logical
-// language, normalizer and cost model live in internal/plan; this file is
-// the interpreter that runs a plan.Plan over an invindex.Index inside a
-// pooled execCtx.
+// Physical-plan execution against one segment of a shard's tier. The
+// logical language, normalizer and cost model live in internal/plan; this
+// file is the one interpreter that runs a plan.Plan inside a pooled
+// execCtx, over the base index and the in-memory segments alike.
 //
-// Kernel selection is delegated to the plan package everywhere: the plan
-// fixes the operand order (built once per query from engine-aggregate
-// statistics), and each shard re-prices the kernel on its actual operand
-// sizes and encodings through the same cost model — plan.ChooseListKernel
-// for preprocessed lists, plan.ChooseStored for compressed lists,
-// plan.ChoosePair for the pairwise composite/delta merges. No execution
-// path picks a kernel inline.
+// Every operand is a *compress.Stored: the base hands out its stored lists
+// (EncRaw under StorageRaw, any encoding under StorageCompressed), and an
+// in-memory segment's sorted lists — like the intermediate results a
+// conjunction intersects with its composite kids — are wrapped as EncRaw
+// views drawn from the context's arena. Kernel selection is delegated to
+// the plan package: the plan fixes the operand order (built once per query
+// from engine-aggregate statistics), and each segment re-prices the kernel
+// on its actual operand sizes and encodings through plan.ChooseStored. No
+// execution path picks a kernel inline.
 
-// listAlgorithm resolves the algorithm for a conjunction over f.lists: the
-// configured override when set (and applicable), otherwise the cost model
-// over the shard's actual list sizes.
-// It also reports the chosen kernel and the span it was priced at, so a
-// traced query can attribute the execution to the kernel that actually ran
-// (KernelNone when a fixed Config.Algorithm bypasses the cost model).
-func (e *Engine) listAlgorithm(c *execCtx, p *plan.Plan, lists []*fastintersect.List) (fastintersect.Algorithm, plan.Kernel, int) {
-	a := e.cfg.Algorithm
-	if mx := a.MaxSets(); mx > 0 && len(lists) > mx {
-		a = fastintersect.Auto
-	}
-	if a != fastintersect.Auto {
-		return a, plan.KernelNone, 0
-	}
-	c.lens = c.lens[:0]
-	span := 0
-	for _, l := range lists {
-		c.lens = append(c.lens, l.Len())
-		if sp := l.Span(); sp > 0 && (span == 0 || sp < span) {
-			span = sp
-		}
-	}
-	k := plan.ChooseListKernel(e.planCosts(), p.Policy.Kernels, c.lens, span)
-	return fastintersect.KernelAlgorithm(k), k, span
+// source is the segment a plan is evaluated against: the shard's base index
+// or one in-memory segment (frozen or active). Exactly one field is set.
+type source struct {
+	base *invindex.Index
+	seg  segment.TermSource
 }
 
-// intersectPair intersects two sorted sets into a context buffer with the
-// kernel the cost model picks for their sizes.
-func (e *Engine) intersectPair(c *execCtx, pol plan.KernelPolicy, a, b []uint32) []uint32 {
-	if plan.ChoosePair(e.planCosts(), pol, len(a), len(b)) == plan.KernelGallop {
-		return sets.IntersectGallopInto(c.getBuf(), a, b)
+// operand returns term's posting list in src, or nil when src holds none.
+// Segment lists come back as arena views, valid until the context's next
+// resetViews.
+func (c *execCtx) operand(src source, term string) *compress.Stored {
+	if src.base != nil {
+		return src.base.Stored(term)
 	}
-	return sets.IntersectInto(c.getBuf(), a, b)
+	if l := src.seg.Postings(term); len(l) > 0 {
+		return c.view(l)
+	}
+	return nil
 }
 
-// evalOp evaluates physical operator i of p against one shard's base index,
-// returning sorted docIDs. All transient memory comes from c; the returned
-// slice either aliases index memory or the context's memo (owned = false;
+// evalOp evaluates physical operator i of p against one segment, returning
+// sorted docIDs. All transient memory comes from c; the returned slice
+// either aliases segment memory or the context's memo (owned = false;
 // read-only) or is backed by a context buffer (owned = true; the caller
 // recycles it with c.putBuf once consumed). Either way it is only valid
 // until the context is released.
@@ -75,15 +62,15 @@ func (e *Engine) intersectPair(c *execCtx, pol plan.KernelPolicy, a, b []uint32)
 // are the engine's unit of work between kernel/decode runs, so a deadline
 // that expires mid-shard aborts before the next kernel starts rather than
 // after the whole shard finishes.
-func (e *Engine) evalOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) ([]uint32, bool, error) {
+func (e *Engine) evalOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uint32, bool, error) {
 	if err := c.pollCancel(); err != nil {
 		return nil, false, err
 	}
 	if c.rec == nil {
-		return e.evalOpInner(c, ix, p, i)
+		return e.evalOpInner(c, src, p, i)
 	}
 	start := time.Now()
-	docs, owned, err := e.evalOpInner(c, ix, p, i)
+	docs, owned, err := e.evalOpInner(c, src, p, i)
 	a := &c.rec.ops[i]
 	a.execs++
 	a.rows += int64(len(docs))
@@ -91,30 +78,20 @@ func (e *Engine) evalOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) (
 	return docs, owned, err
 }
 
-func (e *Engine) evalOpInner(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) (docs []uint32, owned bool, err error) {
+func (e *Engine) evalOpInner(c *execCtx, src source, p *plan.Plan, i int32) (docs []uint32, owned bool, err error) {
 	op := &p.Ops[i]
 	switch op.Kind {
 	case plan.OpTerm:
-		if ix.Storage() == invindex.StorageCompressed {
-			s := ix.Stored(op.Term)
-			if s == nil {
-				return nil, false, nil
-			}
-			if s.Encoding() == compress.EncRaw {
-				return s.Decode(), false, nil // aliases the stored slice, no copy
-			}
-			return c.decodeStored(s), false, nil
-		}
-		l := ix.Postings(op.Term)
-		if l == nil {
+		s := c.operand(src, op.Term)
+		if s == nil {
 			return nil, false, nil
 		}
-		return l.Set(), false, nil
+		return c.sortedList(s), false, nil
 
 	case plan.OpOr:
 		f := c.frame()
 		for _, ki := range p.KidOps(op) {
-			s, kidOwned, err := e.evalOp(c, ix, p, ki)
+			s, kidOwned, err := e.evalOp(c, src, p, ki)
 			if err != nil {
 				c.releaseFrame(f)
 				return nil, false, err
@@ -127,7 +104,7 @@ func (e *Engine) evalOpInner(c *execCtx, ix *invindex.Index, p *plan.Plan, i int
 		return out, true, nil
 
 	case plan.OpAnd:
-		return e.evalAndOp(c, ix, p, i)
+		return e.evalAndOp(c, src, p, i)
 	}
 	return nil, false, fmt.Errorf("engine: unknown plan op kind %d", op.Kind)
 }
@@ -145,13 +122,29 @@ func recTerm(c *execCtx, ti int32, n int) {
 	a.rows += int64(n)
 }
 
+// intersect runs the kernel plan.ChooseStored picks for ops on their actual
+// lengths and encodings, into a fresh context buffer. ops[0] is the probe
+// side. A traced conjunction (rec non-nil) records the kernel that ran and
+// the price it was chosen at.
+func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []*compress.Stored) []uint32 {
+	c.ops = c.ops[:0]
+	for _, s := range ops {
+		c.ops = append(c.ops, s.Operand())
+	}
+	costs := e.planCosts()
+	strat := plan.ChooseStored(costs, pol, c.ops)
+	if rec != nil {
+		rec.ranKernel(strat, plan.PriceStored(costs, strat, c.ops))
+	}
+	return compress.IntersectStoredStrategy(c.getBuf(), strat, ops...)
+}
+
 // evalAndOp evaluates one conjunction operator under evalOp's ownership
 // rules. The plan supplies the operand order; the kernel is re-priced on
-// the shard's actual sizes.
-func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32) ([]uint32, bool, error) {
+// the segment's actual sizes.
+func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uint32, bool, error) {
 	op := &p.Ops[i]
 	f := c.frame()
-	compressed := ix.Storage() == invindex.StorageCompressed
 	for _, ti := range p.TermOps(op) {
 		// A wide conjunction fetches (and under compressed storage decodes)
 		// many operands inside one operator — poll between them too.
@@ -159,82 +152,29 @@ func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32
 			c.releaseFrame(f)
 			return nil, false, err
 		}
-		term := p.Ops[ti].Term
-		var n int
-		if compressed {
-			s := ix.Stored(term)
-			if s != nil {
-				n = s.Len()
-			}
-			if n == 0 {
-				recTerm(c, ti, 0)
-				c.releaseFrame(f)
-				return nil, false, nil // empty operand: whole conjunction is empty
-			}
-			recTerm(c, ti, n)
-			f.stored = append(f.stored, s)
-			continue
-		}
-		l := ix.Postings(term)
-		if l != nil {
-			n = l.Len()
-		}
-		if n == 0 {
+		s := c.operand(src, p.Ops[ti].Term)
+		if s == nil || s.Len() == 0 {
 			recTerm(c, ti, 0)
 			c.releaseFrame(f)
 			return nil, false, nil // empty operand: whole conjunction is empty
 		}
-		recTerm(c, ti, n)
-		f.lists = append(f.lists, l)
+		recTerm(c, ti, s.Len())
+		f.stored = append(f.stored, s)
 	}
 	var cur []uint32
 	curOwned := false
 	haveBase := false // distinguishes "no term operands" from an empty base intersection
 	switch {
 	case len(f.stored) >= 2:
-		// The plan fixed the operand order; re-price the strategy on this
-		// shard's actual lengths and encodings.
-		c.ops = c.ops[:0]
-		for _, s := range f.stored {
-			c.ops = append(c.ops, plan.Operand{Len: s.Len(), Shape: s.Shape(), Span: s.Span()})
-		}
-		strat := plan.ChooseStored(e.planCosts(), p.Policy.Kernels, c.ops)
+		var rec *opAcc
 		if c.rec != nil {
-			rec := &c.rec.ops[i]
-			rec.kernel = strat
-			rec.estNs += plan.PriceStored(e.planCosts(), strat, c.ops)
+			rec = &c.rec.ops[i]
 		}
-		cur = compress.IntersectStoredStrategy(c.getBuf(), strat, f.stored...)
+		cur = e.intersect(c, p.Policy.Kernels, rec, f.stored)
 		curOwned = true
 		haveBase = true
 	case len(f.stored) == 1:
-		s := f.stored[0]
-		if s.Encoding() == compress.EncRaw {
-			cur = s.Decode() // aliases the stored slice
-		} else {
-			cur = c.decodeStored(s)
-		}
-		haveBase = true
-	case len(f.lists) >= 2:
-		a, k, span := e.listAlgorithm(c, p, f.lists)
-		if c.rec != nil && k != plan.KernelNone {
-			rec := &c.rec.ops[i]
-			rec.kernel = k
-			rec.estNs += plan.PriceListKernel(e.planCosts(), k, c.lens, span)
-		}
-		out, err := fastintersect.IntersectInto(&c.fi, c.getBuf(), a, f.lists...)
-		if err != nil {
-			c.releaseFrame(f)
-			return nil, false, err
-		}
-		if !a.Sorted() {
-			sets.SortU32(out)
-		}
-		cur = out
-		curOwned = true
-		haveBase = true
-	case len(f.lists) == 1:
-		cur = f.lists[0].Set()
+		cur = c.sortedList(f.stored[0])
 		haveBase = true
 	}
 	if haveBase && len(cur) == 0 {
@@ -247,7 +187,7 @@ func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32
 		return nil, false, nil
 	}
 	for _, ki := range p.KidOps(op) {
-		s, owned, err := e.evalOp(c, ix, p, ki)
+		s, owned, err := e.evalOp(c, src, p, ki)
 		if err != nil {
 			if curOwned {
 				c.putBuf(cur)
@@ -269,7 +209,10 @@ func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32
 			cur, curOwned, haveBase = s, owned, true
 			continue
 		}
-		out := e.intersectPair(c, p.Policy.Kernels, cur, s)
+		// A composite operand meets the running result through the same
+		// chooser, both sides as views (the pair kernels are symmetric).
+		f.pair[0], f.pair[1] = c.view(cur), c.view(s)
+		out := e.intersect(c, p.Policy.Kernels, nil, f.pair[:])
 		if curOwned {
 			c.putBuf(cur)
 		}
@@ -290,7 +233,7 @@ func (e *Engine) evalAndOp(c *execCtx, ix *invindex.Index, p *plan.Plan, i int32
 		if len(cur) == 0 {
 			break
 		}
-		s, owned, err := e.evalOp(c, ix, p, ni)
+		s, owned, err := e.evalOp(c, src, p, ni)
 		if err != nil {
 			if curOwned {
 				c.putBuf(cur)

@@ -4,39 +4,43 @@ import (
 	"context"
 	"sync"
 
-	"fastintersect"
 	"fastintersect/internal/compress"
 	"fastintersect/internal/plan"
 )
 
 // execCtx is the engine's per-shard-evaluation execution context: it owns
-// every piece of transient memory evalShard needs — the fastintersect
-// kernel context, a free list of result buffers, the decoded-term memo for
-// compressed storage, and a free list of evaluation frames. One context
-// serves one evalShard call at a time; Query draws one per shard from the
-// package pool so concurrent shard evaluations never share scratch.
+// every piece of transient memory evalShard needs — a free list of result
+// buffers, the decoded-term memo for compressed lists, the arena of EncRaw
+// views over segment lists and intermediate results, and a free list of
+// evaluation frames. One context serves one evalShard call at a time;
+// Query draws one per shard from the package pool so concurrent shard
+// evaluations never share scratch.
 //
 // Ownership rules (the "memory discipline" ARCHITECTURE.md documents):
 //
 //   - evalShard returns (docs, owned): owned=true means docs is backed by a
 //     buffer of this context, which the caller recycles with putBuf once
 //     the docs are consumed; owned=false means docs aliases index memory
-//     (a posting list) or the context's decode memo and must be treated as
-//     read-only — it is never recycled directly.
+//     (a raw posting list) or the context's decode memo and must be treated
+//     as read-only — it is never recycled directly.
 //   - Every buffer handed out by getBuf returns to the free list exactly
 //     once: through putBuf when its consumer is done, through releaseFrame
 //     for results parked in a frame, or through putExecCtx for memo
 //     entries. Buffers never escape the context: Query copies the final
 //     docs into a fresh slice before caching or returning them.
 type execCtx struct {
-	fi    fastintersect.ExecContext
 	free  [][]uint32
 	memoK []*compress.Stored
 	memoV [][]uint32
 	memoM map[*compress.Stored][]uint32 // index over memoK once it outgrows linear scans
 	pool  []*evalFrame
-	lens  []int          // scratch for per-shard list-kernel pricing
-	ops   []plan.Operand // scratch for per-shard stored-strategy pricing
+	ops   []plan.Operand // scratch for per-segment kernel pricing
+
+	// views is the view arena: views[:nviews] wrap lists of the segment
+	// being evaluated (see view), and resetViews recycles them all once its
+	// evaluation returns — results alias the lists, never the views.
+	views  []*compress.Stored
+	nviews int
 
 	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
 	// rows, inclusive ns) into it — set by executePlan for traced queries,
@@ -90,8 +94,8 @@ func (c *execCtx) cancelled() error {
 // evalFrame holds one AND/OR operator's operand collections, recycled
 // across evaluations so nested expressions allocate nothing steady-state.
 type evalFrame struct {
-	lists     []*fastintersect.List
 	stored    []*compress.Stored
+	pair      [2]*compress.Stored // a composite kid meeting the running result
 	kids      [][]uint32
 	kidsOwned []bool
 }
@@ -118,7 +122,7 @@ func putExecCtx(c *execCtx) {
 	c.memoM = nil
 	c.memoK = c.memoK[:0]
 	c.memoV = c.memoV[:0]
-	c.fi.Reset()
+	c.resetViews()
 	c.ctx = nil
 	c.polls = 0
 	if c.rec != nil {
@@ -191,6 +195,39 @@ func (c *execCtx) decodeStored(s *compress.Stored) []uint32 {
 	return b
 }
 
+// sortedList returns s as a sorted list: an EncRaw list (or view) aliases
+// its payload, a compressed one decodes through the memo. Read-only either
+// way.
+func (c *execCtx) sortedList(s *compress.Stored) []uint32 {
+	if s.Encoding() == compress.EncRaw {
+		return s.Decode()
+	}
+	return c.decodeStored(s)
+}
+
+// view wraps a sorted list as an EncRaw operand from the arena — the form
+// in which in-memory segment lists and intermediate results reach the
+// kernel chooser. Valid until resetViews; never a memo key (views are
+// EncRaw, which aliases instead of decoding).
+func (c *execCtx) view(l []uint32) *compress.Stored {
+	if c.nviews == len(c.views) {
+		c.views = append(c.views, new(compress.Stored))
+	}
+	v := c.views[c.nviews]
+	c.nviews++
+	v.SetView(l)
+	return v
+}
+
+// resetViews recycles every arena view, dropping their list references so
+// a pooled context never pins segment memory.
+func (c *execCtx) resetViews() {
+	for _, v := range c.views[:c.nviews] {
+		v.SetView(nil)
+	}
+	c.nviews = 0
+}
+
 // frame returns a cleared evaluation frame from the free list.
 func (c *execCtx) frame() *evalFrame {
 	if n := len(c.pool); n > 0 {
@@ -212,9 +249,8 @@ func (c *execCtx) releaseFrame(f *evalFrame) {
 		}
 	}
 	clear(f.kids)
-	clear(f.lists)
 	clear(f.stored)
-	f.lists = f.lists[:0]
+	f.pair = [2]*compress.Stored{}
 	f.stored = f.stored[:0]
 	f.kids = f.kids[:0]
 	f.kidsOwned = f.kidsOwned[:0]

@@ -11,13 +11,12 @@ import (
 )
 
 // feedbackTestCosts returns a deliberately mis-calibrated base: the
-// per-probe kernels priced far too cheap, the way a stale startup
+// gallop probe priced far too cheap, the way a stale startup
 // calibration looks after the index drifts. The feedback loop must learn
 // corrections on top of it without ever changing results.
 func feedbackTestCosts() *plan.Costs {
 	c := plan.DefaultCosts()
 	c.GallopProbe /= 16
-	c.HashProbe /= 16
 	return c
 }
 
@@ -220,5 +219,27 @@ func TestFeedbackRefitRaceUnderChurn(t *testing.T) {
 		if c := e.fb.Correction(k); c < 1.0/16 || c > 16 {
 			t.Fatalf("kernel %v correction out of clamp after churn: %v", k, c)
 		}
+	}
+}
+
+// TestTraceAttributionCostliestRun pins how a traced operator is labelled
+// when its segments (or shards) ran different kernels: the run with the
+// largest estimate names it, and every run's estimate still adds up.
+func TestTraceAttributionCostliestRun(t *testing.T) {
+	var a opAcc
+	a.ranKernel(plan.KernelMerge, 10)
+	a.ranKernel(plan.KernelGallop, 100)
+	a.ranKernel(plan.KernelMerge, 5)
+	if a.kernel != plan.KernelGallop || a.estNs != 115 {
+		t.Fatalf("within a shard: kernel %v, estNs %v; want Gallop, 115", a.kernel, a.estNs)
+	}
+	agg, other := getTraceRec(1), getTraceRec(1)
+	defer putTraceRec(agg)
+	defer putTraceRec(other)
+	agg.ops[0] = a
+	other.ops[0].ranKernel(plan.KernelBitsegAnd, 200)
+	agg.merge(other)
+	if got := agg.ops[0]; got.kernel != plan.KernelBitsegAnd || got.estNs != 315 {
+		t.Fatalf("across shards: kernel %v, estNs %v; want BitsegAnd, 315", got.kernel, got.estNs)
 	}
 }

@@ -168,7 +168,7 @@ func (m *engineMetrics) recordKernels(pp *plan.Plan, agg *traceRec) {
 			continue
 		}
 		// Prefer the kernel the shards actually ran; the plan-level pick is
-		// the fallback for paths that don't re-price (fixed Config.Algorithm,
+		// the fallback for paths that don't re-price (empty operands and
 		// single-operand degenerations).
 		k := a.kernel
 		if k == plan.KernelNone {
@@ -213,15 +213,27 @@ func harvestFeedback(fb *plan.Feedback, pp *plan.Plan, agg *traceRec) {
 
 // opAcc accumulates one plan operator's executions during a traced query.
 // kernel and estNs are the execution-level truth for conjunctions: the
-// kernel the shard's re-pricing actually ran (the logical plan's pick can
+// kernel the segment's re-pricing actually ran (the logical plan's pick can
 // differ — it prices every operand at the universe span) and the corrected
-// cost that re-pricing promised, summed across shards like ns.
+// cost that re-pricing promised, summed across segments and shards like
+// ns. When segments ran different kernels for one operator, the run with
+// the largest estimate (kernelEst) names it — usually the base, whose lists
+// dominate the work.
 type opAcc struct {
-	execs  int64
-	rows   int64
-	ns     int64
-	kernel plan.Kernel
-	estNs  float64
+	execs     int64
+	rows      int64
+	ns        int64
+	kernel    plan.Kernel
+	kernelEst float64
+	estNs     float64
+}
+
+// ranKernel records one kernel run of the operator priced at est.
+func (a *opAcc) ranKernel(k plan.Kernel, est float64) {
+	if a.kernel == plan.KernelNone || est > a.kernelEst {
+		a.kernel, a.kernelEst = k, est
+	}
+	a.estNs += est
 }
 
 // traceRec is the per-execution-context recording arena of a traced query:
@@ -267,11 +279,11 @@ func (r *traceRec) merge(o *traceRec) {
 		r.ops[i].rows += o.ops[i].rows
 		r.ops[i].ns += o.ops[i].ns
 		r.ops[i].estNs += o.ops[i].estNs
-		if o.ops[i].kernel != plan.KernelNone {
+		if k := o.ops[i].kernel; k != plan.KernelNone && (r.ops[i].kernel == plan.KernelNone || o.ops[i].kernelEst > r.ops[i].kernelEst) {
 			// Shards re-price independently but over statistically identical
-			// halves, so they almost always agree; any shard's pick stands in
-			// for the operator.
-			r.ops[i].kernel = o.ops[i].kernel
+			// halves, so they almost always agree; the costliest run names
+			// the operator, as within a shard.
+			r.ops[i].kernel, r.ops[i].kernelEst = k, o.ops[i].kernelEst
 		}
 	}
 }

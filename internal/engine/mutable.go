@@ -14,10 +14,8 @@ import (
 
 // The mutable tier. Each shard is a tiered segmented index:
 //
-//   - base: a frozen invindex.Index (raw or compressed), exactly the
-//     structure Install produces — every preprocessed/compressed kernel of
-//     the read path keeps running against it unchanged — plus baseTombs,
-//     its tombstone filter.
+//   - base: a frozen invindex.Index of stored posting lists, exactly the
+//     structure Install produces, plus baseTombs, its tombstone filter.
 //   - frozen: zero or more immutable segment.Frozen segments, each with its
 //     own tombstone filter and per-term document frequencies. Produced by
 //     freezing the active segment (a map move, no copying) and coalesced by
@@ -34,8 +32,8 @@ import (
 //
 //	f(shard) = ∪ over segments s of (f(s) − s.tombs)
 //
-// — the base runs the paper's kernels, each in-memory segment a linear-merge
-// evaluator over its small sorted lists (see evalSeg), and the results
+// — every segment runs the same plan evaluator (evalOp), the in-memory
+// segments' sorted lists entering it as EncRaw views, and the results
 // combine with one sets.UnionKInto. Order independence is what permits
 // size-tiered merging: any subset of frozen segments coalesces into one
 // without consulting the rest. All scratch comes from the pooled execCtx, so
@@ -557,7 +555,7 @@ func (e *Engine) rebuildShard(s *shard) error {
 // snapshots) term by term into a fresh index and builds it. base and the
 // frozen segments' postings are immutable, so no lock is needed.
 func (e *Engine) rebuildBase(base *invindex.Index, segs []*segment.Frozen, baseTombs []uint32, snaps [][]uint32, workers int) (*invindex.Index, error) {
-	nb := invindex.NewWithStorage(e.cfg.Storage, e.cfg.IndexOptions...)
+	nb := invindex.NewWithStorage(e.cfg.Storage)
 	var scratch, scratch2 []uint32
 	segTerm := func(term string) []uint32 {
 		var merged []uint32
@@ -572,13 +570,7 @@ func (e *Engine) rebuildBase(base *invindex.Index, segs []*segment.Frozen, baseT
 		return merged
 	}
 	for _, term := range base.Terms() {
-		var postings []uint32
-		if base.Storage() == invindex.StorageCompressed {
-			postings = base.Stored(term).Decode()
-		} else {
-			postings = base.Postings(term).Set()
-		}
-		scratch = sets.DifferenceInto(scratch[:0], postings, baseTombs)
+		scratch = sets.DifferenceInto(scratch[:0], base.Stored(term).Decode(), baseTombs)
 		merged := scratch
 		if add := segTerm(term); len(add) > 0 {
 			merged = sets.Union(scratch, add)
@@ -611,34 +603,26 @@ func (e *Engine) rebuildBase(base *invindex.Index, segs []*segment.Frozen, baseT
 }
 
 // evalSegments evaluates a physical plan against one shard's tier: the base
-// through the preprocessed/compressed kernels (evalOp), each in-memory
-// segment through the plan-driven pairwise-merge evaluator (evalSeg), each
+// and every in-memory segment through the same evaluator (evalOp), each
 // result minus its segment's tombstone filter, all combined with one k-way
 // union. Ownership rules match evalOp: the returned slice either aliases
 // index/segment memory (owned = false, read-only) or is backed by a context
 // buffer (owned = true).
 //
 // The shard read lock is held for the whole evaluation; mutations, freezes
-// and merge/rebuild swaps therefore see shard state atomically. Frozen
-// postings are immutable, so per-segment results may alias them even after
-// the lock is released; active-segment results are copied under the lock.
+// and merge/rebuild swaps therefore see shard state atomically. Base and
+// frozen postings are immutable, so per-segment results may alias them even
+// after the lock is released; active-segment results are copied under the
+// lock.
 func (e *Engine) evalSegments(c *execCtx, s *shard, p *plan.Plan) ([]uint32, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	docs, owned, err := e.evalOp(c, s.base, p, p.Root())
+	docs, owned, err := e.evalOp(c, source{base: s.base}, p, p.Root())
+	c.resetViews()
 	if err != nil {
-		if owned {
-			c.putBuf(docs)
-		}
 		return nil, false, err
 	}
-	if len(s.baseTombs) > 0 && len(docs) > 0 {
-		out := sets.DifferenceInto(c.getBuf(), docs, s.baseTombs)
-		if owned {
-			c.putBuf(docs)
-		}
-		docs, owned = out, true
-	}
+	docs, owned = c.minusTombs(docs, owned, s.baseTombs)
 	if len(s.frozen) == 0 && s.active.NumDocs() == 0 {
 		// Single-segment tier: the base result is the shard result. This is
 		// the steady-state fast path that keeps pure-base queries
@@ -658,18 +642,21 @@ func (e *Engine) evalSegments(c *execCtx, s *shard, p *plan.Plan) ([]uint32, boo
 	}
 	push(docs, owned)
 	for _, fz := range s.frozen {
-		res, resOwned := e.evalSeg(c, fz, p, p.Root())
-		if tombs := fz.Tombs(); len(tombs) > 0 && len(res) > 0 {
-			out := sets.DifferenceInto(c.getBuf(), res, tombs)
-			if resOwned {
-				c.putBuf(res)
-			}
-			res, resOwned = out, true
+		res, resOwned, err := e.evalOp(c, source{seg: fz}, p, p.Root())
+		c.resetViews()
+		if err != nil {
+			c.releaseFrame(f)
+			return nil, false, err
 		}
-		push(res, resOwned)
+		push(c.minusTombs(res, resOwned, fz.Tombs()))
 	}
 	if s.active.NumDocs() > 0 {
-		res, resOwned := e.evalSeg(c, s.active, p, p.Root())
+		res, resOwned, err := e.evalOp(c, source{seg: s.active}, p, p.Root())
+		c.resetViews()
+		if err != nil {
+			c.releaseFrame(f)
+			return nil, false, err
+		}
 		if !resOwned && len(res) > 0 {
 			// An unowned active-segment result aliases a live list, which a
 			// mutation may shift in place the moment the shard lock is
@@ -695,92 +682,15 @@ func (e *Engine) evalSegments(c *execCtx, s *shard, p *plan.Plan) ([]uint32, boo
 	return out, true, nil
 }
 
-// evalSeg evaluates physical operator i against one in-memory segment with
-// pairwise sorted-set kernels — segment lists are small by construction, so
-// the preprocessed structures would not pay for themselves here, but the
-// merge-vs-gallop choice still goes through the planner's cost model
-// (plan.ChoosePair) on the actual list sizes. Ownership rules match evalOp:
-// owned = false aliases a segment list and is read-only. The expression
-// cannot fail against a map of sorted lists, so no error is returned.
-func (e *Engine) evalSeg(c *execCtx, src segment.TermSource, p *plan.Plan, i int32) ([]uint32, bool) {
-	op := &p.Ops[i]
-	switch op.Kind {
-	case plan.OpTerm:
-		return src.Postings(op.Term), false
-
-	case plan.OpOr:
-		f := c.frame()
-		for _, ki := range p.KidOps(op) {
-			s, kidOwned := e.evalSeg(c, src, p, ki)
-			f.kids = append(f.kids, s)
-			f.kidsOwned = append(f.kidsOwned, kidOwned)
-		}
-		out := sets.UnionKInto(c.getBuf(), f.kids...)
-		c.releaseFrame(f)
-		return out, true
-
-	case plan.OpAnd:
-		var cur []uint32
-		curOwned, haveBase := false, false
-		// Positive operands in plan order: the term pushdown first, then the
-		// composite kids.
-		step := func(s []uint32, owned bool) bool {
-			if len(s) == 0 {
-				if owned {
-					c.putBuf(s)
-				}
-				if curOwned {
-					c.putBuf(cur)
-				}
-				return false // empty operand: whole conjunction is empty
-			}
-			if !haveBase {
-				cur, curOwned, haveBase = s, owned, true
-				return true
-			}
-			out := e.intersectPair(c, p.Policy.Kernels, cur, s)
-			if curOwned {
-				c.putBuf(cur)
-			}
-			if owned {
-				c.putBuf(s)
-			}
-			cur, curOwned = out, true
-			if len(cur) == 0 {
-				c.putBuf(cur)
-				return false
-			}
-			return true
-		}
-		for _, ti := range p.TermOps(op) {
-			if !step(src.Postings(p.Ops[ti].Term), false) {
-				return nil, false
-			}
-		}
-		for _, ki := range p.KidOps(op) {
-			s, owned := e.evalSeg(c, src, p, ki)
-			if !step(s, owned) {
-				return nil, false
-			}
-		}
-		// plan.Bounded guarantees at least one positive operand, so cur is set.
-		for _, ni := range p.NegOps(op) {
-			if len(cur) == 0 {
-				break
-			}
-			s, owned := e.evalSeg(c, src, p, ni)
-			if len(s) > 0 {
-				out := sets.DifferenceInto(c.getBuf(), cur, s)
-				if curOwned {
-					c.putBuf(cur)
-				}
-				cur, curOwned = out, true
-			}
-			if owned {
-				c.putBuf(s)
-			}
-		}
-		return cur, curOwned
+// minusTombs subtracts a segment's tombstone filter from its result under
+// evalOp's ownership rules.
+func (c *execCtx) minusTombs(docs []uint32, owned bool, tombs []uint32) ([]uint32, bool) {
+	if len(tombs) == 0 || len(docs) == 0 {
+		return docs, owned
 	}
-	return nil, false
+	out := sets.DifferenceInto(c.getBuf(), docs, tombs)
+	if owned {
+		c.putBuf(docs)
+	}
+	return out, true
 }

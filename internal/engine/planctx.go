@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 
-	"fastintersect/internal/compress"
 	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
@@ -59,34 +58,17 @@ func (ps *planStats) TermLen(term string) int {
 	return total
 }
 
+// TermShape is the encoding of the term's largest base list — the shape
+// most of the query's kernel work will see.
 func (ps *planStats) TermShape(term string) plan.Shape {
-	shape, bestDF := plan.ShapeRawStored, -1
+	shape, bestDF := plan.ShapeRaw, -1
 	for _, ix := range ps.bases {
-		enc, ok := ix.Encoding(term)
-		if !ok {
-			continue
-		}
-		if df := ix.DocFreq(term); df > bestDF {
-			bestDF = df
-			shape = encodingShape(enc)
+		if s := ix.Stored(term); s != nil && s.Len() > bestDF {
+			bestDF = s.Len()
+			shape = s.Shape()
 		}
 	}
 	return shape
-}
-
-func encodingShape(enc compress.Encoding) plan.Shape {
-	switch enc {
-	case compress.EncGamma:
-		return plan.ShapeGamma
-	case compress.EncDelta:
-		return plan.ShapeDelta
-	case compress.EncLowbits:
-		return plan.ShapeLowbits
-	case compress.EncBitseg:
-		return plan.ShapeBitseg
-	default:
-		return plan.ShapeRawStored
-	}
 }
 
 // planCtx pairs one pooled physical plan with its statistics snapshot, so

@@ -31,7 +31,7 @@ func TestPlansRepriceAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() *invindex.Index { return e.snapshot()[0].base }
-	if enc, ok := base().Encoding("hot"); !ok || enc == compress.EncBitseg {
+	if enc, ok := encodingOf(base(), "hot"); !ok || enc == compress.EncBitseg {
 		t.Fatalf("sparse phase encoding = %v, %v; want a non-bitseg encoding", enc, ok)
 	}
 
@@ -64,7 +64,7 @@ func TestPlansRepriceAfterCompaction(t *testing.T) {
 	if st.StatsEpoch <= epochBefore {
 		t.Fatalf("stats epoch did not advance across compaction: %d -> %d", epochBefore, st.StatsEpoch)
 	}
-	if enc, ok := base().Encoding("hot"); !ok || enc != compress.EncBitseg {
+	if enc, ok := encodingOf(base(), "hot"); !ok || enc != compress.EncBitseg {
 		t.Fatalf("dense phase encoding = %v, %v; want EncBitseg (compaction re-encoded the list)", enc, ok)
 	}
 
@@ -214,4 +214,13 @@ func TestChurnBitsegCompaction(t *testing.T) {
 			t.Fatalf("quiesced Query(%q) = %d docs, want %d", tc.q, len(res.Docs), len(want))
 		}
 	}
+}
+
+// encodingOf reports the encoding a term's base list is stored under.
+func encodingOf(ix *invindex.Index, term string) (compress.Encoding, bool) {
+	s := ix.Stored(term)
+	if s == nil {
+		return 0, false
+	}
+	return s.Encoding(), true
 }

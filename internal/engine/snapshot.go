@@ -74,7 +74,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	}
 	gen := e.gen.Load()
 	for i, s := range shards {
-		if err := saveShard(filepath.Join(dir, shardFile(i)), s); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFile(i)), s, e.cfg.Storage); err != nil {
 			return fmt.Errorf("engine: snapshot shard %d: %w", i, err)
 		}
 	}
@@ -100,7 +100,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.seg", i) }
 
-func saveShard(path string, s *shard) error {
+func saveShard(path string, s *shard, st invindex.Storage) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -111,7 +111,7 @@ func saveShard(path string, s *shard) error {
 	w := bufio.NewWriter(io.MultiWriter(f, crc))
 
 	s.mu.RLock()
-	err = writeShardLocked(w, s)
+	err = writeShardLocked(w, s, st)
 	s.mu.RUnlock()
 	if err != nil {
 		f.Close()
@@ -133,23 +133,19 @@ func saveShard(path string, s *shard) error {
 	return os.Rename(tmp, path)
 }
 
-// writeShardLocked streams one shard's tier. Caller holds s.mu (read).
-func writeShardLocked(w *bufio.Writer, s *shard) error {
+// writeShardLocked streams one shard's tier, stamped with the engine's
+// storage policy. Caller holds s.mu (read).
+func writeShardLocked(w *bufio.Writer, s *shard, st invindex.Storage) error {
 	var hdr [7]byte
 	binary.BigEndian.PutUint32(hdr[0:], snapMagic)
 	binary.BigEndian.PutUint16(hdr[4:], snapVersion)
-	hdr[6] = byte(s.base.Storage())
+	hdr[6] = byte(st)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	// Base: terms extracted from the index (decoded when compressed), with
 	// the base tombstone filter riding in the section's tombs slot.
-	basePostings := func(term string) []uint32 {
-		if s.base.Storage() == invindex.StorageCompressed {
-			return s.base.Stored(term).Decode()
-		}
-		return s.base.Postings(term).Set()
-	}
+	basePostings := func(term string) []uint32 { return s.base.Stored(term).Decode() }
 	if err := segment.WriteSection(w, s.base.Terms(), basePostings, s.baseTombs); err != nil {
 		return fmt.Errorf("base: %w", err)
 	}
@@ -255,7 +251,7 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("base: %w", err)
 	}
-	ix := invindex.NewWithStorage(e.cfg.Storage, e.cfg.IndexOptions...)
+	ix := invindex.NewWithStorage(e.cfg.Storage)
 	for term, ps := range baseTerms {
 		if err := ix.AddPosting(term, ps); err != nil {
 			return nil, fmt.Errorf("base term %q: %w", term, err)

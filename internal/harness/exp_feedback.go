@@ -154,54 +154,79 @@ func kernelExecTotals(st engine.Stats) (uint64, uint64) {
 	return st.KernelExecs[plan.KernelMerge.String()], total
 }
 
-// feedbackMeasure times the query mix (min over reps) and snapshots the
-// engine's executed-kernel mix and feedback state into a scenario cell.
-func feedbackMeasure(e *engine.Engine, phase, name string, reps int) FeedbackScenario {
-	// The report's ratios divide two of these cells, so a single noisy
-	// sample shows up directly in the gated numbers: always take the min
-	// over at least two benchmark runs.
+// feedbackEngine names one engine of a measured phase.
+type feedbackEngine struct {
+	name string
+	e    *engine.Engine
+}
+
+// feedbackMeasure times the query mix on each engine (min over reps) and
+// snapshots each engine's executed-kernel mix and feedback state into a
+// scenario cell. The engines are timed interleaved, rep by rep, with the
+// same number of reps each and alternating which runs first: the report
+// divides one cell by another, and timing all of one engine's reps before
+// the other's (or always in the same order) would let host drift decide
+// the ratio.
+func feedbackMeasure(phase string, reps int, engines ...feedbackEngine) []FeedbackScenario {
+	// A single noisy sample shows up directly in the gated ratios: always
+	// take the min over at least two benchmark runs.
 	if reps < 2 {
 		reps = 2
 	}
-	mergeBefore, totalBefore := kernelExecTotals(e.Stats())
-	var ns int64
+	mergeBefore := make([]uint64, len(engines))
+	totalBefore := make([]uint64, len(engines))
+	for i, fe := range engines {
+		mergeBefore[i], totalBefore[i] = kernelExecTotals(fe.e.Stats())
+	}
+	ns := make([]int64, len(engines))
 	for rep := 0; rep < reps; rep++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Query(feedbackQueries[i%len(feedbackQueries)]); err != nil {
-					b.Fatal(err)
-				}
+		for k := range engines {
+			i := k
+			if rep%2 == 1 {
+				i = len(engines) - 1 - k // alternate which engine runs first
 			}
-		})
-		if rep == 0 || r.NsPerOp() < ns {
-			ns = r.NsPerOp()
+			fe := engines[i]
+			r := testing.Benchmark(func(b *testing.B) {
+				for j := 0; j < b.N; j++ {
+					if _, err := fe.e.Query(feedbackQueries[j%len(feedbackQueries)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if rep == 0 || r.NsPerOp() < ns[i] {
+				ns[i] = r.NsPerOp()
+			}
 		}
 	}
-	st := e.Stats()
-	mergeAfter, totalAfter := kernelExecTotals(st)
-	share := 0.0
-	if d := totalAfter - totalBefore; d > 0 {
-		share = float64(mergeAfter-mergeBefore) / float64(d)
+	cells := make([]FeedbackScenario, len(engines))
+	for i, fe := range engines {
+		st := fe.e.Stats()
+		mergeAfter, totalAfter := kernelExecTotals(st)
+		share := 0.0
+		if d := totalAfter - totalBefore[i]; d > 0 {
+			share = float64(mergeAfter-mergeBefore[i]) / float64(d)
+		}
+		corr := 1.0
+		if c, ok := st.KernelCorrections[plan.KernelMerge.String()]; ok {
+			corr = c
+		}
+		qps := 0.0
+		if ns[i] > 0 {
+			qps = 1e9 / float64(ns[i])
+		}
+		cells[i] = FeedbackScenario{
+			Phase:           phase,
+			Engine:          fe.name,
+			Queries:         len(feedbackQueries),
+			NsPerOp:         ns[i],
+			QPS:             qps,
+			MergeExecShare:  share,
+			MergeCorrection: corr,
+			Refits:          st.FeedbackRefits,
+			Observations:    st.FeedbackObservations,
+		}
 	}
-	corr := 1.0
-	if c, ok := st.KernelCorrections[plan.KernelMerge.String()]; ok {
-		corr = c
-	}
-	qps := 0.0
-	if ns > 0 {
-		qps = 1e9 / float64(ns)
-	}
-	return FeedbackScenario{
-		Phase:           phase,
-		Engine:          name,
-		Queries:         len(feedbackQueries),
-		NsPerOp:         ns,
-		QPS:             qps,
-		MergeExecShare:  share,
-		MergeCorrection: corr,
-		Refits:          st.FeedbackRefits,
-		Observations:    st.FeedbackObservations,
-	}
+	return cells
 }
 
 // FeedbackBench runs the drift experiment and returns the machine-readable
@@ -249,13 +274,13 @@ func FeedbackBench(cfg Config) *FeedbackReport {
 	feedbackInstall(frozen, pre)
 	feedbackInstall(adaptive, pre)
 	feedbackAdapt(frozen, 0, 256) // warm-up only: no feedback store, no refits
-	// The under-priced merge makes the model briefly explore GroupScan
-	// (truthfully priced but genuinely slower here) until its correction is
-	// learned too; give the loop enough re-fit rounds to settle back on the
-	// merge before measuring.
+	// The merge correction climbs by at most 4× per re-fit (and the raw
+	// chooser's other candidates, Gallop and BitsegAnd, stay dearer than
+	// even a fully corrected merge on these balanced lists); give the loop
+	// enough re-fit rounds to settle before measuring.
 	feedbackAdapt(adaptive, 12, adaptCap)
-	fPre := feedbackMeasure(frozen, "pre-drift", "frozen", cfg.Reps)
-	aPre := feedbackMeasure(adaptive, "pre-drift", "feedback", cfg.Reps)
+	preCells := feedbackMeasure("pre-drift", cfg.Reps, feedbackEngine{"frozen", frozen}, feedbackEngine{"feedback", adaptive})
+	fPre, aPre := preCells[0], preCells[1]
 
 	// Phase 2 — drift: "sel" becomes 16× sparser. Both engines replan (the
 	// install bumps their stats epochs), but the frozen anchors still say
@@ -267,15 +292,15 @@ func FeedbackBench(cfg Config) *FeedbackReport {
 	feedbackInstall(adaptive, post)
 	feedbackAdapt(frozen, 0, 256)
 	feedbackAdapt(adaptive, 2, adaptCap)
-	fPost := feedbackMeasure(frozen, "post-drift", "frozen", cfg.Reps)
-	aPost := feedbackMeasure(adaptive, "post-drift", "feedback", cfg.Reps)
+	postCells := feedbackMeasure("post-drift", cfg.Reps, feedbackEngine{"frozen", frozen}, feedbackEngine{"feedback", adaptive})
+	fPost, aPost := postCells[0], postCells[1]
 
 	// Oracle: a fresh engine with truthful (machine-calibrated) anchors on
 	// the post-drift corpus.
 	oracle := mk(false, nil)
 	feedbackInstall(oracle, post)
 	feedbackAdapt(oracle, 0, 256)
-	oPost := feedbackMeasure(oracle, "post-drift", "oracle", cfg.Reps)
+	oPost := feedbackMeasure("post-drift", cfg.Reps, feedbackEngine{"oracle", oracle})[0]
 
 	rep.Scenarios = []FeedbackScenario{fPre, aPre, fPost, aPost, oPost}
 	if fPre.NsPerOp > 0 {

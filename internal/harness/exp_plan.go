@@ -41,7 +41,8 @@ func init() {
 
 // planPolicies are the three planner configurations the experiment
 // compares: the cost-based default, the pre-planner df-ordered baseline
-// (ascending document frequency, fixed Auto-rule kernels), and the
+// (ascending document frequency, fixed heuristic kernels: merge for raw
+// lists, the shape dispatch for compressed ones), and the
 // adversarial descending ordering that bounds the value of ordering at all.
 var planPolicies = []struct {
 	Name   string
@@ -195,7 +196,7 @@ func runPlanBench(cfg Config) []*Table {
 		Title:   "Engine.Query ns/op per planner policy (cache disabled)",
 		Columns: []string{"workload", "storage", "cost ns/op", "df ns/op", "worst ns/op", "cost/df", "bitseg plans"},
 		Notes: []string{
-			"cost = calibrated cost model (order + kernels); df = pre-planner baseline (ascending df, Auto-rule kernels); worst = descending df",
+			"cost = calibrated cost model (order + kernels); df = pre-planner baseline (ascending df, heuristic kernels); worst = descending df",
 			"cost/df <= 1.0 means cost-based planning is no slower than the baseline it replaced",
 			"bitseg plans = sampled queries whose cost-based plan selected the word-parallel bitmap kernel (the baseline never does)",
 		},

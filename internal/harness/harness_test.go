@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fastintersect/internal/race"
 )
 
 // tinyConfig runs experiments at the small scale with single repetitions;
@@ -319,6 +321,12 @@ func TestFeedbackBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs adaptation streams and timed benchmarks through five engine phases")
 	}
+	if race.Enabled {
+		// The loop learns from measured kernel timings, which race
+		// instrumentation distorts; CI's non-race cost-model drift smoke
+		// enforces this test.
+		t.Skip("race instrumentation distorts the timings the feedback loop learns from")
+	}
 	rep := FeedbackBench(tinyConfig())
 	if rep.Schema != "fsibench/feedback/v1" {
 		t.Fatalf("schema = %q", rep.Schema)
@@ -326,6 +334,8 @@ func TestFeedbackBench(t *testing.T) {
 	if len(rep.Scenarios) != 5 {
 		t.Fatalf("got %d scenarios, want 5 (frozen/feedback ×2 phases + oracle)", len(rep.Scenarios))
 	}
+	t.Logf("pre-drift ratio %.3f, post-drift ratio %.3f, oracle ratio %.3f",
+		rep.PreDriftRatio, rep.PostDriftRatio, rep.OracleRatio)
 	byKey := map[string]FeedbackScenario{}
 	for _, s := range rep.Scenarios {
 		byKey[s.Phase+"/"+s.Engine] = s

@@ -57,20 +57,6 @@ func TestIndexQuery(t *testing.T) {
 	}
 }
 
-func TestIndexQueryWithEveryAlgorithm(t *testing.T) {
-	ix := buildTestIndex(t)
-	want, _ := ix.Query("fast", "set")
-	for _, algo := range fastintersect.Algorithms() {
-		got, err := ix.QueryWith(algo, "fast", "set")
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if !sets.Equal(got, want) {
-			t.Fatalf("%v: got %v, want %v", algo, got, want)
-		}
-	}
-}
-
 func TestIndexErrors(t *testing.T) {
 	ix := New()
 	if _, err := ix.Query("a"); err == nil {
@@ -122,7 +108,7 @@ func TestIndexAddPostingAndTerms(t *testing.T) {
 	if len(terms) != 2 || terms[0] != "alpha" || terms[1] != "beta" {
 		t.Fatalf("Terms = %v", terms)
 	}
-	if !sets.Equal(ix.Postings("alpha").Set(), []uint32{1, 3}) {
+	if !sets.Equal(ix.Stored("alpha").Decode(), []uint32{1, 3}) {
 		t.Fatal("posting not deduplicated/sorted")
 	}
 	got, err := ix.Query("alpha", "beta")
@@ -220,12 +206,6 @@ func TestBuildParallelErrors(t *testing.T) {
 	if err := ix.BuildParallel(4); err == nil {
 		t.Fatal("double BuildParallel accepted")
 	}
-	// Invalid options surface as a build error, not a panic.
-	bad := New(fastintersect.WithHashImages(99))
-	_ = bad.Add(1, []string{"a"})
-	if err := bad.BuildParallel(4); err == nil {
-		t.Fatal("invalid preprocess options accepted")
-	}
 }
 
 // TestDocIDsDistinct pins the derived distinct-document accounting: Docs()
@@ -253,5 +233,13 @@ func TestDocIDsDistinct(t *testing.T) {
 	}
 	if len(empty.DocIDs()) != 0 || empty.Docs() != 0 {
 		t.Fatalf("empty built index: DocIDs=%v Docs=%d", empty.DocIDs(), empty.Docs())
+	}
+}
+
+// TestFamilySeedIsLibraryDefault pins the compressed encodings' hash family
+// to the library's default seed.
+func TestFamilySeedIsLibraryDefault(t *testing.T) {
+	if familySeed != fastintersect.DefaultSeed {
+		t.Fatalf("familySeed = %#x, want fastintersect.DefaultSeed %#x", familySeed, fastintersect.DefaultSeed)
 	}
 }

@@ -5,22 +5,21 @@ import (
 	"strings"
 )
 
-// Storage selects how a built index holds its posting lists: the pluggable
-// representation tier of the serving path.
+// Storage is the encoding policy of a built index: which compress.Encoding
+// each posting list is stored under. It is a space/speed trade-off, not a
+// separate code path — every list is a compress.Stored either way.
 type Storage int
 
 const (
-	// StorageRaw keeps every posting list as a sorted []uint32 wrapped in
-	// a fastintersect.List, with the per-algorithm structures built lazily:
-	// 32 bits per posting, zero decode cost, every algorithm available.
+	// StorageRaw stores every posting list as EncRaw: 32 bits per posting,
+	// zero decode cost, the fastest serving policy.
 	StorageRaw Storage = iota
-	// StorageCompressed holds each posting list under the encoding
+	// StorageCompressed stores each posting list under the encoding
 	// compress.ChooseEncoding picks from its length and density — raw for
-	// short lists, γ/δ gap-coded buckets for dense/sparse lists, and the
-	// Lowbits-grouped RanGroupScan structure (Appendix B) for the long
-	// lists that dominate query time. Queries intersect directly over the
-	// compressed representations; the explicit-algorithm selection of
-	// QueryWith applies only to raw storage.
+	// short lists, γ/δ gap-coded buckets for dense/sparse lists, bitseg
+	// bitmaps for the densest, and the Lowbits-grouped RanGroupScan
+	// structure (Appendix B) for the long lists that dominate query time:
+	// a smaller heap for slower intersections.
 	StorageCompressed
 )
 
@@ -54,8 +53,8 @@ type EncodingStats struct {
 	// Postings is the total number of postings they hold.
 	Postings uint64 `json:"postings"`
 	// Bytes is their exact payload footprint (element storage plus
-	// directories; struct headers and the lazily built per-algorithm
-	// structures of raw lists are not counted).
+	// directories; struct headers and the lazily attached bitseg form of
+	// raw lists are not counted).
 	Bytes uint64 `json:"bytes"`
 }
 
@@ -85,9 +84,6 @@ func (ix *Index) MemStats() MemStats {
 		st.Postings += postings
 		st.RawBytes += 4 * postings
 		st.StoredBytes += bytes
-	}
-	for _, l := range ix.built {
-		add("Raw", uint64(l.Len()), 4*uint64(l.Len()))
 	}
 	for _, s := range ix.stored {
 		add(s.Encoding().String(), uint64(s.Len()), uint64(s.SizeBytes()))

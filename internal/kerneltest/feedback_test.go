@@ -27,11 +27,10 @@ func TestFeedbackPerfOnly(t *testing.T) {
 		{"cost", plan.Policy{}},
 		{"heuristic", plan.Policy{Order: plan.OrderDF, Kernels: plan.KernelsHeuristic}},
 	}
-	// Mis-calibrated anchors: the probe kernels priced 8× too cheap, so the
+	// Mis-calibrated anchors: the gallop probe priced 8× too cheap, so the
 	// re-fit has real corrections to find.
 	miscal := plan.DefaultCosts()
 	miscal.GallopProbe /= 8
-	miscal.HashProbe /= 8
 
 	cases := Cases(corpusSeed)
 	for _, storage := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastintersect"
@@ -126,6 +127,79 @@ func TestStoredKernelParity(t *testing.T) {
 					t.Errorf("%s/%s forced %v: %d results, want %d", c.Name, layout, strat, len(got), len(want))
 				}
 			}
+		}
+	}
+}
+
+// rawStrategies are the kernels the planner runs over raw lists.
+var rawStrategies = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd}
+
+// rawOperands returns each set as a stored EncRaw list and as a view — the
+// form in which in-memory segment lists and intermediate results reach the
+// kernels.
+func rawOperands(t *testing.T, c Case) (raw, views []*compress.Stored) {
+	t.Helper()
+	for i, set := range c.Sets {
+		s, err := compress.NewStored(nil, set, compress.EncRaw)
+		if err != nil {
+			t.Fatalf("%s: set %d: %v", c.Name, i, err)
+		}
+		v := new(compress.Stored)
+		v.SetView(set)
+		raw, views = append(raw, s), append(views, v)
+	}
+	return raw, views
+}
+
+// TestRawKernelParity forces Merge, Gallop and BitsegAnd over EncRaw lists
+// and over views for every corpus case — pairs and k ≥ 3 alike — and holds
+// each to the scalar reference.
+func TestRawKernelParity(t *testing.T) {
+	widths := map[bool]bool{}
+	for _, c := range Cases(corpusSeed) {
+		want := sets.IntersectReference(c.Sets...)
+		raw, views := rawOperands(t, c)
+		widths[len(c.Sets) > 2] = true
+		for _, strat := range rawStrategies {
+			for layout, ss := range map[string][]*compress.Stored{"raw": raw, "views": views} {
+				if got := compress.IntersectStoredStrategy(nil, strat, ss...); !sets.Equal(got, want) {
+					t.Errorf("%s/%s forced %v: %d results, want %d", c.Name, layout, strat, len(got), len(want))
+				}
+			}
+		}
+	}
+	if !widths[false] || !widths[true] {
+		t.Fatal("corpus lacks pairs or k ≥ 3 conjunctions")
+	}
+}
+
+// TestRawBitsegLazyAttach races the first BitsegAnd over fresh EncRaw
+// lists from 8 goroutines: every raw list attaches its bitseg form on first
+// use, so under -race this exercises the attach itself, and every
+// goroutine must still get the reference answer.
+func TestRawBitsegLazyAttach(t *testing.T) {
+	const goroutines = 8
+	for _, c := range Cases(corpusSeed) {
+		want := sets.IntersectReference(c.Sets...)
+		raw, _ := rawOperands(t, c)
+		start := make(chan struct{})
+		wrong := make(chan int, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if got := compress.IntersectStoredStrategy(nil, plan.KernelBitsegAnd, raw...); !sets.Equal(got, want) {
+					wrong <- len(got)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(wrong)
+		for n := range wrong {
+			t.Errorf("%s: concurrent first BitsegAnd returned %d results, want %d", c.Name, n, len(want))
 		}
 	}
 }

@@ -38,8 +38,8 @@ func (p *Plan) ExplainAnalyze(actuals []OpActual) string {
 		a := &actuals[i]
 		totalNs += a.Ns - p.childNs(int32(i), actuals)
 	}
-	fmt.Fprintf(&sb, "plan for %s (storage=%s, est_cost=%s, act_time=%s)\n",
-		p.Canon, storageName(p.Stored), fmtCost(p.CostEstimate()), fmtCost(float64(totalNs)))
+	fmt.Fprintf(&sb, "plan for %s (est_cost=%s, act_time=%s)\n",
+		p.Canon, fmtCost(p.CostEstimate()), fmtCost(float64(totalNs)))
 	p.analyzeOp(&sb, p.Root(), "", "", actuals)
 	return sb.String()
 }

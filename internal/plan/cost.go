@@ -12,20 +12,19 @@ import (
 
 // Costs are the calibrated coefficients of the cost model, in nanoseconds.
 //
-// The five kernel anchors are measured against the REAL kernels at a
+// The four kernel anchors are measured against the REAL kernels at a
 // reference shape (4096-element lists, reference skew ratio 16), so machine
-// idiosyncrasies — a slow hash unit, a vectorized merge, cache behavior —
-// move the crossovers exactly as they move the kernels. The physical
-// planner scales them with the paper's complexity bounds:
+// idiosyncrasies — a vectorized merge, cache behavior — move the crossovers
+// exactly as they move the kernels. The physical planner scales them with
+// the paper's complexity bounds:
 //
 //	Merge          MergeElem · Σnᵢ
 //	Gallop (SvS)   GallopProbe · n₀ · Σ max(1, log₂(2+nᵢ/n₀)/refDepth)
-//	HashBin §3.4   HashProbe  · n₀ · Σ max(1, log₂(2+nᵢ/n₀)/refDepth)
-//	GroupScan §3.3 GroupElem · Σnᵢ
+//	RGSPair §3.3   GroupElem · Σnᵢ + Probe · n₀
 //	BitsegAnd      BitsegWord · 64 words · E[aligned chunks] · (k−1) + Scan · E[|out|]
 //
 // The primitive coefficients price the compressed tier's decode-vs-probe
-// decisions (see storedCost). All coefficients are measured once per
+// decisions (see PriceStored). All coefficients are measured once per
 // process by Calibrate; Config.PlanCosts overrides them.
 type Costs struct {
 	// MergeElem is the ns per element of a two-pointer linear merge.
@@ -33,9 +32,6 @@ type Costs struct {
 	// GallopProbe is the ns per probe of SvS galloping at the reference
 	// skew ratio.
 	GallopProbe float64
-	// HashProbe is the ns per probe of HashBin's hash + per-bin search at
-	// the reference skew ratio.
-	HashProbe float64
 	// GroupElem is the ns per element of RanGroupScan on balanced lists.
 	GroupElem float64
 	// BitsegWord is the ns per 64-bit word ANDed by the bitseg kernel at
@@ -78,7 +74,7 @@ func (c *Costs) corr(k Kernel) float64 {
 // the sanity floor/ceiling for implausible calibration readings.
 func DefaultCosts() *Costs {
 	return &Costs{
-		MergeElem: 4.0, GallopProbe: 15.0, HashProbe: 40.0, GroupElem: 1.5,
+		MergeElem: 4.0, GallopProbe: 15.0, GroupElem: 1.5,
 		BitsegWord: 4.0,
 		Scan:       0.6, Probe: 2.0, Hash: 2.0, Filter: 0.8, GapDecode: 2.5,
 	}
@@ -102,7 +98,7 @@ const (
 var refDepth = math.Log2(2 + calibRatio)
 
 // Calibrate measures the cost coefficients by timing the actual core
-// kernels (Merge, SvS galloping, HashBin, RanGroupScan) at the reference
+// kernels (Merge, SvS galloping, RanGroupScan, bitseg AND) at the reference
 // shape, plus internal/core's primitive hooks for the compressed tier — a
 // few milliseconds, once per process. Readings that come out implausible
 // (a preempted loop, structure build failure, a coarse clock) fall back to
@@ -144,14 +140,6 @@ func Calibrate() *Costs {
 			}, 2*calibSize)
 		}
 	}
-	if hbS, err1 := core.NewHashBinList(fam, small); err1 == nil {
-		if hbB, err2 := core.NewHashBinList(fam, b); err2 == nil {
-			c.HashProbe = timePerOp(func() {
-				buf = core.IntersectHashBinInto(buf[:0], &sc, hbS, hbB)
-				calibrationSink += uint64(len(buf))
-			}, len(small))
-		}
-	}
 	if bsA, err1 := bitseg.FromSorted(a); err1 == nil {
 		if bsB, err2 := bitseg.FromSorted(b); err2 == nil {
 			words := bsA.Chunks()
@@ -167,7 +155,6 @@ func Calibrate() *Costs {
 	}
 	sanitize(&c.MergeElem, def.MergeElem)
 	sanitize(&c.GallopProbe, def.GallopProbe)
-	sanitize(&c.HashProbe, def.HashProbe)
 	sanitize(&c.GroupElem, def.GroupElem)
 	sanitize(&c.BitsegWord, def.BitsegWord)
 	sanitize(&c.Scan, def.Scan)
@@ -216,11 +203,14 @@ func Calibrated() *Costs {
 	return calibrated
 }
 
-// Kernel identifies the physical operator chosen for an intersection: the
-// list kernels map 1:1 onto the paper's algorithms (executed by
-// fastintersect over preprocessed lists), the Stored* strategies onto the
-// compressed-tier kernels of internal/compress, and Merge/Gallop double as
-// the delta-segment pairwise kernels.
+// Kernel identifies the physical operator chosen for an intersection. Merge,
+// Gallop and BitsegAnd run over raw lists (EncRaw in internal/compress,
+// including the engine's segment views and intermediate results);
+// BitsegAnd, RGSPair, LookupProbe, FilterChain and DecodeAll over the
+// compressed encodings. HashBin and GroupScan name the paper's §3.4 and
+// Algorithm 5 list kernels: they remain public through fastintersect, and
+// their values keep the per-kernel metric series stable, but no serving
+// path chooses them.
 type Kernel uint8
 
 const (
@@ -231,9 +221,11 @@ const (
 	KernelMerge
 	// KernelGallop gallops the smallest list through the others (SvS).
 	KernelGallop
-	// KernelHashBin is §3.4's per-bucket binary search for skewed sizes.
+	// KernelHashBin is §3.4's per-bucket binary search for skewed sizes
+	// (not chosen by the planner).
 	KernelHashBin
-	// KernelGroupScan is Algorithm 5 (§3.3), the word-image grouped scan.
+	// KernelGroupScan is Algorithm 5 (§3.3), the word-image grouped scan
+	// (not chosen by the planner; see KernelRGSPair for its stored form).
 	KernelGroupScan
 	// KernelBitsegAnd is the word-parallel bitmap tier: density-partitioned
 	// lists intersected 64 docIDs per AND over their dense ranges.
@@ -273,10 +265,9 @@ const (
 	// KernelsCost picks the cheapest kernel under the calibrated cost model
 	// (the default).
 	KernelsCost KernelPolicy = iota
-	// KernelsHeuristic reproduces the pre-planner fixed rules — the Auto
-	// skew-ratio switch for lists, the shape dispatch for stored lists, and
-	// always-merge for pairs — as the baseline the plan-quality experiment
-	// compares against.
+	// KernelsHeuristic reproduces the pre-planner fixed rules — always-merge
+	// for raw lists and the shape dispatch for compressed ones — as the
+	// baseline the plan-quality experiment compares against.
 	KernelsHeuristic
 )
 
@@ -305,10 +296,6 @@ type Policy struct {
 	Kernels KernelPolicy
 }
 
-// heuristicSkew mirrors fastintersect.AutoSkewThreshold for the baseline
-// kernel policy.
-const heuristicSkew = 100
-
 // logRatio is log₂(2 + a/b), the recurring search-depth term.
 func logRatio(a, b int) float64 {
 	if b <= 0 {
@@ -329,128 +316,71 @@ func probeDepth(n, n0 int) float64 {
 	return d
 }
 
-// ChooseListKernel picks the intersection kernel for k ≥ 2 preprocessed
-// lists with the given sizes (ascending order not required; only the
-// multiset of sizes matters). span is one past the largest docID across
-// the operands' shared universe (0 when unknown), which prices the bitmap
-// tier; with span 0 the bitseg candidate is skipped. Under KernelsHeuristic
-// it reproduces the Auto rule: HashBin past the skew threshold, GroupScan
-// otherwise — the bitmap tier is a cost-model-only candidate, keeping the
-// baseline policy byte-for-byte what shipped before it.
-func ChooseListKernel(c *Costs, pol KernelPolicy, sizes []int, span int) Kernel {
-	minN, maxN, total := sizes[0], sizes[0], 0
-	for _, n := range sizes {
-		if n < minN {
-			minN = n
-		}
-		if n > maxN {
-			maxN = n
-		}
-		total += n
-	}
-	if pol == KernelsHeuristic {
-		if minN > 0 && maxN >= heuristicSkew*minN {
-			return KernelHashBin
-		}
-		return KernelGroupScan
-	}
-	if minN == 0 {
-		return KernelMerge // trivially empty; avoid touching structures
-	}
-	best, k := listKernelCost(c, KernelMerge, sizes, span), KernelMerge
-	cands := [...]Kernel{KernelGallop, KernelHashBin, KernelGroupScan, KernelBitsegAnd}
-	for _, cand := range cands {
-		if cand == KernelBitsegAnd && span <= 0 {
-			continue
-		}
-		if cost := listKernelCost(c, cand, sizes, span); cost < best {
-			best, k = cost, cand
-		}
-	}
-	return k
-}
-
 // bitsegCost prices the bitmap kernel: the chunk directories advance in
 // lockstep, so word ANDs are paid only on chunks every operand occupies —
 // chunks·Π min(1, nᵢ/chunks) in expectation under independence — and the
 // enumeration pays Scan per expected output element.
-func bitsegCost(c *Costs, sizes []int, span int) float64 {
+func bitsegCost(c *Costs, ops []Operand, span int) float64 {
 	chunks := float64(span/bitseg.ChunkWidth + 1)
 	aligned := chunks
 	out := float64(span)
-	for _, n := range sizes {
-		if f := float64(n) / chunks; f < 1 {
+	for _, op := range ops {
+		if f := float64(op.Len) / chunks; f < 1 {
 			aligned *= f
 		}
-		out *= float64(n) / float64(span)
+		out *= float64(op.Len) / float64(span)
 	}
-	words := c.BitsegWord * bitseg.ChunkWords * aligned * float64(len(sizes)-1)
+	words := c.BitsegWord * bitseg.ChunkWords * aligned * float64(len(ops)-1)
 	return words + c.Scan*out
 }
 
-// listKernelCost prices one list kernel on the given operand sizes; span
-// (universe extent) feeds only the bitseg candidate.
-func listKernelCost(c *Costs, k Kernel, sizes []int, span int) float64 {
-	minN, total := sizes[0], 0
-	for _, n := range sizes {
-		if n < minN {
-			minN = n
-		}
-		total += n
+// rawCost prices one raw-list kernel — Merge, Gallop or BitsegAnd — over
+// ops with the paper's bounds (see Costs), before corrections; span
+// (universe extent) feeds only BitsegAnd.
+func rawCost(c *Costs, k Kernel, ops []Operand, span int) float64 {
+	n0 := ops[0].Len
+	for _, op := range ops {
+		n0 = min(n0, op.Len)
 	}
-	var cost float64
 	switch k {
 	case KernelMerge:
-		cost = c.MergeElem * float64(total)
-	case KernelGallop, KernelHashBin:
-		perProbe := c.GallopProbe
-		if k == KernelHashBin {
-			perProbe = c.HashProbe
+		total := 0
+		for _, op := range ops {
+			total += op.Len
 		}
+		return c.MergeElem * float64(total)
+	case KernelGallop:
+		cost := 0.0
 		probeSide := true // the smallest list probes; every other list is a partner
-		for _, n := range sizes {
-			if probeSide && n == minN {
+		for _, op := range ops {
+			if probeSide && op.Len == n0 {
 				probeSide = false
 				continue
 			}
-			cost += perProbe * float64(minN) * probeDepth(n, minN)
+			cost += c.GallopProbe * float64(n0) * probeDepth(op.Len, n0)
 		}
-	case KernelGroupScan:
-		cost = c.GroupElem * float64(total)
+		return cost
 	case KernelBitsegAnd:
 		if span <= 0 {
 			return math.Inf(1)
 		}
-		cost = bitsegCost(c, sizes, span)
+		return bitsegCost(c, ops, span)
 	}
-	return cost * c.corr(k)
-}
-
-// PriceListKernel prices kernel k over the operand sizes with the live
-// corrections applied — the figure ChooseListKernel compared when it picked
-// k. The engine uses it at execution time to pair each re-priced kernel run
-// with the estimate the feedback loop should hold it to.
-func PriceListKernel(c *Costs, k Kernel, sizes []int, span int) float64 {
-	if len(sizes) == 0 {
-		return 0
-	}
-	return listKernelCost(c, k, sizes, span)
-}
-
-// PriceStored is PriceListKernel for the compressed tier's strategies.
-func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
-	return storedCost(c, k, ops)
+	return math.Inf(1)
 }
 
 // Shape is the storage representation of one operand, as far as the cost
-// model cares: a preprocessed raw list, or one of the stored encodings.
+// model cares: a raw sorted list, or one of the compressed encodings.
 type Shape uint8
 
 const (
-	// ShapeList is a preprocessed (uncompressed) posting list.
-	ShapeList Shape = iota
-	// ShapeRawStored is a stored list under the identity encoding.
-	ShapeRawStored
+	// ShapeRaw is a stored list under the identity encoding.
+	ShapeRaw Shape = iota
+	// ShapeView is a raw list the engine wraps for one evaluation — an
+	// in-memory segment list or an intermediate result. It is priced like
+	// ShapeRaw but never for BitsegAnd: its bitmap form would be rebuilt
+	// on every query.
+	ShapeView
 	// ShapeGamma and ShapeDelta are gap-coded bucket directories.
 	ShapeGamma
 	ShapeDelta
@@ -460,7 +390,7 @@ const (
 	ShapeBitseg
 )
 
-var shapeNames = [...]string{"list", "raw", "gamma", "delta", "lowbits", "bitseg"}
+var shapeNames = [...]string{"raw", "view", "gamma", "delta", "lowbits", "bitseg"}
 
 func (s Shape) String() string {
 	if int(s) < len(shapeNames) {
@@ -469,9 +399,12 @@ func (s Shape) String() string {
 	return "shape(?)"
 }
 
-// Operand describes one intersection operand to the stored-strategy chooser.
-// Span is one past the operand's largest docID (0 when unknown); only the
-// bitseg strategy consults it.
+// raw reports whether the shape is an uncompressed sorted list.
+func (s Shape) raw() bool { return s == ShapeRaw || s == ShapeView }
+
+// Operand describes one intersection operand to the kernel chooser. Span is
+// one past the operand's largest docID (0 when unknown); only the bitseg
+// strategy consults it.
 type Operand struct {
 	Len   int
 	Shape Shape
@@ -518,13 +451,21 @@ func probeCost(c *Costs, op Operand, p int) float64 {
 	}
 }
 
-// ChooseStored picks the compressed-tier strategy for k ≥ 2 stored operands
-// given in ascending length order (ops[0] is the probe side). Under
-// KernelsHeuristic it reproduces the pre-planner shape dispatch.
+// ChooseStored is the one kernel chooser: it picks the intersection
+// strategy for k ≥ 2 operands given in ascending length order (ops[0] is
+// the probe side). All-raw operands choose among Merge, Gallop and — when
+// none is a view and a span is known — BitsegAnd; any compressed operand
+// brings in the compressed-tier strategies. Under KernelsHeuristic raw
+// operands always merge and compressed ones follow the pre-planner shape
+// dispatch.
 func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
-	allLookup, allBitseg := true, true
+	allRaw, allLookup, allBitseg, view := true, true, true, false
 	span := 0
 	for _, op := range ops {
+		if !op.Shape.raw() {
+			allRaw = false
+		}
+		view = view || op.Shape == ShapeView
 		if op.Shape != ShapeGamma && op.Shape != ShapeDelta {
 			allLookup = false
 		}
@@ -534,6 +475,9 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 		if op.Span > 0 && (span == 0 || op.Span < span) {
 			span = op.Span
 		}
+	}
+	if allRaw {
+		return chooseRaw(c, pol, ops, span, !view)
 	}
 	pairRGS := len(ops) == 2 && ops[0].Shape == ShapeLowbits && ops[1].Shape == ShapeLowbits
 	if pol == KernelsHeuristic {
@@ -565,7 +509,7 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 	if allBitseg && span > 0 {
 		// The lists already carry the hybrid representation: run the k-way
 		// word kernel directly, no decode at all.
-		if bc := storedBitsegCost(c, ops, span) * c.corr(KernelBitsegAnd); bc < best {
+		if bc := bitsegCost(c, ops, span) * c.corr(KernelBitsegAnd); bc < best {
 			best, k = bc, KernelBitsegAnd
 		}
 	}
@@ -581,30 +525,42 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 	return k
 }
 
-// storedBitsegCost prices the direct k-way bitmap intersection of stored
-// bitseg operands — bitsegCost's formula, restated over Operands so the
-// per-query path stays allocation-free.
-func storedBitsegCost(c *Costs, ops []Operand, span int) float64 {
-	chunks := float64(span/bitseg.ChunkWidth + 1)
-	aligned := chunks
-	out := float64(span)
-	for _, op := range ops {
-		if f := float64(op.Len) / chunks; f < 1 {
-			aligned *= f
-		}
-		out *= float64(op.Len) / float64(span)
+// chooseRaw picks Merge, Gallop or (bitsegOK) BitsegAnd for raw operands:
+// the cheapest under the corrected list formulas, Merge on ties.
+func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int, bitsegOK bool) Kernel {
+	if pol == KernelsHeuristic {
+		return KernelMerge
 	}
-	words := c.BitsegWord * bitseg.ChunkWords * aligned * float64(len(ops)-1)
-	return words + c.Scan*out
+	for _, op := range ops {
+		if op.Len == 0 {
+			return KernelMerge // trivially empty; avoid building structures
+		}
+	}
+	best, k := rawCost(c, KernelMerge, ops, span)*c.corr(KernelMerge), KernelMerge
+	if g := rawCost(c, KernelGallop, ops, span) * c.corr(KernelGallop); g < best {
+		best, k = g, KernelGallop
+	}
+	if bitsegOK && span > 0 {
+		if b := rawCost(c, KernelBitsegAnd, ops, span) * c.corr(KernelBitsegAnd); b < best {
+			k = KernelBitsegAnd
+		}
+	}
+	return k
 }
 
-// storedCost prices the chosen strategy for Explain.
-func storedCost(c *Costs, k Kernel, ops []Operand) float64 {
+// PriceStored prices kernel k over ops with the live corrections applied —
+// the figure ChooseStored compared when it picked k. Plans carry it as the
+// operator cost Explain renders, and the engine uses it at execution time
+// to pair each re-priced kernel run with the estimate the feedback loop
+// should hold it to.
+func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
 	if len(ops) == 0 {
 		return 0
 	}
 	n0 := ops[0].Len
 	switch k {
+	case KernelMerge, KernelGallop:
+		return rawCost(c, k, ops, 0) * c.corr(k)
 	case KernelRGSPair:
 		total := float64(ops[0].Len + ops[1].Len)
 		return (c.GroupElem*total + c.Probe*float64(n0)) * c.corr(k)
@@ -618,7 +574,7 @@ func storedCost(c *Costs, k Kernel, ops []Operand) float64 {
 		if span == 0 {
 			span = 1
 		}
-		return storedBitsegCost(c, ops, span) * c.corr(k)
+		return bitsegCost(c, ops, span) * c.corr(k)
 	case KernelDecodeAll:
 		cost := decodeCost(c, ops[0])
 		for _, op := range ops[1:] {
@@ -632,23 +588,4 @@ func storedCost(c *Costs, k Kernel, ops []Operand) float64 {
 		}
 		return cost * c.corr(k)
 	}
-}
-
-// ChoosePair picks merge vs gallop for one pairwise sorted-set operation
-// (the delta-segment evaluator and the composite-result intersections):
-// galloping wins once the size ratio covers its per-probe overhead. Under
-// KernelsHeuristic it always merges (the pre-planner behavior).
-func ChoosePair(c *Costs, pol KernelPolicy, small, large int) Kernel {
-	if pol == KernelsHeuristic {
-		return KernelMerge
-	}
-	if small > large {
-		small, large = large, small
-	}
-	merge := c.MergeElem * float64(small+large) * c.corr(KernelMerge)
-	gallop := c.GallopProbe * float64(small) * probeDepth(large, small) * c.corr(KernelGallop)
-	if gallop < merge {
-		return KernelGallop
-	}
-	return KernelMerge
 }

@@ -101,32 +101,28 @@ func TestFeedbackDeadband(t *testing.T) {
 }
 
 func TestFeedbackCorrectionFlipsChoosers(t *testing.T) {
-	c := DefaultCosts()
 	// A shape where gallop wins by default — but by less than the fbCorrMax
-	// clamp, so a railed correction can still flip it.
-	if got := ChoosePair(c, KernelsCost, 1024, 65536); got != KernelGallop {
-		t.Fatalf("baseline ChoosePair = %v, want Gallop", got)
-	}
-	c.Corr[KernelGallop] = 16
-	if got := ChoosePair(c, KernelsCost, 1024, 65536); got != KernelMerge {
-		t.Fatalf("corrected ChoosePair = %v, want Merge", got)
-	}
-	// And the list chooser: same story via ChooseListKernel.
-	sizes := []int{1024, 65536}
-	base := DefaultCosts()
-	if got := ChooseListKernel(base, KernelsCost, sizes, 0); got == KernelMerge {
-		t.Fatalf("baseline ChooseListKernel already merges; pick a different shape")
-	}
-	skew := DefaultCosts()
-	skew.Corr[KernelGallop] = 16
-	skew.Corr[KernelHashBin] = 16
-	skew.Corr[KernelGroupScan] = 16
-	if got := ChooseListKernel(skew, KernelsCost, sizes, 0); got != KernelMerge {
-		t.Fatalf("corrected ChooseListKernel = %v, want Merge", got)
-	}
-	// Heuristic policy must ignore corrections entirely.
-	if got := ChooseListKernel(skew, KernelsHeuristic, sizes, 0); got != ChooseListKernel(base, KernelsHeuristic, sizes, 0) {
-		t.Fatalf("heuristic policy affected by corrections")
+	// clamp, so a railed correction can still flip it. Views pin the
+	// pairwise composite case, raw lists with a span the pushdown case
+	// (where the bitmap tier must be corrected away too).
+	for _, ops := range [][]Operand{
+		{{Len: 1024, Shape: ShapeView}, {Len: 65536, Shape: ShapeView}},
+		{{Len: 1024, Shape: ShapeRaw, Span: 1 << 20}, {Len: 65536, Shape: ShapeRaw, Span: 1 << 20}},
+	} {
+		base := DefaultCosts()
+		if got := ChooseStored(base, KernelsCost, ops); got == KernelMerge {
+			t.Fatalf("%v: baseline already merges; pick a different shape", ops)
+		}
+		skew := DefaultCosts()
+		skew.Corr[KernelGallop] = 16
+		skew.Corr[KernelBitsegAnd] = 16
+		if got := ChooseStored(skew, KernelsCost, ops); got != KernelMerge {
+			t.Fatalf("%v: corrected = %v, want Merge", ops, got)
+		}
+		// Heuristic policy must ignore corrections entirely.
+		if got := ChooseStored(skew, KernelsHeuristic, ops); got != ChooseStored(base, KernelsHeuristic, ops) {
+			t.Fatalf("%v: heuristic policy affected by corrections", ops)
+		}
 	}
 }
 

@@ -15,7 +15,8 @@ type Stats interface {
 	NumDocs() int
 	// TermLen is the term's document frequency (0 for unknown terms).
 	TermLen(term string) int
-	// TermShape is the term's storage representation.
+	// TermShape is the term's storage representation (ShapeRaw for terms
+	// the index does not hold).
 	TermShape(term string) Shape
 }
 
@@ -64,9 +65,6 @@ type Plan struct {
 	// Canon is the canonical (normalized) query string the plan was built
 	// from — the same string the result cache keys on.
 	Canon string
-	// Stored reports whether term operands are compressed stored lists
-	// (invindex.StorageCompressed) rather than preprocessed raw lists.
-	Stored bool
 	// Policy the plan was built under.
 	Policy Policy
 	// Ops holds the operators post-order; the root is Ops[len(Ops)-1].
@@ -74,7 +72,7 @@ type Plan struct {
 
 	idx []int32 // child-index arena, referenced by spans
 	tmp []int32 // build-time child stack
-	buf []int   // scratch sizes for kernel choice
+	buf []int   // scratch sizes for cardinality estimates
 	ops []Operand
 }
 
@@ -101,24 +99,22 @@ func (p *Plan) Reset() {
 // Build lowers a normalized, bounded logical tree to a physical plan
 // against the given index statistics: term operands of every conjunction
 // are ordered per pol.Order, kernels chosen per pol.Kernels through the
-// cost model, and stored terms get their decode-vs-probe decision. The
+// cost model, and compressed terms get their decode-vs-probe decision. The
 // plan is rebuilt in place (dst is reset first) and returned.
-func Build(dst *Plan, n Node, canon string, st Stats, c *Costs, pol Policy, stored bool) *Plan {
+func Build(dst *Plan, n Node, canon string, st Stats, c *Costs, pol Policy) *Plan {
 	dst.Reset()
 	dst.Canon = canon
-	dst.Stored = stored
 	dst.Policy = pol
-	b := builder{p: dst, st: st, c: c, pol: pol, stored: stored}
+	b := builder{p: dst, st: st, c: c, pol: pol}
 	b.build(n)
 	return dst
 }
 
 type builder struct {
-	p      *Plan
-	st     Stats
-	c      *Costs
-	pol    Policy
-	stored bool
+	p   *Plan
+	st  Stats
+	c   *Costs
+	pol Policy
 }
 
 // emit appends op and returns its index.
@@ -154,12 +150,9 @@ func (b *builder) build(n Node) int32 {
 func (b *builder) buildTerm(t Term) int32 {
 	term := string(t)
 	df := b.st.TermLen(term)
-	shape := ShapeList
-	if b.stored {
-		shape = b.st.TermShape(term)
-	}
+	shape := b.st.TermShape(term)
 	op := Op{Kind: OpTerm, Shape: shape, Term: term, Rows: df}
-	if b.stored && shape != ShapeRawStored {
+	if !shape.raw() {
 		// A compressed list referenced outside a kernel pushdown must be
 		// materialized; raw stored lists alias their payload for free.
 		op.Decode = true
@@ -238,25 +231,20 @@ func (b *builder) buildAnd(n And) int32 {
 			p.ops = append(p.ops, Operand{Len: to.Rows, Shape: to.Shape, Span: u})
 		}
 		if terms.n >= 2 {
-			if b.stored {
-				op.Kernel = ChooseStored(b.c, b.pol.Kernels, p.ops)
-				op.Cost = storedCost(b.c, op.Kernel, p.ops)
-				// Inside the pushdown the strategy decides who decodes: the
-				// probe side for the chains, everyone for DecodeAll, no one
-				// for the all-compressed kernels.
-				for j, ti := range p.TermOps(&op) {
-					switch op.Kernel {
-					case KernelFilterChain, KernelLookupProbe:
-						p.Ops[ti].Decode = j == 0 && p.Ops[ti].Shape != ShapeRawStored
-					case KernelDecodeAll:
-						p.Ops[ti].Decode = p.Ops[ti].Shape != ShapeRawStored
-					default:
-						p.Ops[ti].Decode = false
-					}
+			op.Kernel = ChooseStored(b.c, b.pol.Kernels, p.ops)
+			op.Cost = PriceStored(b.c, op.Kernel, p.ops)
+			// Inside the pushdown the strategy decides who decodes: the
+			// probe side for the chains, everyone for DecodeAll, no one for
+			// the kernels that run over the stored forms.
+			for j, ti := range p.TermOps(&op) {
+				switch op.Kernel {
+				case KernelFilterChain, KernelLookupProbe:
+					p.Ops[ti].Decode = j == 0 && !p.Ops[ti].Shape.raw()
+				case KernelDecodeAll:
+					p.Ops[ti].Decode = !p.Ops[ti].Shape.raw()
+				default:
+					p.Ops[ti].Decode = false
 				}
-			} else {
-				op.Kernel = ChooseListKernel(b.c, b.pol.Kernels, p.buf, u)
-				op.Cost = listKernelCost(b.c, op.Kernel, p.buf, u)
 			}
 		}
 		rows, haveRows = estAnd(p.buf, u), true
@@ -357,17 +345,9 @@ func (p *Plan) CostEstimate() float64 {
 // fsi -explain prints.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "plan for %s (storage=%s, est_cost=%s)\n",
-		p.Canon, storageName(p.Stored), fmtCost(p.CostEstimate()))
+	fmt.Fprintf(&sb, "plan for %s (est_cost=%s)\n", p.Canon, fmtCost(p.CostEstimate()))
 	p.explainOp(&sb, p.Root(), "", "")
 	return sb.String()
-}
-
-func storageName(stored bool) string {
-	if stored {
-		return "compressed"
-	}
-	return "raw"
 }
 
 func fmtCost(ns float64) string {

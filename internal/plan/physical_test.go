@@ -18,7 +18,7 @@ func (f *fakeStats) TermShape(t string) Shape {
 	if s, ok := f.shapes[t]; ok {
 		return s
 	}
-	return ShapeRawStored
+	return ShapeRaw
 }
 
 func mustParse(t *testing.T, q string) Node {
@@ -30,41 +30,67 @@ func mustParse(t *testing.T, q string) Node {
 	return n
 }
 
-func TestChooseListKernel(t *testing.T) {
-	c := DefaultCosts()
-	cases := []struct {
-		name  string
-		sizes []int
-		span  int
-		want  Kernel
-	}{
-		{"balanced", []int{50_000, 60_000}, 0, KernelGroupScan},
-		{"heavy-skew", []int{10, 100_000}, 0, KernelGallop},
-		{"empty-operand", []int{0, 5_000}, 0, KernelMerge},
-		// Dense over a known universe: the word-parallel tier wins.
-		{"dense-span", []int{50_000, 60_000}, 100_000, KernelBitsegAnd},
-		// Sparse lists over the same universe still pay full chunk ANDs —
-		// the scalar group scan stays cheaper.
-		{"sparse-span", []int{1_000, 1_200}, 100_000, KernelGroupScan},
-		// Heavy skew: galloping beats even the bitmap walk.
-		{"skew-span", []int{10, 100_000}, 100_000, KernelGallop},
+// rawOps describes raw operands of the given lengths over a shared span.
+func rawOps(shape Shape, span int, lens ...int) []Operand {
+	ops := make([]Operand, len(lens))
+	for i, n := range lens {
+		ops[i] = Operand{Len: n, Shape: shape, Span: span}
 	}
+	return ops
+}
+
+// rawChoice is one chooser case over raw operands.
+type rawChoice struct {
+	name string
+	ops  []Operand
+	want Kernel
+}
+
+// checkRawChoices runs each case through the one chooser under the cost
+// policy, and checks that the heuristic policy always merges raw lists
+// (the pre-planner pair rule) and never picks the bitmap tier.
+func checkRawChoices(t *testing.T, cases []rawChoice) {
+	t.Helper()
+	c := DefaultCosts()
 	for _, tc := range cases {
-		if got := ChooseListKernel(c, KernelsCost, tc.sizes, tc.span); got != tc.want {
-			t.Errorf("%s: ChooseListKernel(%v, span=%d) = %v, want %v", tc.name, tc.sizes, tc.span, got, tc.want)
+		if got := ChooseStored(c, KernelsCost, tc.ops); got != tc.want {
+			t.Errorf("%s: ChooseStored(%v) = %v, want %v", tc.name, tc.ops, got, tc.want)
+		}
+		if got := ChooseStored(c, KernelsHeuristic, tc.ops); got != KernelMerge {
+			t.Errorf("%s: heuristic = %v, want Merge", tc.name, got)
 		}
 	}
-	// The heuristic policy reproduces the Auto skew rule exactly — and never
-	// picks the bitmap tier, keeping the baseline policy pre-bitseg.
-	if got := ChooseListKernel(c, KernelsHeuristic, []int{100, 100 * heuristicSkew}, 100_000); got != KernelHashBin {
-		t.Errorf("heuristic at threshold = %v, want HashBin", got)
-	}
-	if got := ChooseListKernel(c, KernelsHeuristic, []int{100, 100*heuristicSkew - 1}, 100_000); got != KernelGroupScan {
-		t.Errorf("heuristic below threshold = %v, want GroupScan", got)
-	}
-	if got := ChooseListKernel(c, KernelsHeuristic, []int{50_000, 60_000}, 100_000); got != KernelGroupScan {
-		t.Errorf("heuristic dense = %v, want GroupScan (bitseg is cost-model-only)", got)
-	}
+}
+
+// TestChooseListKernel pins the raw-list rules of the one chooser: Merge,
+// Gallop or BitsegAnd under the list formulas, never BitsegAnd for a view.
+func TestChooseListKernel(t *testing.T) {
+	checkRawChoices(t, []rawChoice{
+		{"balanced", rawOps(ShapeRaw, 0, 50_000, 60_000), KernelMerge},
+		{"heavy-skew", rawOps(ShapeRaw, 0, 10, 100_000), KernelGallop},
+		{"empty-operand", rawOps(ShapeRaw, 0, 0, 5_000), KernelMerge},
+		// Dense over a known universe: the word-parallel tier wins.
+		{"dense-span", rawOps(ShapeRaw, 100_000, 50_000, 60_000), KernelBitsegAnd},
+		// Sparse lists over the same universe pay full chunk ANDs, yet the
+		// bitmap walk still undercuts the linear merge (GroupScan, which
+		// was cheaper here, is no longer a planner candidate).
+		{"sparse-span", rawOps(ShapeRaw, 100_000, 1_000, 1_200), KernelBitsegAnd},
+		// Heavy skew: galloping beats even the bitmap walk.
+		{"skew-span", rawOps(ShapeRaw, 100_000, 10, 100_000), KernelGallop},
+		{"skew-3way", rawOps(ShapeRaw, 0, 10, 50_000, 100_000), KernelGallop},
+		// A view would rebuild its bitmaps on every query: never BitsegAnd.
+		{"dense-views", rawOps(ShapeView, 100_000, 50_000, 60_000), KernelMerge},
+		{"dense-raw-and-view", append(rawOps(ShapeRaw, 100_000, 50_000), rawOps(ShapeView, 100_000, 60_000)...), KernelMerge},
+	})
+}
+
+// TestChoosePair pins pairwise composite intersections (two views):
+// galloping wins once the size ratio covers its per-probe overhead.
+func TestChoosePair(t *testing.T) {
+	checkRawChoices(t, []rawChoice{
+		{"pair-skew", rawOps(ShapeView, 0, 5, 1_000_000), KernelGallop},
+		{"pair-balanced", rawOps(ShapeView, 0, 40_000, 50_000), KernelMerge},
+	})
 }
 
 func TestChooseStored(t *testing.T) {
@@ -77,7 +103,7 @@ func TestChooseStored(t *testing.T) {
 	if got := ChooseStored(c, KernelsCost, gammas); got != KernelLookupProbe {
 		t.Errorf("all-γ/δ = %v, want LookupProbe", got)
 	}
-	mixed := []Operand{{Len: 500, Shape: ShapeRawStored}, {Len: 5000, Shape: ShapeGamma}}
+	mixed := []Operand{{Len: 500, Shape: ShapeRaw}, {Len: 5000, Shape: ShapeGamma}}
 	if got := ChooseStored(c, KernelsHeuristic, mixed); got != KernelFilterChain {
 		t.Errorf("heuristic mixed = %v, want FilterChain", got)
 	}
@@ -102,19 +128,6 @@ func TestChooseStored(t *testing.T) {
 	}
 }
 
-func TestChoosePair(t *testing.T) {
-	c := DefaultCosts()
-	if got := ChoosePair(c, KernelsCost, 5, 1_000_000); got != KernelGallop {
-		t.Errorf("5 vs 1M = %v, want Gallop", got)
-	}
-	if got := ChoosePair(c, KernelsCost, 40_000, 50_000); got != KernelMerge {
-		t.Errorf("balanced = %v, want Merge", got)
-	}
-	if got := ChoosePair(c, KernelsHeuristic, 5, 1_000_000); got != KernelMerge {
-		t.Errorf("heuristic = %v, want Merge (the pre-planner behavior)", got)
-	}
-}
-
 // termOrder extracts the term names of the root conjunction in plan order.
 func termOrder(p *Plan) []string {
 	root := &p.Ops[p.Root()]
@@ -131,11 +144,11 @@ func TestBuildOrdering(t *testing.T) {
 	c := DefaultCosts()
 
 	var p Plan
-	Build(&p, n, n.String(), st, c, Policy{Order: OrderCost}, false)
+	Build(&p, n, n.String(), st, c, Policy{Order: OrderCost})
 	if got := termOrder(&p); got[0] != "b" || got[1] != "c" || got[2] != "a" {
 		t.Errorf("OrderCost = %v, want [b c a]", got)
 	}
-	Build(&p, n, n.String(), st, c, Policy{Order: OrderWorst}, false)
+	Build(&p, n, n.String(), st, c, Policy{Order: OrderWorst})
 	if got := termOrder(&p); got[0] != "a" || got[1] != "c" || got[2] != "b" {
 		t.Errorf("OrderWorst = %v, want [a c b]", got)
 	}
@@ -145,14 +158,14 @@ func TestBuildEstimates(t *testing.T) {
 	st := &fakeStats{docs: 10_000, lens: map[string]int{"a": 1000, "b": 100}}
 	n := mustParse(t, "a AND b")
 	var p Plan
-	Build(&p, n, n.String(), st, DefaultCosts(), Policy{}, false)
+	Build(&p, n, n.String(), st, DefaultCosts(), Policy{})
 	root := &p.Ops[p.Root()]
 	// Independence: 10000 · (1000/10000) · (100/10000) = 10.
 	if root.Rows != 10 {
 		t.Errorf("AND est_rows = %d, want 10", root.Rows)
 	}
 	n = mustParse(t, "a OR b")
-	Build(&p, n, n.String(), st, DefaultCosts(), Policy{}, false)
+	Build(&p, n, n.String(), st, DefaultCosts(), Policy{})
 	if root := &p.Ops[p.Root()]; root.Rows != 1100 {
 		t.Errorf("OR est_rows = %d, want 1100", root.Rows)
 	}
@@ -166,7 +179,7 @@ func TestBuildStoredDecodeFlags(t *testing.T) {
 	}
 	n := mustParse(t, "g1 AND g2")
 	var p Plan
-	Build(&p, n, n.String(), st, DefaultCosts(), Policy{}, true)
+	Build(&p, n, n.String(), st, DefaultCosts(), Policy{})
 	root := &p.Ops[p.Root()]
 	if root.Kernel != KernelLookupProbe && root.Kernel != KernelFilterChain && root.Kernel != KernelDecodeAll {
 		t.Fatalf("stored kernel = %v, want a stored strategy", root.Kernel)
@@ -184,11 +197,11 @@ func TestExplain(t *testing.T) {
 	st := &fakeStats{docs: 100_000, lens: map[string]int{"a": 50, "b": 40_000, "c": 100, "d": 60}}
 	n := mustParse(t, "a AND b AND (c OR d) AND NOT c")
 	var p Plan
-	Build(&p, n, n.String(), st, DefaultCosts(), Policy{}, false)
+	Build(&p, n, n.String(), st, DefaultCosts(), Policy{})
 	out := p.Explain()
 	for _, want := range []string{
 		"plan for", "AND kernel=", "OR merge", "NOT ",
-		"term a (df=50, list)", "term b (df=40000, list)", "est_rows=", "est_cost=",
+		"term a (df=50, raw)", "term b (df=40000, raw)", "est_rows=", "est_cost=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)
@@ -207,9 +220,9 @@ func TestBuildAllocs(t *testing.T) {
 	key := n.String()
 	c := DefaultCosts()
 	var p Plan
-	Build(&p, n, key, st, c, Policy{}, false) // warm the arenas
+	Build(&p, n, key, st, c, Policy{}) // warm the arenas
 	allocs := testing.AllocsPerRun(100, func() {
-		Build(&p, n, key, st, c, Policy{}, false)
+		Build(&p, n, key, st, c, Policy{})
 	})
 	if allocs != 0 {
 		t.Errorf("Build allocates %.1f times per op, want 0", allocs)

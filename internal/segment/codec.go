@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"fastintersect/internal/sets"
 )
@@ -69,14 +70,25 @@ func WriteSection(w *bufio.Writer, termList []string, postings func(term string)
 	return writeSet(tombs)
 }
 
-// maxSectionSet bounds a single decoded list so a corrupt length prefix
-// cannot drive an arbitrarily large allocation before the checksum is even
-// reached.
+// maxSectionSet bounds a single decoded list's (and the term count's)
+// length prefix. It rejects absurd prefixes early; it is not what bounds
+// memory — the decoder never sizes an allocation by a prefix alone (see
+// ReadSection). Snapshot files are CRC-checked before they are decoded
+// (engine/snapshot.go), so these limits only matter for corrupt input that
+// somehow carries a valid checksum, and for direct callers.
 const maxSectionSet = 1 << 28
+
+// maxPrealloc caps the capacity a length prefix may reserve up front.
+// Every posting, tombstone and term takes at least one input byte, so a
+// list longer than this grows by append only as its bytes actually arrive:
+// allocation stays proportional to the input, whatever the prefix claims.
+const maxPrealloc = 1 << 12
 
 // ReadSection decodes one section written by WriteSection, returning the
 // term map and tombstone set. Every decoded list is validated as a strictly
-// sorted set.
+// sorted set, and no allocation outgrows what the bytes read so far can
+// hold: a corrupt length prefix fails with an error (typically EOF) before
+// it costs memory.
 func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 	readSet := func() ([]uint32, error) {
 		n, err := binary.ReadUvarint(r)
@@ -89,9 +101,9 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 		if n == 0 {
 			return nil, nil
 		}
-		out := make([]uint32, n)
+		out := make([]uint32, 0, min(n, maxPrealloc))
 		prev := uint64(0)
-		for i := range out {
+		for i := uint64(0); i < n; i++ {
 			gap, err := binary.ReadUvarint(r)
 			if err != nil {
 				return nil, err
@@ -106,7 +118,7 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 			if v > 1<<32-1 {
 				return nil, fmt.Errorf("segment: docID %d overflows uint32", v)
 			}
-			out[i] = uint32(v)
+			out = append(out, uint32(v))
 			prev = v
 		}
 		return out, nil
@@ -118,7 +130,9 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 	if termCount > maxSectionSet {
 		return nil, nil, fmt.Errorf("segment: term count %d exceeds limit", termCount)
 	}
-	terms := make(map[string][]uint32, termCount)
+	// A map entry costs some 50 bytes against a term's three input bytes
+	// (name length, df, one gap), so the hint is capped lower still.
+	terms := make(map[string][]uint32, min(termCount, maxPrealloc/16))
 	nameBuf := make([]byte, 0, 64)
 	for i := uint64(0); i < termCount; i++ {
 		nameLen, err := binary.ReadUvarint(r)
@@ -128,12 +142,17 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 		if nameLen > 1<<20 {
 			return nil, nil, fmt.Errorf("segment: term length %d exceeds limit", nameLen)
 		}
-		if uint64(cap(nameBuf)) < nameLen {
-			nameBuf = make([]byte, nameLen)
-		}
-		nameBuf = nameBuf[:nameLen]
-		if _, err := io.ReadFull(r, nameBuf); err != nil {
-			return nil, nil, err
+		// Grow the name buffer only as its bytes arrive (see maxPrealloc).
+		nameBuf = nameBuf[:0]
+		for rest := nameLen; rest > 0; {
+			step := int(min(rest, maxPrealloc))
+			nameBuf = slices.Grow(nameBuf, step)
+			at := len(nameBuf)
+			nameBuf = nameBuf[:at+step]
+			if _, err := io.ReadFull(r, nameBuf[at:]); err != nil {
+				return nil, nil, err
+			}
+			rest -= uint64(step)
 		}
 		ps, err := readSet()
 		if err != nil {
