@@ -69,7 +69,7 @@ func main() {
 		terms       = flag.Int("terms", 20_000, "synthetic corpus: vocabulary size")
 		queries     = flag.Int("queries", 2_000, "synthetic corpus: base query count")
 		seed        = flag.Uint64("seed", 0xC0FFEE, "corpus seed")
-		compactAt   = flag.Int("compact", 50_000, "delta postings per shard that trigger a background compaction (0 = never compact automatically)")
+		compactAt   = flag.Int("compact", 50_000, "active-segment postings per shard that trigger a background compaction (0 = never compact automatically)")
 		load        = flag.Int("load", 0, "load-generator mode: replay N queries and exit (0 = serve)")
 		concurrency = flag.Int("concurrency", 8, "load-generator worker goroutines")
 		batchN      = flag.Int("batch", 0, "load-generator: submit queries through the batch path (QueryBatch) in chunks of this size (0 or 1 = one Query call per query)")
@@ -124,9 +124,10 @@ func main() {
 		PlanFeedback:     *feedback,
 	})
 	if *snapDir != "" && engine.SnapshotExists(*snapDir) {
-		// Restart path: the serialized tier (base, frozen segments, active
-		// segment, tombstones) replaces the corpus index build. Only the base
-		// pays a parallel re-build; segments load as-is.
+		// Restart path: the serialized tier (frozen segments with their
+		// tombstones, the active segment) replaces the corpus index build.
+		// Each frozen segment is re-encoded by the same parallel build an
+		// install runs; the active segment loads as-is.
 		if err := eng.LoadSnapshot(*snapDir); err != nil {
 			fmt.Fprintf(os.Stderr, "fsiserve: restoring snapshot from %s: %v\n", *snapDir, err)
 			os.Exit(1)
@@ -728,7 +729,7 @@ type mutationResponse struct {
 }
 
 // handleAddDoc makes a document queryable immediately: it lands in its home
-// shard's delta segment (no rebuild) and supersedes any indexed version.
+// shard's active segment (no rebuild) and supersedes any indexed version.
 func (s *server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 	var req addDocRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -761,7 +762,7 @@ func (s *server) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeleteDoc removes a document from query results immediately
-// (tombstoned against the base segment, dropped from the delta). Unknown
+// (tombstoned in any frozen segment, dropped from the active one). Unknown
 // documents return 404.
 func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 	id64, err := strconv.ParseUint(r.PathValue("id"), 10, 32)

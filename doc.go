@@ -54,13 +54,13 @@
 // query, batch execution (Engine.QueryBatch) that plans once per canonical
 // form and shares decode memos across a batch, and an HTTP JSON API with a
 // built-in load generator — the search-engine setting that motivates the
-// paper, end to end. The corpus stays live: each shard pairs its frozen
-// base segment with a tier of in-memory segments and tombstone sets, so
-// documents added or deleted at serving time (Engine.AddDocument /
-// DeleteDocument, or POST /index/doc over HTTP) are queryable immediately,
-// and background compactions freeze, merge and rebuild the tier. One plan
-// evaluator runs over every segment. See ARCHITECTURE.md's mutable-tier
-// section for the design.
+// paper, end to end. The corpus stays live: each shard is a tier of frozen
+// segments (the one an install builds is simply the first) and one active
+// write segment, each with its own tombstone set, so documents added or
+// deleted at serving time (Engine.AddDocument / DeleteDocument, or POST
+// /index/doc over HTTP) are queryable immediately, and background
+// compactions freeze and merge the tier. One plan evaluator runs over every
+// segment. See ARCHITECTURE.md's mutable-tier section for the design.
 //
 // The serving tier holds every posting list as one type,
 // internal/compress's Stored, under a per-list encoding (§4.1 and

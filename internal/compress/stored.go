@@ -110,6 +110,18 @@ func (s *Stored) SetView(set []uint32) {
 	}
 }
 
+// SetRaw makes s an EncRaw list of set, retaining it without validating or
+// copying: for a set the caller keeps strictly increasing by construction.
+// Unlike a view it is a stored list — the planner may price BitsegAnd for
+// it and its bitseg form attaches once — so s must be a fresh header, and
+// set must stay unmodified for as long as s is reachable. A caller adopting
+// many sets at once (a segment freeze) sets a slice of headers allocated
+// together.
+func (s *Stored) SetRaw(set []uint32) {
+	s.SetView(set)
+	s.view = false
+}
+
 // Encoding returns the representation the list is stored under.
 func (s *Stored) Encoding() Encoding { return s.enc }
 

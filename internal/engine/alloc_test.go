@@ -137,7 +137,7 @@ func TestQueryAllocs(t *testing.T) {
 				addTier(t, e, numDocs, 50)
 			}
 			if tc.name == "bitseg-kway-1shard" {
-				if enc, ok := encodingOf(e.snapshot()[0].base, "m2"); !ok || enc != compress.EncBitseg {
+				if enc, ok := encodingOf(largestSeg(e, 0), "m2"); !ok || enc != compress.EncBitseg {
 					t.Fatalf("m2 encoding = %v, %v; the bitseg case needs bitseg-backed lists", enc, ok)
 				}
 			}

@@ -3,22 +3,21 @@
 // algorithms and a search service.
 //
 // Documents are hash-partitioned across S shards. Each shard is a tiered
-// segmented index: a frozen base segment (an invindex.Index of
-// compress.Stored lists), k frozen in-memory segments and one active
-// mutable segment (internal/segment), each segment carrying its own
-// tombstone filter, so the corpus stays mutable (AddDocument /
-// DeleteDocument) — every document is visible in exactly one segment, so
-// each shard evaluates a query f as the k-way union of
-// (f(segment) − segment tombstones) across its tier. One evaluator runs
-// the plan over every segment: the base hands it stored lists, the
-// in-memory segments EncRaw views of their sorted lists, and conjunctions
-// push down to whichever kernel the cost model picks for the encodings at
-// hand.
+// segmented index (internal/segment): k frozen segments of compress.Stored
+// lists — the one Install builds is simply the first — and one active
+// mutable segment, each carrying its own tombstone filter, so the corpus
+// stays mutable (AddDocument / DeleteDocument) — every document is visible
+// in exactly one segment, so each shard evaluates a query f as the k-way
+// union of (f(segment) − segment tombstones) across its tier. One evaluator
+// runs the plan over every segment: frozen segments hand it their stored
+// lists, the active segment EncRaw views of its sorted lists, and
+// conjunctions push down to whichever kernel the cost model picks for the
+// encodings at hand.
 // Background compaction (see mutable.go) is incremental: the active segment
 // freezes into the tier by a map move, a size-tiered merge coalesces only
-// the smallest frozen segments, and a full rebuild through the parallel
-// build path Install uses runs only on demand (Compact) or when base
-// tombstones accumulate.
+// the smallest segments, and a full compaction — a merge of every segment
+// encoded by the parallel build Install runs — happens only on demand
+// (Compact) or when the largest segment's tombstones accumulate.
 //
 // A query is parsed and normalized by internal/plan (the canonical form is
 // the cache key), looked up in an LRU result cache, and on a miss lowered
@@ -32,10 +31,11 @@
 // plan; QueryBatch amortizes planning and decode memos across many
 // queries.
 //
-// Config.Storage is the encoding policy of the base segments:
-// invindex.StorageRaw stores every list as EncRaw (fastest),
-// invindex.StorageCompressed lets compress.ChooseEncoding pick per list
-// from its density (smaller heap, slower intersections). Both run the same
+// Config.Storage is the encoding policy of the segments Install, Compact and
+// LoadSnapshot build: invindex.StorageRaw stores every list as EncRaw
+// (fastest), invindex.StorageCompressed lets compress.ChooseEncoding pick
+// per list from its density (smaller heap, slower intersections). Freezes
+// and size-tiered merges keep lists EncRaw. Both policies run the same
 // evaluator; Stats reports the exact per-encoding bytes-per-posting
 // footprint.
 package engine
@@ -53,6 +53,7 @@ import (
 	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
 	"fastintersect/internal/plan"
+	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
 )
 
@@ -65,29 +66,25 @@ type Config struct {
 	Workers int
 	// CacheSize is the result-cache capacity in entries (0 disables it).
 	CacheSize int
-	// Storage is the encoding policy of every shard's base (default
-	// StorageRaw: every list EncRaw). StorageCompressed stores each list
-	// under the encoding compress.ChooseEncoding picks from its length and
-	// density; Stats reports the per-encoding footprint.
+	// Storage is the encoding policy of the segments Install, Compact and
+	// LoadSnapshot build (default StorageRaw: every list EncRaw).
+	// StorageCompressed stores each of their lists under the encoding
+	// compress.ChooseEncoding picks from its length and density; Stats
+	// reports the per-encoding footprint.
 	Storage invindex.Storage
 	// CompactThreshold triggers a background compaction of a shard once its
-	// active segment holds that many postings — or, under CompactRebuild,
-	// its base tombstone filter that many docIDs (under the default tiered
-	// policy base tombstones escalate to a rebuild at a multiple of the
-	// threshold; see mutable.go). 0 disables automatic compaction; Compact,
-	// FreezeActive and MergeSegments remain available.
+	// active segment holds that many postings: the active segment freezes,
+	// and a size-tiered merge follows when the tier exceeds MaxSegments. It
+	// escalates to a full compaction once the shard's largest segment holds
+	// 4× that many tombstones (see mutable.go). 0 disables automatic
+	// compaction; Compact, FreezeActive and MergeSegments remain available.
 	CompactThreshold int
-	// MaxSegments bounds the frozen in-memory segments a shard's tier may
-	// hold before a background size-tiered merge coalesces the smallest
-	// ones (0 = default of 4). Smaller values favor query latency (fewer
-	// segments per query), larger values favor write amplification.
+	// MaxSegments bounds the frozen segments that may sit beside a shard's
+	// largest one (the installed or fully compacted segment) before a
+	// background size-tiered merge coalesces the smallest (0 = default of
+	// 4). Smaller values favor query latency (fewer segments per query),
+	// larger values favor write amplification.
 	MaxSegments int
-	// CompactPolicy selects what a background compaction does when the
-	// threshold is crossed: CompactTiered (default) freezes the active
-	// segment and size-tiered-merges the frozen tier; CompactRebuild folds
-	// the whole tier into a fresh base every time — the pre-tier behavior,
-	// kept for the harness's write-amplification comparison.
-	CompactPolicy CompactPolicy
 	// PlanCosts overrides the cost-model coefficients the query planner
 	// prices kernels with. Nil runs the startup micro-calibration
 	// (plan.Calibrated) once per process.
@@ -121,30 +118,10 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// CompactPolicy selects the background compaction strategy (Config).
-type CompactPolicy uint8
-
-const (
-	// CompactTiered freezes the active segment into the frozen tier and
-	// coalesces only the smallest frozen segments (size-tiered merge),
-	// escalating to a full rebuild only when base tombstones accumulate.
-	CompactTiered CompactPolicy = iota
-	// CompactRebuild folds the whole tier into a fresh base on every
-	// trigger — maximal write amplification, minimal segment count.
-	CompactRebuild
-)
-
-func (p CompactPolicy) String() string {
-	if p == CompactRebuild {
-		return "rebuild"
-	}
-	return "tiered"
-}
-
 // Engine serves queries against a sharded inverted index. All methods are
 // safe for concurrent use; Query may run while Install swaps in a rebuilt
 // index, while AddDocument/DeleteDocument mutate shards, and while a
-// compaction swaps a shard's base segment.
+// compaction swaps a shard's segments.
 type Engine struct {
 	cfg     Config
 	costs   *plan.Costs    // cost-model coefficients (configured or calibrated)
@@ -163,13 +140,14 @@ type Engine struct {
 	// they change the representation, not the visible document set.
 	gen atomic.Uint64
 
-	// statsEpoch tracks representation changes: bumped by every Install and
-	// every successful compaction swap, the two events that can re-encode
+	// statsEpoch tracks representation changes: bumped by every Install,
+	// LoadSnapshot and full compaction, the events that can re-encode
 	// posting lists and so change the statistics a physical plan was priced
-	// against. The plan cache stamps entries with it (see plancache.go);
-	// document mutations deliberately leave it alone — they bump gen, and a
-	// slightly stale plan is correctness-safe because shards re-price
-	// kernels on actual sizes at execution.
+	// against (freezes and size-tiered merges only move EncRaw lists). The
+	// plan cache stamps entries with it (see plancache.go); document
+	// mutations deliberately leave it alone — they bump gen, and a slightly
+	// stale plan is correctness-safe because shards re-price kernels on
+	// actual sizes at execution.
 	statsEpoch atomic.Uint64
 
 	// met is the observability surface: operation counters, latency and
@@ -300,17 +278,13 @@ func (e *Engine) Install(b *Builder) error {
 		return fmt.Errorf("engine: cannot install a %v-storage builder into a %v-storage engine",
 			b.cfg.Storage, e.cfg.Storage)
 	}
-	perShard := e.cfg.Workers / len(b.shards)
-	if perShard < 1 {
-		perShard = 1
-	}
 	errs := make([]error, len(b.shards))
 	var wg sync.WaitGroup
 	for i, ix := range b.shards {
 		wg.Add(1)
 		go func(i int, ix *invindex.Index) {
 			defer wg.Done()
-			errs[i] = ix.BuildParallel(perShard)
+			errs[i] = ix.BuildParallel(e.shardWorkers())
 		}(i, ix)
 	}
 	wg.Wait()
@@ -319,9 +293,12 @@ func (e *Engine) Install(b *Builder) error {
 			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
 	}
+	// Each built index becomes its shard's first segment: the segment
+	// adopts the index's lists and docID set without copying.
 	shards := make([]*shard, len(b.shards))
 	for i, ix := range b.shards {
-		shards[i] = newShard(ix)
+		shards[i] = &shard{active: segment.NewMutable()}
+		shards[i].appendSeg(segment.FromIndex(ix))
 	}
 	e.mu.Lock()
 	old := e.shards
@@ -338,10 +315,14 @@ func (e *Engine) Install(b *Builder) error {
 	e.shards = shards
 	e.mu.Unlock()
 	e.gen.Add(1)
-	e.statsEpoch.Add(1) // new bases may store terms under new encodings
+	e.statsEpoch.Add(1) // new segments may store terms under new encodings
 	e.met.rebuilds.Inc()
 	return nil
 }
+
+// shardWorkers is the build parallelism each shard gets when every shard
+// builds at once (Install, LoadSnapshot) or one shard compacts fully.
+func (e *Engine) shardWorkers() int { return max(1, e.cfg.Workers/e.cfg.Shards) }
 
 // snapshot returns the current shard set, or nil before Install.
 func (e *Engine) snapshot() []*shard {
@@ -564,8 +545,8 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 		return nil, "", ErrNotBuilt
 	}
 	// The stats epoch is loaded BEFORE the statistics are read: if an
-	// Install or compaction swaps bases in between, the plan built below is
-	// stamped with the superseded epoch and rebuilt on its next lookup
+	// Install or full compaction swaps segments in between, the plan built
+	// below is stamped with the superseded epoch and rebuilt on its next lookup
 	// instead of lingering with stale shapes. The feedback epoch is folded
 	// in the same way: both counters only ever increase, so their sum
 	// strictly increases whenever either bumps, and a published correction
@@ -830,10 +811,11 @@ type EncodingStat struct {
 	BytesPerPosting float64 `json:"bytes_per_posting"`
 }
 
-// PostingStats is the engine-wide posting-payload accounting for the base
-// segments: how many bytes the frozen indexes actually hold versus the
-// 4-byte-per-posting raw footprint, broken down per encoding. Delta-segment
-// postings are accounted separately in DeltaStats.
+// PostingStats is the engine-wide posting-payload accounting of each
+// shard's largest segment (the installed or fully compacted one in steady
+// state, which holds nearly every posting): how many bytes its lists
+// actually hold versus the 4-byte-per-posting raw footprint, broken down
+// per encoding. The rest of the tier is accounted in DeltaStats.
 type PostingStats struct {
 	Total           uint64                  `json:"total"`
 	RawBytes        uint64                  `json:"raw_bytes"`
@@ -843,19 +825,21 @@ type PostingStats struct {
 }
 
 // DeltaStats is the point-in-time accounting of the mutable tier across all
-// shards: the in-memory segments above the base (frozen tier plus the
-// active segment) and the tombstone filters.
+// shards: every segment beside each shard's largest one (the other frozen
+// segments plus the active segment) — what a full compaction would fold
+// into it — and the tombstone filters.
 type DeltaStats struct {
-	// Docs is the number of documents currently held by in-memory segments
-	// (frozen tier + active, including tombstoned frozen documents).
+	// Docs is the number of documents held by those segments (including
+	// tombstoned frozen documents).
 	Docs int `json:"docs"`
-	// Postings is the total posting count across in-memory segments.
+	// Postings is the total posting count across those segments.
 	Postings int `json:"postings"`
 	// Tombstones is the total tombstoned docID count across every segment's
-	// filter (including the suppression tombstones that shadow older copies
-	// of rewritten documents).
+	// filter, the largest segment's included (including the suppression
+	// tombstones that shadow older copies of rewritten documents).
 	Tombstones int `json:"tombstones"`
-	// Segments is the total frozen in-memory segment count across shards.
+	// Segments is the count of frozen segments beside each shard's largest
+	// one, summed across shards.
 	Segments int `json:"segments"`
 	// CompactingShards is the number of shards with a claimed (possibly not
 	// yet started) background compaction.
@@ -882,16 +866,17 @@ type Stats struct {
 	Compactions uint64       `json:"compactions"`
 	// SegmentFreezes / SegmentMerges / CompactionBytes are the tiered
 	// lifecycle counters: active-segment freezes, size-tiered merges, and
-	// the bytes written by merges and rebuilds (the write-amplification
-	// numerator; 4 bytes per posting written).
+	// the bytes written by size-tiered merges and full compactions (the
+	// write-amplification numerator; 4 bytes per posting written).
 	SegmentFreezes  uint64 `json:"segment_freezes"`
 	SegmentMerges   uint64 `json:"segment_merges"`
 	CompactionBytes uint64 `json:"compaction_bytes"`
-	// ShardSegments is the per-shard segment count (1 base + frozen tier).
+	// ShardSegments is the per-shard frozen segment count (the installed
+	// segment included; a shard holding no document has none).
 	ShardSegments []int  `json:"shard_segments,omitempty"`
 	Generation    uint64 `json:"generation"`
-	// StatsEpoch counts representation changes (installs + compaction
-	// swaps); PlanCacheEntries is the number of physical plans memoized
+	// StatsEpoch counts representation changes (installs, snapshot loads
+	// and full compactions); PlanCacheEntries is the number of physical plans memoized
 	// against the current epoch's statistics.
 	StatsEpoch       uint64     `json:"stats_epoch"`
 	PlanCacheEntries int        `json:"plan_cache_entries"`
@@ -919,9 +904,11 @@ type Stats struct {
 }
 
 // Stats returns current counters. Docs counts distinct live documents:
-// distinct docIDs indexed by the base segments, plus documents added through
-// AddDocument, minus deleted ones. Terms counts distinct (term, shard) pairs
-// over the base segments: a term whose postings span k shards contributes k.
+// every document visible in some segment (each is visible in exactly one).
+// Terms counts distinct (term, shard) pairs over each shard's largest
+// segment — every indexed pair right after Install or Compact: a term whose
+// postings span k shards contributes k. Postings describes the same
+// segments, Delta the rest of the tier.
 func (e *Engine) Stats() Stats {
 	shards := e.snapshot()
 	st := Stats{
@@ -969,25 +956,33 @@ func (e *Engine) Stats() Stats {
 	}
 	for _, s := range shards {
 		s.mu.RLock()
-		ix := s.base
+		var largest *segment.Frozen
+		big := s.largestLocked()
 		st.Docs += uint64(s.liveLocked())
 		st.Delta.Docs += s.active.NumDocs()
 		st.Delta.Postings += s.active.NumPostings()
-		for _, f := range s.frozen {
+		for i, f := range s.segs {
+			st.Delta.Tombstones += len(f.Tombs())
+			if i == big {
+				largest = f
+				continue
+			}
 			st.Delta.Docs += f.NumDocs()
 			st.Delta.Postings += f.NumPostings()
-			st.Delta.Tombstones += len(f.Tombs())
+			st.Delta.Segments++
 		}
-		st.Delta.Segments += len(s.frozen)
-		st.ShardSegments = append(st.ShardSegments, 1+len(s.frozen))
+		st.ShardSegments = append(st.ShardSegments, len(s.segs))
 		if s.compacting {
 			st.Delta.CompactingShards++
 		}
-		st.Delta.Tombstones += len(s.baseTombs)
 		s.mu.RUnlock()
-		st.Terms += ix.TermCount()
-		st.ShardTerms = append(st.ShardTerms, ix.TermCount())
-		ms := ix.MemStats()
+		if largest == nil {
+			st.ShardTerms = append(st.ShardTerms, 0)
+			continue
+		}
+		st.Terms += largest.NumTerms()
+		st.ShardTerms = append(st.ShardTerms, largest.NumTerms())
+		ms := largest.MemStats()
 		st.Postings.Total += ms.Postings
 		st.Postings.RawBytes += ms.RawBytes
 		st.Postings.StoredBytes += ms.StoredBytes

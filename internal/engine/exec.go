@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fastintersect/internal/compress"
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
@@ -14,11 +13,12 @@ import (
 // Physical-plan execution against one segment of a shard's tier. The
 // logical language, normalizer and cost model live in internal/plan; this
 // file is the one interpreter that runs a plan.Plan inside a pooled
-// execCtx, over the base index and the in-memory segments alike.
+// execCtx, over frozen and active segments alike.
 //
-// Every operand is a *compress.Stored: the base hands out its stored lists
-// (EncRaw under StorageRaw, any encoding under StorageCompressed), and an
-// in-memory segment's sorted lists — like the intermediate results a
+// Every operand is a *compress.Stored: a frozen segment hands out its
+// stored lists (EncRaw under StorageRaw and for freezes and size-tiered
+// merges, any encoding a full compaction chose under StorageCompressed),
+// and the active segment's sorted lists — like the intermediate results a
 // conjunction intersects with its composite kids — are wrapped as EncRaw
 // views drawn from the context's arena. Kernel selection is delegated to
 // the plan package: the plan fixes the operand order (built once per query
@@ -26,21 +26,21 @@ import (
 // on its actual operand sizes and encodings through plan.ChooseStored. No
 // execution path picks a kernel inline.
 
-// source is the segment a plan is evaluated against: the shard's base index
-// or one in-memory segment (frozen or active). Exactly one field is set.
+// source is the segment a plan is evaluated against: one frozen segment or
+// the shard's active segment. Exactly one field is set.
 type source struct {
-	base *invindex.Index
-	seg  segment.TermSource
+	seg    *segment.Frozen
+	active *segment.Mutable
 }
 
 // operand returns term's posting list in src, or nil when src holds none.
-// Segment lists come back as arena views, valid until the context's next
-// resetViews.
+// Active-segment lists come back as arena views, valid until the context's
+// next resetViews.
 func (c *execCtx) operand(src source, term string) *compress.Stored {
-	if src.base != nil {
-		return src.base.Stored(term)
+	if src.seg != nil {
+		return src.seg.List(term)
 	}
-	if l := src.seg.Postings(term); len(l) > 0 {
+	if l := src.active.Postings(term); len(l) > 0 {
 		return c.view(l)
 	}
 	return nil

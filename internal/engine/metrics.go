@@ -68,7 +68,7 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 		segmentMerges: r.Counter("fsi_segment_merges_total",
 			"Size-tiered merges of frozen segments."),
 		compactionBytes: r.Counter("fsi_compaction_bytes_total",
-			"Posting bytes written by segment merges and base rebuilds (the write-amplification numerator)."),
+			"Posting bytes written by segment merges and full compactions (the write-amplification numerator)."),
 		planHits:   r.Counter("fsi_plan_cache_hits_total", "Queries served a memoized physical plan."),
 		planMisses: r.Counter("fsi_plan_cache_misses_total", "Queries that built a plan (cold key or stale stats epoch)."),
 		latency:    r.Histogram("fsi_query_latency_seconds", "End-to-end Query latency."),
@@ -129,7 +129,7 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 	for i := 0; i < shardCount; i++ {
 		i := i
 		r.GaugeFunc(`fsi_segments{shard="`+strconv.Itoa(i)+`"}`,
-			"Segments in the shard's tier (1 base + frozen in-memory segments).",
+			"Frozen segments in the shard's tier (the installed one included).",
 			func() float64 {
 				shards := e.snapshot()
 				if i >= len(shards) {
@@ -137,7 +137,7 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 				}
 				s := shards[i]
 				s.mu.RLock()
-				n := 1 + len(s.frozen)
+				n := len(s.segs)
 				s.mu.RUnlock()
 				return float64(n)
 			})
@@ -217,8 +217,8 @@ func harvestFeedback(fb *plan.Feedback, pp *plan.Plan, agg *traceRec) {
 // differ — it prices every operand at the universe span) and the corrected
 // cost that re-pricing promised, summed across segments and shards like
 // ns. When segments ran different kernels for one operator, the run with
-// the largest estimate (kernelEst) names it — usually the base, whose lists
-// dominate the work.
+// the largest estimate (kernelEst) names it — usually the largest segment,
+// whose lists dominate the work.
 type opAcc struct {
 	execs     int64
 	rows      int64

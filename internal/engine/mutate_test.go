@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -504,13 +505,15 @@ func TestMergeKeepsMidMergeMutationsExact(t *testing.T) {
 	if err := e.AddDocument(2, []string{"c"}); err != nil {
 		t.Fatal(err)
 	}
-	e.mergeSegments(s, victims, snaps)
+	if err := e.mergeSegments(s, victims, snaps, false); err != nil {
+		t.Fatal(err)
+	}
 
 	s.mu.RLock()
-	frozen, live := len(s.frozen), s.liveLocked()
+	segs, live := len(s.segs), s.liveLocked()
 	s.mu.RUnlock()
-	if frozen != 1 {
-		t.Fatalf("frozen tier has %d segments after merge, want 1", frozen)
+	if segs != 2 { // the installed segment + the merged one
+		t.Fatalf("tier has %d segments after merge, want 2", segs)
 	}
 	if live != 2 { // base doc 0 + rewritten doc 2
 		t.Fatalf("live = %d after merge, want 2", live)
@@ -699,5 +702,190 @@ func TestEngineConcurrentChurn(t *testing.T) {
 				t.Fatalf("deltas not drained: %+v", st.Delta)
 			}
 		})
+	}
+}
+
+// lifecycleQueries cover AND, OR and NOT over the lifecycle test's
+// vocabulary; each carries its reference predicate over a document's terms.
+var lifecycleQueries = []struct {
+	q    string
+	pred func(has func(string) bool) bool
+}{
+	{"a", func(has func(string) bool) bool { return has("a") }},
+	{"a AND b", func(has func(string) bool) bool { return has("a") && has("b") }},
+	{"a OR c", func(has func(string) bool) bool { return has("a") || has("c") }},
+	{"a AND NOT b", func(has func(string) bool) bool { return has("a") && !has("b") }},
+	{"(a AND b) OR (c AND NOT d)", func(has func(string) bool) bool {
+		return (has("a") && has("b")) || (has("c") && !has("d"))
+	}},
+	{"b AND c AND NOT a AND NOT e", func(has func(string) bool) bool {
+		return has("b") && has("c") && !has("a") && !has("e")
+	}},
+}
+
+// match evaluates a predicate over every live document of the model.
+func (m *refModel) match(pred func(has func(string) bool) bool) []uint32 {
+	var out []uint32
+	for id, terms := range m.docs {
+		if pred(func(t string) bool { return terms[t] }) {
+			out = append(out, id)
+		}
+	}
+	sets.SortU32(out)
+	return out
+}
+
+// TestSegmentLifecycleMatchesModel is the model-based test of the tier
+// lifecycle: seeded random sequences of adds, overwrites, deletes,
+// FreezeActive, MergeSegments, Compact, tombstone-escalation bursts (a low
+// CompactThreshold, so deleting installed documents escalates a background
+// compaction to a full one) and SaveSnapshot → LoadSnapshot into a fresh
+// engine. After every step each query of lifecycleQueries must return the
+// model's exact documents and Stats.Docs must equal the model's live count.
+func TestSegmentLifecycleMatchesModel(t *testing.T) {
+	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v-%dshard", st, shards), func(t *testing.T) {
+				runLifecycleModel(t, Config{Shards: shards, Storage: st, CacheSize: 16, CompactThreshold: 4, MaxSegments: 2},
+					0x11FE+uint64(shards)+uint64(st)<<8)
+			})
+		}
+	}
+}
+
+func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
+	rng := xhash.NewRNG(seed)
+	vocab := []string{"a", "b", "c", "d", "e"}
+	sample := func() []string {
+		n := 1 + int(rng.Intn(3))
+		out := make([]string, 0, n)
+		for len(out) < n {
+			out = append(out, vocab[rng.Intn(len(vocab))])
+		}
+		return out
+	}
+	m := newRefModel()
+	for d := uint32(0); d < 300; d++ {
+		m.add(d, sample())
+	}
+	e := New(cfg)
+	installRef(t, e, m)
+	nextID := uint32(300)
+	visible := func() []uint32 { return m.match(func(func(string) bool) bool { return true }) }
+
+	check := func(step int, what string) {
+		t.Helper()
+		for _, tc := range lifecycleQueries {
+			res, err := e.Query(tc.q)
+			if err != nil {
+				t.Fatalf("step %d (%s): Query(%q): %v", step, what, tc.q, err)
+			}
+			if want := m.match(tc.pred); !sets.Equal(res.Docs, want) {
+				t.Fatalf("step %d (%s): Query(%q) = %d docs %v, want %d docs %v",
+					step, what, tc.q, len(res.Docs), head(res.Docs), len(want), head(want))
+			}
+		}
+		if got := e.Stats().Docs; int(got) != len(m.docs) {
+			t.Fatalf("step %d (%s): Stats.Docs = %d, model holds %d", step, what, got, len(m.docs))
+		}
+	}
+
+	escalations, snapshots := 0, 0
+	for step := 0; step < 160; step++ {
+		var what string
+		switch r := rng.Float64(); {
+		case r < 0.30:
+			what = "add"
+			terms := sample()
+			if err := e.AddDocument(nextID, terms); err != nil {
+				t.Fatal(err)
+			}
+			m.add(nextID, terms)
+			nextID++
+		case r < 0.42:
+			what = "overwrite"
+			id := uint32(rng.Intn(int(nextID)))
+			terms := sample()
+			if err := e.AddDocument(id, terms); err != nil {
+				t.Fatal(err)
+			}
+			m.add(id, terms)
+		case r < 0.60:
+			what = "delete"
+			id := uint32(rng.Intn(int(nextID)))
+			_, inModel := m.docs[id]
+			was, err := e.DeleteDocument(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if was != inModel {
+				t.Fatalf("step %d: DeleteDocument(%d) = %v, model says %v", step, id, was, inModel)
+			}
+			m.del(id)
+		case r < 0.70:
+			what = "freeze"
+			if err := e.FreezeActive(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 0.78:
+			what = "merge"
+			if err := e.MergeSegments(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 0.84:
+			what = "compact"
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		case r < 0.92:
+			// Delete visible documents one at a time, letting each trigger
+			// settle, until a background compaction escalates to a full
+			// one: the only background step that bumps the stats epoch.
+			what = "escalate"
+			waitForIdleCompaction(t, e)
+			epoch := e.Stats().StatsEpoch
+			for _, id := range visible() {
+				if was, err := e.DeleteDocument(id); err != nil || !was {
+					t.Fatalf("step %d: DeleteDocument(%d) = %v, %v", step, id, was, err)
+				}
+				m.del(id)
+				waitForIdleCompaction(t, e)
+				if e.Stats().StatsEpoch != epoch {
+					escalations++
+					break
+				}
+			}
+			// Refill so later steps keep a corpus to work on.
+			for i := 0; i < 60; i++ {
+				terms := sample()
+				if err := e.AddDocument(nextID, terms); err != nil {
+					t.Fatal(err)
+				}
+				m.add(nextID, terms)
+				nextID++
+			}
+		default:
+			what = "snapshot"
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := e.SaveSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			waitForIdleCompaction(t, e)
+			fresh := New(cfg)
+			if err := fresh.LoadSnapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			e = fresh
+			snapshots++
+		}
+		check(step, what)
+	}
+	waitForIdleCompaction(t, e)
+	if escalations == 0 || snapshots == 0 {
+		t.Fatalf("sequence exercised %d escalations and %d snapshot restarts, want both > 0", escalations, snapshots)
+	}
+	st := e.Stats()
+	if st.SegmentFreezes == 0 {
+		t.Fatalf("sequence froze no segment: %+v", st)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
 )
@@ -16,26 +15,22 @@ import (
 // every shard of a query; the kernel itself is re-priced per shard on the
 // actual sizes (see exec.go).
 type planStats struct {
-	bases []*invindex.Index
-	segs  []*segment.Frozen
-	docs  int
+	segs []*segment.Frozen
+	docs int
 }
 
-// fill snapshots each shard's base segment, frozen in-memory tier and
-// live-document count. Bases and frozen segments are immutable (only their
-// tombstone filters grow), so they stay safe to read after the per-shard
-// locks are dropped — which is what lets TermLen fold frozen-segment df into
-// the estimates without re-locking per term. The active segments are
-// deliberately excluded: they are bounded by the compaction threshold and
-// would need the shard lock per term lookup.
+// fill snapshots each shard's frozen segments and live-document count.
+// Frozen segments are immutable (only their tombstone filters grow), so
+// they stay safe to read after the per-shard locks are dropped — which is
+// what lets TermLen sum df without re-locking per term. The active segments
+// are deliberately excluded: they are bounded by the compaction threshold
+// and would need the shard lock per term lookup.
 func (ps *planStats) fill(shards []*shard) {
-	ps.bases = ps.bases[:0]
 	ps.segs = ps.segs[:0]
 	ps.docs = 0
 	for _, s := range shards {
 		s.mu.RLock()
-		ps.bases = append(ps.bases, s.base)
-		ps.segs = append(ps.segs, s.frozen...)
+		ps.segs = append(ps.segs, s.segs...)
 		ps.docs += s.liveLocked()
 		s.mu.RUnlock()
 	}
@@ -43,27 +38,25 @@ func (ps *planStats) fill(shards []*shard) {
 
 func (ps *planStats) NumDocs() int { return ps.docs }
 
-// TermLen is the planner's cardinality estimate for one term: base df plus
-// frozen-segment df, so cost-based operand ordering stays honest under churn
-// between merges. (Tombstoned postings are still counted — they are
-// suppressed at query time, not purged, so they still cost kernel work.)
+// TermLen is the planner's cardinality estimate for one term: its df summed
+// over every frozen segment, so cost-based operand ordering stays honest
+// under churn between merges. (Tombstoned postings are still counted — they
+// are suppressed at query time, not purged, so they still cost kernel
+// work.)
 func (ps *planStats) TermLen(term string) int {
 	total := 0
-	for _, ix := range ps.bases {
-		total += ix.DocFreq(term)
-	}
 	for _, f := range ps.segs {
 		total += f.DocFreq(term)
 	}
 	return total
 }
 
-// TermShape is the encoding of the term's largest base list — the shape
-// most of the query's kernel work will see.
+// TermShape is the encoding of the term's largest list in any segment —
+// the shape most of the query's kernel work will see.
 func (ps *planStats) TermShape(term string) plan.Shape {
 	shape, bestDF := plan.ShapeRaw, -1
-	for _, ix := range ps.bases {
-		if s := ix.Stored(term); s != nil && s.Len() > bestDF {
+	for _, f := range ps.segs {
+		if s := f.List(term); s != nil && s.Len() > bestDF {
 			bestDF = s.Len()
 			shape = s.Shape()
 		}
@@ -73,7 +66,7 @@ func (ps *planStats) TermShape(term string) plan.Shape {
 
 // planCtx pairs one pooled physical plan with its statistics snapshot, so
 // plan construction allocates nothing steady-state (the arenas inside
-// plan.Plan and the base snapshot grow once and are reused).
+// plan.Plan and the segment snapshot grow once and are reused).
 type planCtx struct {
 	plan  plan.Plan
 	stats planStats
@@ -86,15 +79,13 @@ var planCtxPool = sync.Pool{New: func() any { return new(planCtx) }}
 
 func getPlanCtx() *planCtx { return planCtxPool.Get().(*planCtx) }
 
-// putPlanCtx drops the base-index references so a pooled plan context never
+// putPlanCtx drops the segment references so a pooled plan context never
 // pins a swapped-out shard set, then recycles it. Nil-safe: a plan-cache
 // hit never acquires a context.
 func putPlanCtx(pc *planCtx) {
 	if pc == nil {
 		return
 	}
-	clear(pc.stats.bases)
-	pc.stats.bases = pc.stats.bases[:0]
 	clear(pc.stats.segs)
 	pc.stats.segs = pc.stats.segs[:0]
 	pc.stats.docs = 0

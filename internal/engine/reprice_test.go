@@ -7,6 +7,7 @@ import (
 
 	"fastintersect/internal/compress"
 	"fastintersect/internal/invindex"
+	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
 )
 
@@ -30,7 +31,7 @@ func TestPlansRepriceAfterCompaction(t *testing.T) {
 	if err := e.Install(b); err != nil {
 		t.Fatal(err)
 	}
-	base := func() *invindex.Index { return e.snapshot()[0].base }
+	base := func() *segment.Frozen { return largestSeg(e, 0) }
 	if enc, ok := encodingOf(base(), "hot"); !ok || enc == compress.EncBitseg {
 		t.Fatalf("sparse phase encoding = %v, %v; want a non-bitseg encoding", enc, ok)
 	}
@@ -217,10 +218,19 @@ func TestChurnBitsegCompaction(t *testing.T) {
 }
 
 // encodingOf reports the encoding a term's base list is stored under.
-func encodingOf(ix *invindex.Index, term string) (compress.Encoding, bool) {
-	s := ix.Stored(term)
+func encodingOf(f *segment.Frozen, term string) (compress.Encoding, bool) {
+	s := f.List(term)
 	if s == nil {
 		return 0, false
 	}
 	return s.Encoding(), true
+}
+
+// largestSeg returns the segment holding the most postings in shard i —
+// the installed or fully compacted one.
+func largestSeg(e *Engine, i int) *segment.Frozen {
+	s := e.snapshot()[i]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.segs[s.largestLocked()]
 }

@@ -24,17 +24,19 @@ import (
 // Shard file layout (see internal/segment codec.go for the section format):
 //
 //	u32 magic "FSNP"   u16 version   u8 storage
-//	section: base       (terms extracted from the index, tombs = baseTombs)
-//	uvarint frozenCount
-//	frozenCount × section: frozen segment (terms + its tombstone filter)
+//	section: first frozen segment (terms + its tombstone filter; empty
+//	         when the shard has no segment)
+//	uvarint n
+//	n × section: the other frozen segments, in tier order
 //	section: active     (terms, no tombs)
 //	u32 CRC-32 (IEEE) of everything above
 //
-// Posting payloads are varint delta-encoded by the segment codec; on load
-// the base is rebuilt through AddPosting + BuildParallel (so the stored
-// encodings are re-chosen for the configured storage), while frozen and
-// active segments load directly with no preprocessing — that asymmetry is
-// the point of serializable segments: only the base pays a build.
+// Every frozen segment goes through the same section path both ways: its
+// lists are written decoded, as varint delta-encoded docIDs, and on load
+// each section is encoded afresh under the configured storage by
+// invindex.BuildParallel (segment.ReadFrozen). A loaded shard must keep
+// the one-visible-segment invariant — no document visible in two segments
+// — or the load fails.
 
 const (
 	snapMagic    = 0x46534E50 // "FSNP"
@@ -56,9 +58,9 @@ func SnapshotExists(dir string) bool {
 	return err == nil
 }
 
-// SaveSnapshot serializes the engine's current tier — every shard's base,
-// base tombstones, frozen segments and active segment — into dir (created if
-// missing), one file per shard plus a manifest. Each shard is written under
+// SaveSnapshot serializes the engine's current tier — every shard's frozen
+// segments with their tombstones and its active segment — into dir (created
+// if missing), one file per shard plus a manifest. Each shard is written under
 // its read lock, so the file is an atomic cut of that shard; queries and
 // mutations on other shards proceed concurrently. Files are written to a
 // temp name and renamed, and the manifest is written last, so a crash
@@ -143,20 +145,19 @@ func writeShardLocked(w *bufio.Writer, s *shard, st invindex.Storage) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	// Base: terms extracted from the index (decoded when compressed), with
-	// the base tombstone filter riding in the section's tombs slot.
-	basePostings := func(term string) []uint32 { return s.base.Stored(term).Decode() }
-	if err := segment.WriteSection(w, s.base.Terms(), basePostings, s.baseTombs); err != nil {
-		return fmt.Errorf("base: %w", err)
+	segs := s.segs
+	if len(segs) == 0 {
+		segs = []*segment.Frozen{new(segment.Frozen)} // an empty first section
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], uint64(len(s.frozen)))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return err
-	}
-	for i, fz := range s.frozen {
+	for i, fz := range segs {
 		if err := fz.WriteFrozen(w); err != nil {
-			return fmt.Errorf("frozen %d: %w", i, err)
+			return fmt.Errorf("segment %d: %w", i, err)
+		}
+		if i == 0 {
+			var scratch [binary.MaxVarintLen64]byte
+			if _, err := w.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(segs)-1))]); err != nil {
+				return err
+			}
 		}
 	}
 	if err := s.active.WriteMutable(w); err != nil {
@@ -169,9 +170,9 @@ func writeShardLocked(w *bufio.Writer, s *shard, st invindex.Storage) error {
 // replacing any installed index (the same retire-then-swap handshake Install
 // uses, so concurrent mutations land in the restored shard set). The
 // manifest's shard count and storage must match the engine's configuration —
-// a snapshot is an image of a specific partitioning. Bases are rebuilt
-// through the parallel build path (encodings re-chosen); frozen and active
-// segments load directly with no preprocessing.
+// a snapshot is an image of a specific partitioning. Every frozen segment
+// is encoded afresh under the configured storage by the parallel build
+// Install runs; the active segment loads directly.
 func (e *Engine) LoadSnapshot(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -190,10 +191,6 @@ func (e *Engine) LoadSnapshot(dir string) error {
 	if man.Storage != e.cfg.Storage.String() {
 		return fmt.Errorf("engine: snapshot storage %q, engine is configured for %q", man.Storage, e.cfg.Storage)
 	}
-	perShard := e.cfg.Workers / e.cfg.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	shards := make([]*shard, man.Shards)
 	errs := make([]error, man.Shards)
 	var wg sync.WaitGroup
@@ -201,7 +198,11 @@ func (e *Engine) LoadSnapshot(dir string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			shards[i], errs[i] = e.loadShard(filepath.Join(dir, shardFile(i)), perShard)
+			data, err := os.ReadFile(filepath.Join(dir, shardFile(i)))
+			if err == nil {
+				shards[i], err = e.decodeShard(data)
+			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
@@ -220,16 +221,14 @@ func (e *Engine) LoadSnapshot(dir string) error {
 	e.shards = shards
 	e.mu.Unlock()
 	e.gen.Add(1)
-	e.statsEpoch.Add(1) // restored bases may encode terms differently
+	e.statsEpoch.Add(1) // restored segments may encode terms differently
 	e.met.rebuilds.Inc()
 	return nil
 }
 
-func (e *Engine) loadShard(path string, workers int) (*shard, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// decodeShard decodes one shard file: header and checksum, then every
+// frozen section through segment.ReadFrozen, then the active section.
+func (e *Engine) decodeShard(data []byte) (*shard, error) {
 	if len(data) < 11 { // header + CRC
 		return nil, fmt.Errorf("truncated file (%d bytes)", len(data))
 	}
@@ -247,40 +246,25 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 		return nil, fmt.Errorf("shard storage %v, engine configured for %v", st, e.cfg.Storage)
 	}
 	r := bufio.NewReader(bytes.NewReader(payload[7:]))
-	baseTerms, baseTombs, err := segment.ReadSection(r)
-	if err != nil {
-		return nil, fmt.Errorf("base: %w", err)
-	}
-	ix := invindex.NewWithStorage(e.cfg.Storage)
-	for term, ps := range baseTerms {
-		if err := ix.AddPosting(term, ps); err != nil {
-			return nil, fmt.Errorf("base term %q: %w", term, err)
-		}
-	}
-	if err := ix.BuildParallel(workers); err != nil {
-		return nil, fmt.Errorf("base build: %w", err)
-	}
-	s := newShard(ix)
-	// Keep only tombstones for documents the base actually holds, preserving
-	// the baseTombs ⊆ baseDocs invariant liveLocked depends on.
-	for _, id := range baseTombs {
-		if sets.Contains(s.baseDocs, id) {
-			s.baseTombs, _ = sets.InsertSorted(s.baseTombs, id)
-		}
-	}
-	frozenCount, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("frozen count: %w", err)
-	}
-	if frozenCount > 1<<16 {
-		return nil, fmt.Errorf("implausible frozen segment count %d", frozenCount)
-	}
-	for i := uint64(0); i < frozenCount; i++ {
-		fz, err := segment.ReadFrozen(r)
+	s := &shard{}
+	// The first section is followed by the count of the others.
+	for i, count := uint64(0), uint64(1); i < count; i++ {
+		fz, err := segment.ReadFrozen(r, e.cfg.Storage, e.shardWorkers())
 		if err != nil {
-			return nil, fmt.Errorf("frozen %d: %w", i, err)
+			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		s.frozen = append(s.frozen, fz)
+		s.appendSeg(fz)
+		if i > 0 {
+			continue
+		}
+		more, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("segment count: %w", err)
+		}
+		if more > 1<<16 {
+			return nil, fmt.Errorf("implausible segment count %d", more)
+		}
+		count += more
 	}
 	active, err := segment.ReadMutable(r)
 	if err != nil {
@@ -290,5 +274,31 @@ func (e *Engine) loadShard(path string, workers int) (*shard, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trailing bytes after active segment")
 	}
+	if err := s.checkDisjoint(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// checkDisjoint enforces the one-visible-segment invariant on a decoded
+// shard: the visible document sets of its segments (each frozen segment's
+// docIDs minus its tombstones, and the active segment's documents) must not
+// overlap. A file breaking it — CRC-valid, but not written by SaveSnapshot
+// — would answer a query for a document's terms in one segment and miss it
+// in a conjunction with its terms in another, and count it more than once.
+func (s *shard) checkDisjoint() error {
+	visible := make([][]uint32, 0, len(s.segs)+1)
+	total := 0
+	for _, f := range s.segs {
+		v := sets.Difference(f.DocIDs(), f.Tombs())
+		visible = append(visible, v)
+		total += len(v)
+	}
+	active := s.active.DocIDs()
+	visible = append(visible, active)
+	total += len(active)
+	if n := len(sets.UnionKInto(nil, visible...)); n != total {
+		return fmt.Errorf("segments overlap: %d visible documents, %d visible copies", n, total)
+	}
+	return nil
 }

@@ -65,7 +65,7 @@ var churnBucketEdges = []int{0, 1_000, 5_000, 20_000}
 // Threshold 0 never compacts — the delta grows for the whole stream and the
 // latency-vs-delta-size buckets expose the cost of scanning it; the finite
 // thresholds show background compaction pulling latency back down at the
-// price of rebuild work.
+// price of merge work.
 func ChurnBench(cfg Config) *ChurnReport {
 	rc := workload.SmallRealConfig()
 	rc.NumDocs, rc.NumTerms, rc.NumQueries = 50_000, 2_000, 256
@@ -152,7 +152,7 @@ func runChurnScenario(real *workload.Real, stream []workload.ChurnOp, st invinde
 		}
 	}
 	// Drain in-flight background compactions: the final counters must be
-	// deterministic in the seed, and a straggling rebuild would burn CPU
+	// deterministic in the seed, and a straggling merge would burn CPU
 	// into the next scenario's latency samples.
 	fin := e.Stats()
 	for fin.Delta.CompactingShards > 0 {

@@ -21,7 +21,11 @@ func init() {
 }
 
 // SegmentsScenario is one (storage × compaction policy) replay of the churn
-// stream through the segmented engine.
+// stream through the segmented engine. The tiered policy is the engine's
+// background compaction (freezes and size-tiered merges); the rebuild
+// baseline turns background compaction off and calls Engine.Compact — a
+// full merge of every segment — each time the replay has ingested
+// threshold postings per shard since its last call.
 type SegmentsScenario struct {
 	Name    string `json:"name"`
 	Storage string `json:"storage"`
@@ -46,8 +50,9 @@ type SegmentsScenario struct {
 	QueryP99US      int64   `json:"query_p99_us"`
 	MutationP50US   int64   `json:"mutation_p50_us"`
 	// MutationMaxUS is the pause proxy: the worst single mutation, which
-	// under the rebuild policy absorbs the swap of a full re-encode and
-	// under the tiered policy only ever waits on a freeze or merge swap.
+	// under the rebuild baseline is an add that ran a full compaction
+	// inline and under the tiered policy only ever waits on a freeze or
+	// merge swap.
 	MutationMaxUS int64 `json:"mutation_max_us"`
 }
 
@@ -99,23 +104,27 @@ func SegmentsBench(cfg Config) *SegmentsReport {
 
 	rep := &SegmentsReport{Schema: "fsibench/segments/v1", Scale: cfg.Scale, Seed: cfg.Seed}
 	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		engines := map[engine.CompactPolicy]*engine.Engine{}
-		for _, pol := range []engine.CompactPolicy{engine.CompactTiered, engine.CompactRebuild} {
-			sc, e := runSegmentsScenario(real, stream, st, pol, threshold)
-			rep.Scenarios = append(rep.Scenarios, sc)
-			engines[pol] = e
-		}
-		rep.Parity = append(rep.Parity,
-			segmentsParity(st, stream, engines[engine.CompactTiered], engines[engine.CompactRebuild]))
+		tieredSc, tiered := runSegmentsScenario(real, stream, st, false, threshold)
+		rebuildSc, rebuild := runSegmentsScenario(real, stream, st, true, threshold)
+		rep.Scenarios = append(rep.Scenarios, tieredSc, rebuildSc)
+		rep.Parity = append(rep.Parity, segmentsParity(st, stream, tiered, rebuild))
 	}
 	return rep
 }
 
-func runSegmentsScenario(real *workload.Real, stream []workload.ChurnOp, st invindex.Storage, pol engine.CompactPolicy, threshold int) (SegmentsScenario, *engine.Engine) {
+// segmentsShards is the shard count of every segments scenario.
+const segmentsShards = 2
+
+func runSegmentsScenario(real *workload.Real, stream []workload.ChurnOp, st invindex.Storage, rebuild bool, threshold int) (SegmentsScenario, *engine.Engine) {
 	// MaxSegments 2 keeps the frozen tier tight so the replay exercises
 	// size-tiered merges, not just free freezes — the tiered write
 	// amplification below is real merge work, not a vacuous zero.
-	e := engine.New(engine.Config{Shards: 2, Storage: st, CompactThreshold: threshold, CompactPolicy: pol, MaxSegments: 2})
+	cfg := engine.Config{Shards: segmentsShards, Storage: st, CompactThreshold: threshold, MaxSegments: 2}
+	policy := "tiered"
+	if rebuild {
+		cfg.CompactThreshold, policy = 0, "rebuild"
+	}
+	e := engine.New(cfg)
 	b := e.NewBuilder()
 	for t, docs := range real.Postings {
 		if err := b.AddPosting(workload.TermName(t), docs); err != nil {
@@ -127,18 +136,25 @@ func runSegmentsScenario(real *workload.Real, stream []workload.ChurnOp, st invi
 	}
 
 	sc := SegmentsScenario{
-		Name:    fmt.Sprintf("segments-%s-%s", st, pol),
+		Name:    fmt.Sprintf("segments-%s-%s", st, policy),
 		Storage: st.String(),
-		Policy:  pol.String(),
+		Policy:  policy,
 		Ops:     len(stream),
 	}
 	var queryLat, mutLat []time.Duration
+	sinceCompact := 0 // postings ingested since the rebuild baseline's last Compact
 	for _, op := range stream {
 		switch op.Kind {
 		case workload.ChurnAdd:
 			start := time.Now()
 			if err := e.AddDocument(op.DocID, op.Terms); err != nil {
 				panic(fmt.Sprintf("harness: segments add: %v", err))
+			}
+			if sinceCompact += len(op.Terms); rebuild && sinceCompact >= threshold*segmentsShards {
+				if err := e.Compact(); err != nil {
+					panic(fmt.Sprintf("harness: segments compact: %v", err))
+				}
+				sinceCompact = 0
 			}
 			mutLat = append(mutLat, time.Since(start))
 			sc.Adds++

@@ -12,6 +12,12 @@
 // Elias γ/δ gap codes, the paper's Lowbits grouping of Appendix B, or
 // bitseg). Queries intersect directly over whatever encodings the lists
 // hold; MemStats reports the exact per-encoding payload footprint.
+//
+// BuildParallel is also the engine's one list encoder: every frozen
+// segment that is not a freeze — an installed shard, a merge output, a
+// loaded snapshot section — is built here and adopted by
+// segment.FromIndex, which takes the index's Lists and DocIDs without a
+// copy.
 package invindex
 
 import (
@@ -20,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fastintersect/internal/compress"
 	"fastintersect/internal/core"
@@ -113,44 +120,38 @@ func (ix *Index) BuildParallel(workers int) error {
 	for t := range ix.pending {
 		terms = append(terms, t)
 	}
-	stored := make(map[string]*compress.Stored, len(terms))
-	rawSets := make([][]uint32, 0, len(terms)) // per-term sorted sets, for the docID union
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-	)
-	for _, term := range terms {
+	// A fixed set of workers claims terms by index; each term's results land
+	// in its own slots, so the workers share nothing but the counter.
+	lists := make([]*compress.Stored, len(terms))
+	rawSets := make([][]uint32, len(terms)) // per-term sorted sets, for the docID union
+	errs := make([]error, len(terms))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(terms)) {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(term string) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			set := sets.SortDedup(ix.pending[term])
-			enc := choose(set)
-			list := set
-			if enc == compress.EncRaw {
-				// A raw list retains its slice: keep one exact-size copy
-				// rather than the append-grown pending array.
-				list = append(make([]uint32, 0, len(set)), set...)
-			}
-			s, err := compress.NewStored(fam, list, enc)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("invindex: term %q: %w", term, err)
+			for i := int(next.Add(1)) - 1; i < len(terms); i = int(next.Add(1)) - 1 {
+				set := sets.SortDedup(ix.pending[terms[i]])
+				enc := choose(set)
+				list := set
+				if enc == compress.EncRaw {
+					// A raw list retains its slice: keep one exact-size copy
+					// rather than the append-grown pending array.
+					list = append(make([]uint32, 0, len(set)), set...)
 				}
-				return
+				lists[i], errs[i] = compress.NewStored(fam, list, enc)
+				rawSets[i] = set
 			}
-			rawSets = append(rawSets, set)
-			stored[term] = s
-		}(term)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+	stored := make(map[string]*compress.Stored, len(terms))
+	for i, term := range terms {
+		if errs[i] != nil {
+			return fmt.Errorf("invindex: term %q: %w", term, errs[i])
+		}
+		stored[term] = lists[i]
 	}
 	// Distinct documents = the union of every posting list, computed here
 	// while the sorted sets are still in hand (compressed encodings drop
@@ -202,9 +203,15 @@ func (ix *Index) Docs() int {
 
 // DocIDs returns the sorted distinct docIDs appearing in any posting list,
 // or nil before Build. The slice is owned by the index; callers must not
-// modify it. It is the membership structure the engine's mutable tier uses
-// to account for deletions against the frozen base segment.
+// modify it. segment.FromIndex adopts it as a frozen segment's document
+// set, against which the engine records tombstones.
 func (ix *Index) DocIDs() []uint32 { return ix.docIDs }
+
+// Lists returns the built term → stored list map, or nil before Build. The
+// map is owned by the index and read-only; segment.FromIndex adopts it, so
+// an installed, merged or loaded segment holds exactly the lists this
+// build encoded.
+func (ix *Index) Lists() map[string]*compress.Stored { return ix.stored }
 
 // TermCount returns the number of distinct indexed terms.
 func (ix *Index) TermCount() int {

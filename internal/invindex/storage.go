@@ -3,6 +3,8 @@ package invindex
 import (
 	"fmt"
 	"strings"
+
+	"fastintersect/internal/compress"
 )
 
 // Storage is the encoding policy of a built index: which compress.Encoding
@@ -73,7 +75,11 @@ type MemStats struct {
 
 // MemStats returns the index's posting-payload accounting. Before Build it
 // reports zero values.
-func (ix *Index) MemStats() MemStats {
+func (ix *Index) MemStats() MemStats { return MemStatsOf(ix.stored) }
+
+// MemStatsOf returns the posting-payload accounting of a set of stored
+// lists (a built index's, or a segment's).
+func MemStatsOf(lists map[string]*compress.Stored) MemStats {
 	st := MemStats{Encodings: map[string]EncodingStats{}}
 	add := func(enc string, postings, bytes uint64) {
 		e := st.Encodings[enc]
@@ -85,7 +91,7 @@ func (ix *Index) MemStats() MemStats {
 		st.RawBytes += 4 * postings
 		st.StoredBytes += bytes
 	}
-	for _, s := range ix.stored {
+	for _, s := range lists {
 		add(s.Encoding().String(), uint64(s.Len()), uint64(s.SizeBytes()))
 	}
 	return st

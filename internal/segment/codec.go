@@ -7,13 +7,13 @@ import (
 	"io"
 	"slices"
 
+	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
 
 // The segment wire format. One "section" serializes one term map plus one
-// tombstone set — the shape shared by a frozen segment, the active segment
-// (empty tombstones) and the base (terms extracted from the index, with the
-// shard's base tombstones riding along):
+// tombstone set — the shape shared by a frozen segment (its lists decoded,
+// with its tombstone filter) and the active segment (empty tombstones):
 //
 //	uvarint termCount
 //	termCount × { uvarint len(term), term bytes,
@@ -175,16 +175,33 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 
 // WriteFrozen serializes f as one section.
 func (f *Frozen) WriteFrozen(w *bufio.Writer) error {
-	return WriteSection(w, f.Terms(), f.Postings, f.tombs)
+	return WriteSection(w, f.Terms(), func(t string) []uint32 { return f.lists[t].Decode() }, f.tombs)
 }
 
-// ReadFrozen decodes one section into a Frozen segment.
-func ReadFrozen(r *bufio.Reader) (*Frozen, error) {
+// ReadFrozen decodes one section into a Frozen segment whose lists are
+// encoded under st by invindex.BuildParallel (workers goroutines), the same
+// encoder an installed shard runs. Tombstones are kept only for documents
+// the segment holds, so LiveDocs stays exact. A section with no terms gives
+// a segment with no documents.
+func ReadFrozen(r *bufio.Reader, st invindex.Storage, workers int) (*Frozen, error) {
 	terms, tombs, err := ReadSection(r)
 	if err != nil {
 		return nil, err
 	}
-	return FrozenFromParts(terms, tombs)
+	ix := invindex.NewWithStorage(st)
+	for t, ps := range terms {
+		if err := ix.AddPosting(t, ps); err != nil {
+			return nil, err
+		}
+	}
+	if err := ix.BuildParallel(workers); err != nil {
+		return nil, fmt.Errorf("segment: build: %w", err)
+	}
+	f := FromIndex(ix)
+	for _, id := range tombs {
+		f.AddTomb(id)
+	}
+	return f, nil
 }
 
 // WriteMutable serializes the active segment as one section (with an empty

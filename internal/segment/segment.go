@@ -1,12 +1,9 @@
-// Package segment holds the building blocks of the engine's tiered mutable
-// tier: the small in-memory segments a shard stacks on top of its frozen
-// base index.
+// Package segment holds the segments of the engine's shards. A shard is
 //
-// A shard's tier is
+//	k frozen segments + 1 active mutable segment
 //
-//	base (invindex.Index) + k frozen segments + 1 active mutable segment
-//
-// where every segment carries its own tombstone filter and per-term document
+// where the frozen segment an Install builds is simply the first one, and
+// every segment carries its own tombstone filter and per-term document
 // frequencies. The invariant the engine maintains (see engine/mutable.go) is
 // that each document is VISIBLE in exactly one segment: writing a document
 // tombstones every older copy, so for any boolean expression f
@@ -19,29 +16,25 @@
 // coalesced into one without consulting the others.
 //
 // Mutable is the active write head (map-backed, cheap point updates); Freeze
-// converts it into a Frozen segment by MOVING its maps — no postings are
-// copied, which is why freezing the active segment is a near-zero-cost
-// compaction step. Frozen segments are immutable except for their tombstone
-// filter, which only grows and is guarded by the owning shard's lock.
+// converts it into a Frozen segment by MOVING its lists — each becomes an
+// EncRaw compress.Stored over the same array, so no posting is copied and
+// freezing the active segment is a near-zero-cost compaction step. A Frozen
+// segment holds compress.Stored lists under any encoding, its docID set and
+// its tombstone filter; it is immutable except for that filter, which only
+// grows and is guarded by the owning shard's lock. Every frozen segment
+// that is not a freeze — an installed shard, a merge, a loaded snapshot
+// section — is encoded by invindex.BuildParallel, the one list encoder, and
+// adopted with FromIndex.
 package segment
 
 import (
 	"fmt"
 	"sort"
 
+	"fastintersect/internal/compress"
+	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
-
-// TermSource is the read interface the engine's in-memory segment evaluator
-// needs: term → sorted docIDs. Both Mutable and Frozen implement it, so one
-// evaluator serves the whole tier above the base.
-type TermSource interface {
-	// Postings returns the sorted docID list of term, or nil. The returned
-	// slice must be treated as read-only; for a Mutable it may be shifted in
-	// place by the next mutation, so callers that outlive the shard lock
-	// must copy it.
-	Postings(term string) []uint32
-}
 
 // Mutable is the active write head of one shard: a term → sorted docIDs map
 // plus a docID → terms reverse map so deletes and overwrites are exact.
@@ -92,7 +85,9 @@ func (m *Mutable) RemoveDoc(docID uint32) bool {
 	return true
 }
 
-// Postings implements TermSource. The result aliases live map state.
+// Postings returns term's sorted docIDs, or nil. The result aliases live
+// map state: the next mutation may shift it in place, so callers that
+// outlive the shard lock must copy it.
 func (m *Mutable) Postings(term string) []uint32 { return m.terms[term] }
 
 // HasDoc reports whether docID is present in the segment.
@@ -101,85 +96,85 @@ func (m *Mutable) HasDoc(docID uint32) bool {
 	return ok
 }
 
+// DocIDs returns the segment's documents as a fresh sorted slice.
+func (m *Mutable) DocIDs() []uint32 {
+	ids := make([]uint32, 0, len(m.docs))
+	for id := range m.docs {
+		ids = append(ids, id)
+	}
+	sets.SortU32(ids)
+	return ids
+}
+
 // NumDocs returns the number of documents held.
 func (m *Mutable) NumDocs() int { return len(m.docs) }
 
 // NumPostings returns the total posting count across terms.
 func (m *Mutable) NumPostings() int { return m.postings }
 
-// Terms returns the segment's distinct terms, sorted (serialization and
-// rebuild folds want deterministic order).
-func (m *Mutable) Terms() []string {
-	out := make([]string, 0, len(m.terms))
-	for t := range m.terms {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
+// Terms returns the segment's distinct terms, sorted (serialization wants
+// deterministic order).
+func (m *Mutable) Terms() []string { return sortedKeys(m.terms) }
 
-// Freeze converts the active segment into a Frozen one by MOVING the term
-// map — no posting is copied, so a freeze is O(docs) for the docID set and
-// nothing else. The Mutable must not be used afterwards.
+// Freeze converts the active segment into a Frozen one by MOVING its lists:
+// each becomes an EncRaw compress.Stored over the same array, so a freeze
+// copies no posting — it costs one list header per term (all allocated
+// together) plus the sorted docID set. The Mutable must not be used
+// afterwards.
 func (m *Mutable) Freeze() *Frozen {
-	docIDs := make([]uint32, 0, len(m.docs))
-	for id := range m.docs {
-		docIDs = append(docIDs, id)
+	lists := make(map[string]*compress.Stored, len(m.terms))
+	hdrs := make([]compress.Stored, len(m.terms))
+	i := 0
+	for t, ps := range m.terms {
+		hdrs[i].SetRaw(ps)
+		lists[t] = &hdrs[i]
+		i++
 	}
-	sets.SortU32(docIDs)
-	f := &Frozen{terms: m.terms, docIDs: docIDs, postings: m.postings}
+	f := &Frozen{lists: lists, docIDs: m.DocIDs(), postings: m.postings}
 	m.terms = nil
 	m.docs = nil
 	m.postings = 0
 	return f
 }
 
-// Frozen is an immutable in-memory segment: its postings never change after
+// Frozen is an immutable segment: its posting lists never change after
 // construction. Only the tombstone filter grows, and exclusively under the
 // owning shard's write lock — which is what lets query results alias frozen
 // posting lists after the shard lock is released, and lets merges read
-// victim postings off-lock against a tombstone snapshot.
+// their inputs off-lock against a tombstone snapshot.
 type Frozen struct {
-	terms    map[string][]uint32 // term → sorted docIDs; immutable
-	docIDs   []uint32            // sorted distinct docIDs; immutable
+	lists    map[string]*compress.Stored // term → posting list; immutable
+	docIDs   []uint32                    // sorted distinct docIDs; immutable
 	postings int
 	tombs    []uint32 // sorted, ⊆ docIDs; guarded by the owning shard's lock
 }
 
-// FrozenFromParts assembles a Frozen from a decoded term map (codec /
-// snapshot load path). Postings and docIDs are derived; tombs is filtered to
-// the segment's own documents so LiveDocs stays exact.
-func FrozenFromParts(terms map[string][]uint32, tombs []uint32) (*Frozen, error) {
+// FromIndex adopts a built index as a frozen segment: the index's stored
+// lists and docID set become the segment's, with nothing copied.
+func FromIndex(ix *invindex.Index) *Frozen {
+	lists := ix.Lists()
 	postings := 0
-	lists := make([][]uint32, 0, len(terms))
-	for t, ps := range terms {
-		if err := sets.Validate(ps); err != nil {
-			return nil, fmt.Errorf("segment: term %q: %w", t, err)
-		}
-		postings += len(ps)
-		lists = append(lists, ps)
+	for _, s := range lists {
+		postings += s.Len()
 	}
-	f := &Frozen{terms: terms, docIDs: sets.UnionKInto(nil, lists...), postings: postings}
-	for _, id := range tombs {
-		f.AddTomb(id)
-	}
-	return f, nil
+	return &Frozen{lists: lists, docIDs: ix.DocIDs(), postings: postings}
 }
 
-// Postings implements TermSource. The result is immutable and remains valid
-// after the shard lock is released.
-func (f *Frozen) Postings(term string) []uint32 { return f.terms[term] }
+// List returns term's posting list, or nil. The list is immutable and
+// remains valid after the shard lock is released.
+func (f *Frozen) List(term string) *compress.Stored { return f.lists[term] }
 
 // DocFreq returns the document frequency of term in this segment.
-func (f *Frozen) DocFreq(term string) int { return len(f.terms[term]) }
+func (f *Frozen) DocFreq(term string) int {
+	if s := f.lists[term]; s != nil {
+		return s.Len()
+	}
+	return 0
+}
 
 // DocIDs returns the segment's sorted document set (including tombstoned
 // documents). Read-only.
 func (f *Frozen) DocIDs() []uint32 { return f.docIDs }
-
-// HasDoc reports whether docID is in the segment's document set (it may
-// still be tombstoned).
-func (f *Frozen) HasDoc(docID uint32) bool { return sets.Contains(f.docIDs, docID) }
 
 // NumDocs returns the document count including tombstoned documents.
 func (f *Frozen) NumDocs() int { return len(f.docIDs) }
@@ -191,6 +186,12 @@ func (f *Frozen) LiveDocs() int { return len(f.docIDs) - len(f.tombs) }
 // NumPostings returns the total posting count across terms (tombstoned
 // documents included — they are suppressed at query time, not purged).
 func (f *Frozen) NumPostings() int { return f.postings }
+
+// NumTerms returns the number of distinct terms.
+func (f *Frozen) NumTerms() int { return len(f.lists) }
+
+// MemStats returns the posting-payload accounting of the segment's lists.
+func (f *Frozen) MemStats() invindex.MemStats { return invindex.MemStatsOf(f.lists) }
 
 // Tombs returns the tombstone filter. Guarded by the owning shard's lock.
 func (f *Frozen) Tombs() []uint32 { return f.tombs }
@@ -214,44 +215,67 @@ func (f *Frozen) Visible(docID uint32) bool {
 }
 
 // Terms returns the segment's distinct terms, sorted.
-func (f *Frozen) Terms() []string {
-	out := make([]string, 0, len(f.terms))
-	for t := range f.terms {
+func (f *Frozen) Terms() []string { return sortedKeys(f.lists) }
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for t := range m {
 		out = append(out, t)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Merge coalesces several frozen segments into one, dropping the documents
-// each input had tombstoned at snapshot time. tombSnaps[i] is the snapshot
-// of inputs[i].Tombs() taken under the shard lock when the merge was
-// scheduled; the merge itself runs off-lock (inputs' postings are immutable,
-// and tombstones added after the snapshot are re-applied by the caller at
-// swap time via AddTomb). The result has an empty tombstone filter and its
-// NumPostings is exactly the number of postings written — the merge's write
+// Merge coalesces frozen segments into one, dropping the documents each
+// input had tombstoned at snapshot time, and encodes the result under st
+// through invindex.BuildParallel (workers goroutines). It serves every
+// merge: a size-tiered merge of the smallest segments passes StorageRaw,
+// a full compaction of every segment the engine's storage policy.
+//
+// tombSnaps[i] is the snapshot of inputs[i].Tombs() taken under the shard
+// lock when the merge was scheduled; the merge itself runs off-lock
+// (inputs' lists are immutable, and tombstones added after the snapshot are
+// re-applied by the caller at swap time via AddTomb). Each term costs one
+// k-way union. The result has an empty tombstone filter and its NumPostings
+// is exactly the number of postings written — the merge's write
 // amplification numerator.
-func Merge(inputs []*Frozen, tombSnaps [][]uint32) *Frozen {
-	terms := map[string][]uint32{}
-	var scratch []uint32
-	postings := 0
-	live := make([][]uint32, len(inputs))
+func Merge(inputs []*Frozen, tombSnaps [][]uint32, st invindex.Storage, workers int) (*Frozen, error) {
+	ix := invindex.NewWithStorage(st)
+	live := make([][]uint32, 0, len(inputs))
+	bufs := make([][]uint32, len(inputs))
+	var merged []uint32
 	for i, in := range inputs {
-		live[i] = sets.Difference(in.docIDs, tombSnaps[i])
-	}
-	docIDs := sets.UnionKInto(nil, live...)
-	for i, in := range inputs {
-		for t, ps := range in.terms {
-			scratch = sets.DifferenceInto(scratch[:0], ps, tombSnaps[i])
-			if len(scratch) == 0 {
+	terms:
+		for term := range in.lists {
+			for _, prev := range inputs[:i] {
+				if prev.lists[term] != nil {
+					continue terms // merged at the first input holding it
+				}
+			}
+			live = live[:0]
+			for j, src := range inputs[i:] {
+				s := src.lists[term]
+				if s == nil {
+					continue
+				}
+				l := s.Decode()
+				if tombs := tombSnaps[i+j]; len(tombs) > 0 {
+					bufs[i+j] = sets.DifferenceInto(bufs[i+j][:0], l, tombs)
+					l = bufs[i+j]
+				}
+				live = append(live, l)
+			}
+			merged = sets.UnionKInto(merged[:0], live...)
+			if len(merged) == 0 {
 				continue
 			}
-			prev := terms[t]
-			postings -= len(prev)
-			merged := sets.Union(prev, scratch)
-			terms[t] = merged
-			postings += len(merged)
+			if err := ix.AddPosting(term, merged); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return &Frozen{terms: terms, docIDs: docIDs, postings: postings}
+	if err := ix.BuildParallel(workers); err != nil {
+		return nil, fmt.Errorf("segment: merge: %w", err)
+	}
+	return FromIndex(ix), nil
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
 
@@ -31,7 +33,7 @@ func TestFreezeMovesPostings(t *testing.T) {
 		t.Fatalf("frozen docIDs = %v", f.DocIDs())
 	}
 	// The freeze must move, not copy: same backing array.
-	if got := f.Postings("a"); len(got) != 2 || &got[0] != &aList[0] {
+	if got := f.List("a").Decode(); len(got) != 2 || &got[0] != &aList[0] {
 		t.Fatalf("Freeze copied postings (len=%d, moved=%v)", len(got), len(got) == 2 && &got[0] == &aList[0])
 	}
 }
@@ -66,15 +68,18 @@ func TestMergeDropsSnapshotTombs(t *testing.T) {
 	a := buildFrozen(t, map[uint32][]string{1: {"x"}, 2: {"x", "y"}})
 	b := buildFrozen(t, map[uint32][]string{3: {"y"}, 4: {"z"}})
 	a.AddTomb(2) // superseded before the merge was scheduled
-	merged := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil})
+	merged, err := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil}, invindex.StorageRaw, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !sets.Equal(merged.DocIDs(), []uint32{1, 3, 4}) {
 		t.Fatalf("merged docIDs = %v, want [1 3 4]", merged.DocIDs())
 	}
-	if !sets.Equal(merged.Postings("x"), []uint32{1}) {
-		t.Fatalf(`merged["x"] = %v, want [1] (doc 2 tombstoned at snapshot)`, merged.Postings("x"))
+	if got := merged.List("x").Decode(); !sets.Equal(got, []uint32{1}) {
+		t.Fatalf(`merged["x"] = %v, want [1] (doc 2 tombstoned at snapshot)`, got)
 	}
-	if !sets.Equal(merged.Postings("y"), []uint32{3}) {
-		t.Fatalf(`merged["y"] = %v, want [3]`, merged.Postings("y"))
+	if got := merged.List("y").Decode(); !sets.Equal(got, []uint32{3}) {
+		t.Fatalf(`merged["y"] = %v, want [3]`, got)
 	}
 	if merged.NumPostings() != 3 || len(merged.Tombs()) != 0 {
 		t.Fatalf("merged postings=%d tombs=%d, want 3/0", merged.NumPostings(), len(merged.Tombs()))
@@ -110,34 +115,37 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumDocs() != f.NumDocs() || got.NumPostings() != f.NumPostings() || got.LiveDocs() != f.LiveDocs() {
-		t.Fatalf("round trip: docs %d→%d postings %d→%d live %d→%d",
-			f.NumDocs(), got.NumDocs(), f.NumPostings(), got.NumPostings(), f.LiveDocs(), got.LiveDocs())
-	}
-	for _, term := range f.Terms() {
-		if !sets.Equal(got.Postings(term), f.Postings(term)) {
-			t.Fatalf("term %q: %v → %v", term, f.Postings(term), got.Postings(term))
+	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
+		got, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), st, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sets.Equal(got.Tombs(), f.Tombs()) {
-		t.Fatalf("tombs: %v → %v", f.Tombs(), got.Tombs())
-	}
+		if got.NumDocs() != f.NumDocs() || got.NumPostings() != f.NumPostings() || got.LiveDocs() != f.LiveDocs() {
+			t.Fatalf("%v round trip: docs %d→%d postings %d→%d live %d→%d", st,
+				f.NumDocs(), got.NumDocs(), f.NumPostings(), got.NumPostings(), f.LiveDocs(), got.LiveDocs())
+		}
+		for _, term := range f.Terms() {
+			if want, have := f.List(term).Decode(), got.List(term).Decode(); !sets.Equal(have, want) {
+				t.Fatalf("%v term %q: %v → %v", st, term, want, have)
+			}
+		}
+		if !sets.Equal(got.Tombs(), f.Tombs()) {
+			t.Fatalf("%v tombs: %v → %v", st, f.Tombs(), got.Tombs())
+		}
 
-	// Determinism: a second encode is byte-identical.
-	var buf2 bytes.Buffer
-	w2 := bufio.NewWriter(&buf2)
-	if err := got.WriteFrozen(w2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("encoding is not deterministic")
+		// Determinism: a second encode is byte-identical, whatever the
+		// lists' encoding in between.
+		var buf2 bytes.Buffer
+		w2 := bufio.NewWriter(&buf2)
+		if err := got.WriteFrozen(w2); err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatalf("%v: encoding is not deterministic", st)
+		}
 	}
 }
 
@@ -179,34 +187,46 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	valid := buf.Bytes()
 	// Truncations at every prefix must error, never panic or mis-decode.
 	for cut := 0; cut < len(valid); cut++ {
-		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(valid[:cut]))); err == nil {
+		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(valid[:cut])), invindex.StorageRaw, 1); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(valid))
 		}
 	}
 }
 
-// BenchmarkFrozenFromParts times the snapshot-load assembly of one segment
-// the size of a default fsiserve freeze (-compact 50000): 24 900 terms with
-// Zipf document frequencies (df ∝ rank^-0.8, about 51 800 postings) over
-// 14 400 documents spread across a 1M docID span.
-func BenchmarkFrozenFromParts(b *testing.B) {
+// BenchmarkReadFrozen times the snapshot load of one segment the size of a
+// default fsiserve freeze (-compact 50000): 24 900 terms with Zipf document
+// frequencies (df ∝ rank^-0.8, about 51 800 postings) over 14 400 documents
+// spread across a 1M docID span, decoded and encoded under raw storage.
+func BenchmarkReadFrozen(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	docs := make([]uint32, 14_400)
 	for i := range docs {
 		docs[i] = uint32(rng.Intn(1 << 20))
 	}
 	terms := make(map[string][]uint32, 24_900)
+	names := make([]string, 0, 24_900)
 	for t := 0; t < 24_900; t++ {
 		ps := make([]uint32, max(1, int(1500/math.Pow(float64(t+1), 0.8))))
 		for i := range ps {
 			ps[i] = docs[rng.Intn(len(docs))]
 		}
-		terms[fmt.Sprintf("t%d", t)] = sets.SortDedup(ps)
+		name := fmt.Sprintf("t%d", t)
+		terms[name] = sets.SortDedup(ps)
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := WriteSection(w, names, func(t string) []uint32 { return terms[t] }, nil); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FrozenFromParts(terms, nil); err != nil {
+		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), invindex.StorageRaw, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
