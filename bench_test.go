@@ -3,7 +3,7 @@ package fastintersect
 // One benchmark per table/figure of the paper's evaluation, over scaled-down
 // (but shape-preserving) workloads so `go test -bench=. -benchmem` finishes
 // in minutes. The cmd/fsibench harness regenerates the full tables (with
-// -scale full for paper-scale sizes); EXPERIMENTS.md records the outcomes.
+// -scale full for paper-scale sizes).
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 // Command fsibench regenerates the tables and figures of "Fast Set
 // Intersection in Memory" (Ding & König, VLDB 2011). Every experiment in
-// the paper's evaluation has an ID here; see DESIGN.md for the mapping.
+// the paper's evaluation has an ID here; `fsibench -list` prints each with
+// the paper artifact it reproduces.
 //
 // Usage:
 //
@@ -8,13 +9,12 @@
 //	fsibench -exp fig4                 # one experiment, small scale
 //	fsibench -exp all -scale full      # the whole evaluation, paper scale
 //	fsibench -json BENCH_compress.json # machine-readable encoding benchmark
-//	fsibench -serve-json BENCH_serve.json # machine-readable serving benchmark
-//	fsibench -churn-json BENCH_churn.json # machine-readable live-update churn experiment
 //	fsibench -plan-json BENCH_plan.json # machine-readable plan-quality experiment
-//	fsibench -obs-json BENCH_obs.json  # machine-readable observability experiment (scraped vs measured percentiles)
 //	fsibench -overload-json BENCH_overload.json # machine-readable saturation sweep (shedding vs unbounded queue)
-//	fsibench -segments-json BENCH_segments.json # machine-readable segment-lifecycle comparison (tiered vs full-rebuild compaction)
-//	fsibench -feedback-json BENCH_feedback.json # machine-readable cost-model drift experiment (frozen vs feedback-corrected vs oracle)
+//
+// The engine itself — throughput, latency, allocations, segment lifecycle
+// and per-stage time — is measured by the layered benchmark in perfbench/
+// (bash perfbench/run.sh).
 package main
 
 import (
@@ -31,20 +31,15 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment ID to run, or 'all'")
-		scale    = flag.String("scale", "small", "'small' (minutes) or 'full' (paper-scale sizes)")
-		reps     = flag.Int("reps", 3, "timing repetitions (minimum is reported)")
-		seed     = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		algos    = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
-		jsonOut  = flag.String("json", "", "run the storage-sweep encoding benchmark and write it as JSON to this file (ns/op and bytes/posting per encoding), then exit")
-		serveOut = flag.String("serve-json", "", "run the engine serving benchmark (mixed AND/OR workload) and write it as JSON to this file (QPS, ns/op, B/op, allocs/op per storage mode), then exit")
-		churnOut = flag.String("churn-json", "", "run the live-update churn experiment (interleaved add/delete/query) and write it as JSON to this file (latency vs delta size per storage × compaction threshold), then exit")
-		planOut  = flag.String("plan-json", "", "run the plan-quality experiment (cost-based plans vs df-ordered baseline vs worst-order) and write it as JSON to this file (ns/op per workload shape × storage × policy), then exit")
-		obsOut   = flag.String("obs-json", "", "run the observability experiment (replay with /metrics scrapes between phases) and write it as JSON to this file (measured vs histogram-scraped latency percentiles per phase), then exit")
-		overOut  = flag.String("overload-json", "", "run the saturation experiment (open-loop offered load at multiples of capacity, shedding vs unbounded queue) and write it as JSON to this file (accepted p50/p99 and goodput per point), then exit")
-		segsOut  = flag.String("segments-json", "", "run the segment-lifecycle experiment (same churn stream under tiered vs full-rebuild compaction) and write it as JSON to this file (write amplification, pause proxy, latency percentiles, cross-policy parity), then exit")
-		fbOut    = flag.String("feedback-json", "", "run the cost-model drift experiment (frozen mis-calibrated anchors vs feedback-corrected vs freshly calibrated oracle) and write it as JSON to this file (ns/op, executed-kernel mix and learned corrections per phase × engine), then exit")
+		exp     = flag.String("exp", "all", "experiment ID to run, or 'all'")
+		scale   = flag.String("scale", "small", "'small' (minutes) or 'full' (paper-scale sizes)")
+		reps    = flag.Int("reps", 3, "timing repetitions (minimum is reported)")
+		seed    = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		algos   = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
+		jsonOut = flag.String("json", "", "run the storage-sweep encoding benchmark and write it as JSON to this file (ns/op and bytes/posting per encoding), then exit")
+		planOut = flag.String("plan-json", "", "run the plan-quality experiment (cost-based plans vs df-ordered baseline vs worst-order) and write it as JSON to this file (ns/op per workload shape × storage × policy), then exit")
+		overOut = flag.String("overload-json", "", "run the saturation experiment (open-loop offered load at multiples of capacity, shedding vs unbounded queue) and write it as JSON to this file (accepted p50/p99 and goodput per point), then exit")
 	)
 	flag.Parse()
 
@@ -87,41 +82,10 @@ func main() {
 			*jsonOut, len(rep.Workloads), len(rep.Workloads[0].Encodings))
 		return
 	}
-	if *serveOut != "" {
-		rep := harness.ServeBench(cfg)
-		writeJSON(*serveOut, rep)
-		fmt.Printf("wrote %s (%d scenarios)\n", *serveOut, len(rep.Scenarios))
-		return
-	}
-	if *churnOut != "" {
-		rep := harness.ChurnBench(cfg)
-		writeJSON(*churnOut, rep)
-		fmt.Printf("wrote %s (%d scenarios)\n", *churnOut, len(rep.Scenarios))
-		return
-	}
 	if *planOut != "" {
 		rep := harness.PlanBench(cfg)
 		writeJSON(*planOut, rep)
 		fmt.Printf("wrote %s (%d scenarios)\n", *planOut, len(rep.Scenarios))
-		return
-	}
-	if *obsOut != "" {
-		rep := harness.ObsBench(cfg)
-		writeJSON(*obsOut, rep)
-		fmt.Printf("wrote %s (%d phases)\n", *obsOut, len(rep.Phases))
-		return
-	}
-	if *segsOut != "" {
-		rep := harness.SegmentsBench(cfg)
-		writeJSON(*segsOut, rep)
-		fmt.Printf("wrote %s (%d scenarios, %d parity checks)\n", *segsOut, len(rep.Scenarios), len(rep.Parity))
-		return
-	}
-	if *fbOut != "" {
-		rep := harness.FeedbackBench(cfg)
-		writeJSON(*fbOut, rep)
-		fmt.Printf("wrote %s (%d scenarios, post-drift feedback/frozen %.3f)\n",
-			*fbOut, len(rep.Scenarios), rep.PostDriftRatio)
 		return
 	}
 	if *overOut != "" {

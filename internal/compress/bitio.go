@@ -63,13 +63,21 @@ func (w *BitWriter) WriteUnary(n uint) {
 // Len returns the number of bits written.
 func (w *BitWriter) Len() uint64 { return w.nbits }
 
-// Words returns the underlying stream, trimmed to the written length.
+// Words returns the stream in a slice of exactly the written length. A list
+// keeps the stream for its lifetime, so the writer's append slack is
+// dropped here rather than retained beside a SizeBytes that counts only the
+// written words.
 func (w *BitWriter) Words() []uint64 {
 	need := int((w.nbits + 63) / 64)
 	if need == 0 {
 		return nil
 	}
-	return w.words[:need]
+	if cap(w.words) == need {
+		return w.words
+	}
+	out := make([]uint64, need)
+	copy(out, w.words)
+	return out
 }
 
 // BitReader reads bit fields from a stream produced by BitWriter.

@@ -161,6 +161,51 @@ func TestStoredSizeBytes(t *testing.T) {
 	}
 }
 
+// TestEncodersKeepNoSlack pins SizeBytes as the retained footprint: every
+// slice a compressed encoder keeps — bit streams and directories alike —
+// has no capacity beyond its length.
+func TestEncodersKeepNoSlack(t *testing.T) {
+	fam := core.NewFamily(0x5708ED, 4)
+	rng := xhash.NewRNG(0x51AC)
+	exact := func(what string, n, length, capacity int) {
+		t.Helper()
+		if capacity != length {
+			t.Errorf("%s, %d elements: cap %d, len %d", what, n, capacity, length)
+		}
+	}
+	for _, n := range []int{1, 100, 1000, 100_000} {
+		set := workload.RandomSets(1<<24, []int{n}, rng)[0]
+		for _, enc := range []Encoding{EncGamma, EncDelta, EncLowbits} {
+			s, err := NewStored(fam, set, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.lookup != nil {
+				exact(enc.String()+" stream", n, len(s.lookup.words), cap(s.lookup.words))
+				exact(enc.String()+" directory", n, len(s.lookup.dir), cap(s.lookup.dir))
+			}
+			if s.rgs != nil {
+				exact(enc.String()+" stream", n, len(s.rgs.stream), cap(s.rgs.stream))
+				exact(enc.String()+" directory", n, len(s.rgs.dir), cap(s.rgs.dir))
+			}
+		}
+		for _, c := range []Coding{Gamma, Delta} {
+			m, err := NewMergeList(set, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact("MergeList "+c.String(), n, len(m.words), cap(m.words))
+		}
+		for _, c := range []RGSCoding{RGSGamma, RGSDelta} {
+			r, err := NewRGSList(fam, set, 1, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact("RGSList "+c.String()+" stream", n, len(r.stream), cap(r.stream))
+		}
+	}
+}
+
 func TestParseEncodingRoundtrip(t *testing.T) {
 	for _, enc := range Encodings() {
 		got, err := ParseEncoding(enc.String())

@@ -9,9 +9,11 @@ import (
 )
 
 // The mixed AND/OR workload shared by the serving benchmarks and the
-// BENCH_serve.json trajectory: a scaled-down Real corpus queried with the
-// default operator mix plus a heavier OR fraction, so both the conjunctive
-// push-down and the k-way union paths are exercised.
+// overhead guard: a scaled-down Real corpus queried with the default
+// operator mix plus a heavier OR fraction, so both the conjunctive
+// push-down and the k-way union paths are exercised. The engine's
+// end-to-end throughput, latency and allocations are measured by
+// perfbench's search-cold and search-hot workloads.
 var benchState struct {
 	once    sync.Once
 	real    *workload.Real

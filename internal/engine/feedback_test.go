@@ -2,11 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fastintersect/internal/plan"
+	"fastintersect/internal/race"
 	"fastintersect/internal/sets"
 )
 
@@ -242,4 +245,198 @@ func TestTraceAttributionCostliestRun(t *testing.T) {
 	if got := agg.ops[0]; got.kernel != plan.KernelBitsegAnd || got.estNs != 315 {
 		t.Fatalf("across shards: kernel %v, estNs %v; want BitsegAnd, 315", got.kernel, got.estNs)
 	}
+}
+
+// driftDistortion is the factor TestFeedbackDrift under-prices the merge
+// kernel by. It keeps the distorted merge below every truthful candidate
+// at the post-drift shape, so the frozen model keeps picking it, and stays
+// inside the feedback store's 16× correction clamp, so the loop can undo
+// it.
+const driftDistortion = 12
+
+// driftQueries are TestFeedbackDrift's conjunctions: "sel" against each of
+// the four balanced lists.
+var driftQueries = []string{"sel AND big0", "sel AND big1", "sel AND big2", "sel AND big3"}
+
+// TestFeedbackDrift is the acceptance check for the adaptive planning loop
+// under cost-model drift. Two engines start from the same anchors with the
+// merge kernel priced driftDistortion× too cheap — the way a model
+// calibrated on tiny cache-resident lists misjudges memory-bound merges —
+// over a corpus where merging is right anyway: four balanced lists and a
+// "sel" list as dense as they are. The frozen engine keeps its anchors; the
+// feedback engine compares estimated with observed nanoseconds and learns
+// corrections. Then "sel" becomes 16× sparser. The frozen engine keeps
+// merging; the corrected one prices the merge truthfully and stops.
+//
+// Before the drift the loop must cost nothing that matters. The cause is
+// checked exactly: both engines run the same kernel on every sampled
+// conjunction. The cost is timed as paired, interleaved blocks of a fixed
+// query count, and the gate reads the median of the per-pair ratios, so a
+// loop that adds real time to every query fails while host noise, which
+// moves single blocks, does not.
+func TestFeedbackDrift(t *testing.T) {
+	if testing.Short() {
+		t.Skip("adapts and times two engines through two corpus phases")
+	}
+	if race.Enabled {
+		// The loop learns from measured kernel timings, which race
+		// instrumentation distorts.
+		t.Skip("race instrumentation distorts the timings the feedback loop learns from")
+	}
+	miscal := *plan.DefaultCosts()
+	miscal.MergeElem /= driftDistortion
+	mk := func(feedback bool) *Engine {
+		// Both engines trace 1 in 4 queries, so their timings differ by
+		// planning alone.
+		return New(Config{Shards: 2, PlanFeedback: feedback, TraceSample: 4, PlanCosts: &miscal})
+	}
+	frozen, adaptive := mk(false), mk(true)
+	merge := plan.KernelMerge.String()
+
+	installDrift(t, frozen, 512)
+	installDrift(t, adaptive, 512)
+	// The merge correction climbs by at most 4× per re-fit; give the loop
+	// enough re-fits to settle before measuring.
+	adaptDrift(t, frozen, 0, 256)
+	adaptDrift(t, adaptive, 12, 30_000)
+	preRatio, fPre, aPre := timeDrift(t, frozen, adaptive)
+	t.Logf("pre-drift feedback/frozen %.3f; kernels frozen %v, feedback %v", preRatio, fPre, aPre)
+	var preKernel string
+	for k := range fPre {
+		preKernel = k
+	}
+	if len(fPre) != 1 || len(aPre) != 1 || aPre[preKernel] == 0 {
+		t.Fatalf("pre-drift kernels differ: frozen %v, feedback %v; want one and the same kernel on every sampled conjunction", fPre, aPre)
+	}
+	// 1.05 is the design budget; the gate allows a little slack on top
+	// while still catching a loop that costs real time.
+	if preRatio > 1.10 {
+		t.Errorf("pre-drift feedback/frozen ratio %.3f; the loop must be ~free when plans are already right", preRatio)
+	}
+
+	// The drift: both engines replan (the install bumps their stats
+	// epochs), but the frozen anchors still say merging ~23k+2k elements is
+	// cheaper than ~2k probes.
+	installDrift(t, frozen, 16*512)
+	installDrift(t, adaptive, 16*512)
+	adaptDrift(t, frozen, 0, 256)
+	adaptDrift(t, adaptive, 2, 30_000)
+	postRatio, fPost, aPost := timeDrift(t, frozen, adaptive)
+	st := adaptive.Stats()
+	corr := 1.0
+	if c, ok := st.KernelCorrections[merge]; ok {
+		corr = c
+	}
+	t.Logf("post-drift feedback/frozen %.3f; kernels frozen %v, feedback %v; merge correction %.2f after %d refits",
+		postRatio, fPost, aPost, corr, st.FeedbackRefits)
+	if st.FeedbackRefits == 0 || st.FeedbackObservations == 0 {
+		t.Fatalf("feedback engine never refit (refits=%d, obs=%d); the loop never engaged", st.FeedbackRefits, st.FeedbackObservations)
+	}
+	if corr <= 1.5 {
+		t.Errorf("merge correction %.2f; want it learned well above 1 (the anchor was under-priced %d×)", corr, driftDistortion)
+	}
+	if s := share(fPost, merge); s < 0.5 {
+		t.Errorf("frozen engine ran merges on only %.0f%% of sampled conjunctions post-drift; the mis-calibration scenario is vacuous", 100*s)
+	}
+	if s := share(aPost, merge); s >= 0.5 {
+		t.Errorf("feedback engine still ran merges on %.0f%% of sampled conjunctions post-drift (frozen: %.0f%%); corrections did not flip the plans",
+			100*s, 100*share(fPost, merge))
+	}
+	if postRatio >= 1.0 {
+		t.Errorf("post-drift feedback/frozen ratio %.3f; corrected plans must beat the frozen mis-calibration", postRatio)
+	}
+}
+
+// installDrift installs TestFeedbackDrift's corpus over a 2²⁴-docID
+// universe, sparse enough that the bitmap tier prices itself out: four
+// balanced lists of 18k–33k postings and "sel", every selStride-th docID.
+func installDrift(t *testing.T, e *Engine, selStride int) {
+	t.Helper()
+	const span, base = 1 << 24, 512
+	every := func(stride, offset int) []uint32 {
+		out := make([]uint32, 0, span/stride+1)
+		for d := offset; d < span; d += stride {
+			out = append(out, uint32(d))
+		}
+		return out
+	}
+	b := e.NewBuilder()
+	if err := b.AddPosting("sel", every(selStride, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := b.AddPosting(fmt.Sprintf("big%d", i), every(base+i*base/4, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Install(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// adaptDrift replays driftQueries n times, or with refits > 0 until the
+// engine has run that many more re-fit passes (at most n queries).
+func adaptDrift(t *testing.T, e *Engine, refits uint64, n int) {
+	t.Helper()
+	target := e.Stats().FeedbackRefits + refits
+	for i := 0; i < n; i++ {
+		if _, err := e.Query(driftQueries[i%len(driftQueries)]); err != nil {
+			t.Fatal(err)
+		}
+		if refits > 0 && i%64 == 0 && e.Stats().FeedbackRefits >= target {
+			return
+		}
+	}
+}
+
+// timeDrift times driftQueries on both engines in pairs of fixed-count
+// blocks, alternating which engine runs first, and returns the median over
+// the pairs of adaptive's block time divided by frozen's, with the kernels
+// each engine ran on sampled conjunctions meanwhile.
+func timeDrift(t *testing.T, frozen, adaptive *Engine) (ratio float64, fExecs, aExecs map[string]uint64) {
+	t.Helper()
+	const pairs, block = 101, 64
+	engines := [2]*Engine{frozen, adaptive}
+	before := [2]map[string]uint64{frozen.Stats().KernelExecs, adaptive.Stats().KernelExecs}
+	ratios := make([]float64, pairs)
+	for p := range ratios {
+		var ns [2]time.Duration
+		for k := range engines {
+			i := k ^ p&1
+			start := time.Now()
+			for j := 0; j < block; j++ {
+				if _, err := engines[i].Query(driftQueries[j%len(driftQueries)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ns[i] = time.Since(start)
+		}
+		ratios[p] = float64(ns[1]) / float64(ns[0])
+	}
+	slices.Sort(ratios)
+	return ratios[pairs/2], execsSince(frozen, before[0]), execsSince(adaptive, before[1])
+}
+
+// execsSince returns the kernel executions e recorded on sampled
+// conjunctions since its KernelExecs read before.
+func execsSince(e *Engine, before map[string]uint64) map[string]uint64 {
+	out := map[string]uint64{}
+	for k, n := range e.Stats().KernelExecs {
+		if n > before[k] {
+			out[k] = n - before[k]
+		}
+	}
+	return out
+}
+
+// share returns kernel's fraction of the executions in execs.
+func share(execs map[string]uint64, kernel string) float64 {
+	var total uint64
+	for _, n := range execs {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(execs[kernel]) / float64(total)
 }

@@ -3,8 +3,11 @@ package engine
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
@@ -113,17 +116,23 @@ func TestTraceSampling(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsEndToEnd scrapes the per-engine registry and checks the
-// series the ISSUE promises are present and move with traffic.
+// TestEngineMetricsEndToEnd scrapes the per-engine registry and checks that
+// every series is present, moves with traffic, and that the latency
+// histogram agrees with the caller's own timings.
 func TestEngineMetricsEndToEnd(t *testing.T) {
 	e := buildTestEngine(t, Config{Shards: 2, CacheSize: 8, TraceSample: 1}, 5_000)
-	for i := 0; i < 8; i++ {
-		if _, err := e.Query("m2 AND m3"); err != nil {
-			t.Fatal(err)
+	var lat []time.Duration // the caller's timing of every query
+	for i := 0; i < 9; i++ {
+		q := "m2 AND m3"
+		if i == 8 {
+			q = "zzz OR"
 		}
-	}
-	if _, err := e.Query("zzz OR"); err == nil {
-		t.Fatal("malformed query should error")
+		start := time.Now()
+		_, err := e.Query(q)
+		lat = append(lat, time.Since(start))
+		if (err != nil) != (i == 8) {
+			t.Fatalf("Query(%q) error = %v", q, err)
+		}
 	}
 	if err := e.AddDocument(10_001, []string{"m2"}); err != nil {
 		t.Fatal(err)
@@ -163,6 +172,40 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	if !hot {
 		t.Errorf("no kernel execution recorded with TraceSample=1:\n%s", text)
 	}
+	// The latency histogram read back from the scrape must agree with the
+	// caller's timings of the same queries within the log₂ buckets'
+	// resolution: a scraped percentile is its bucket's upper bound, up to 2×
+	// the true value, and a 4× band each side absorbs rank granularity and
+	// scheduler noise without letting a broken bucket mapping pass.
+	t.Run("latency-quantiles", func(t *testing.T) {
+		slices.Sort(lat)
+		for _, q := range []float64{0.50, 0.99} {
+			rank := min(max(int(q*float64(len(lat))+0.5), 1), len(lat))
+			measured := lat[rank-1].Seconds()
+			scraped := scrapedRank(text, "fsi_query_latency_seconds", rank)
+			if r := scraped / measured; !(r >= 0.25 && r <= 4) {
+				t.Errorf("p%.0f: scraped %.2gs vs measured %.2gs (ratio %.2f), want within bucket resolution",
+					100*q, scraped, measured, r)
+			}
+		}
+	})
+}
+
+// scrapedRank returns the upper bound, in seconds, of the histogram bucket
+// holding the rank-th smallest observation in a Prometheus scrape of family.
+func scrapedRank(text, family string, rank int) float64 {
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family+`_bucket{le="`)
+		if !ok {
+			continue
+		}
+		le, count, _ := strings.Cut(rest, `"} `)
+		if n, _ := strconv.Atoi(count); n >= rank {
+			v, _ := strconv.ParseFloat(le, 64)
+			return v
+		}
+	}
+	return 0
 }
 
 // TestQueryAllocsTraced extends the allocation guard to the instrumented

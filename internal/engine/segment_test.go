@@ -192,6 +192,102 @@ func TestFreezeIsCheap(t *testing.T) {
 	}
 }
 
+// TestTieredWriteAmplification replays one fixed add/delete stream, under
+// both storages, through two engines: the tiered lifecycle (CompactThreshold
+// T and MaxSegments 2, so size-tiered merges run and its write
+// amplification is real merge work) and a baseline with background
+// compaction off that calls Compact — a full merge of every segment — each
+// time T × shards postings have been ingested. Write amplification is
+// CompactionBytes over the 4 bytes per posting the adds ingested. The
+// tiered engine must freeze, the baseline must compact, the tiered write
+// amplification must be strictly lower, and once both quiesce every query
+// must return the same documents from both, equal to the model's.
+func TestTieredWriteAmplification(t *testing.T) {
+	const shards, threshold = 2, 100
+	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
+		t.Run(st.String(), func(t *testing.T) {
+			rng := xhash.NewRNG(0x5E65)
+			vocab := []string{"a", "b", "c", "d", "e"}
+			sample := func() []string {
+				out := []string{vocab[rng.Intn(len(vocab))]}
+				for _, term := range vocab {
+					if term != out[0] && rng.Float64() < 0.25 {
+						out = append(out, term)
+					}
+				}
+				return out
+			}
+			m := newRefModel()
+			for d := uint32(0); d < 2000; d++ {
+				m.add(d, sample())
+			}
+			tiered := New(Config{Shards: shards, Storage: st, CompactThreshold: threshold, MaxSegments: 2})
+			baseline := New(Config{Shards: shards, Storage: st})
+			installRef(t, tiered, m)
+			installRef(t, baseline, m)
+
+			ingested, sinceCompact := 0, 0
+			nextID := uint32(2000)
+			for i := 0; i < 1500; i++ {
+				if rng.Float64() < 0.25 {
+					id := uint32(rng.Intn(int(nextID)))
+					for _, e := range []*Engine{tiered, baseline} {
+						if _, err := e.DeleteDocument(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+					m.del(id)
+					continue
+				}
+				terms := sample()
+				for _, e := range []*Engine{tiered, baseline} {
+					if err := e.AddDocument(nextID, terms); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m.add(nextID, terms)
+				nextID++
+				ingested += 4 * len(terms)
+				if sinceCompact += len(terms); sinceCompact >= threshold*shards {
+					if err := baseline.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					sinceCompact = 0
+				}
+			}
+			waitForIdleCompaction(t, tiered)
+			waitForIdleCompaction(t, baseline)
+
+			ts, bs := tiered.Stats(), baseline.Stats()
+			tAmp := float64(ts.CompactionBytes) / float64(ingested)
+			bAmp := float64(bs.CompactionBytes) / float64(ingested)
+			t.Logf("write amplification tiered %.2f (%d freezes, %d merges), baseline %.2f (%d compactions)",
+				tAmp, ts.SegmentFreezes, ts.SegmentMerges, bAmp, bs.Compactions)
+			if ts.SegmentFreezes == 0 {
+				t.Error("tiered engine never froze a segment")
+			}
+			if bs.Compactions == 0 {
+				t.Error("baseline never compacted; the comparison is vacuous")
+			}
+			if tAmp >= bAmp {
+				t.Errorf("tiered write amplification %.2f is not strictly below the baseline's %.2f", tAmp, bAmp)
+			}
+			for _, tc := range lifecycleQueries {
+				want := m.match(tc.pred)
+				for name, e := range map[string]*Engine{"tiered": tiered, "baseline": baseline} {
+					res, err := e.Query(tc.q)
+					if err != nil {
+						t.Fatalf("%s: Query(%q): %v", name, tc.q, err)
+					}
+					if !sets.Equal(res.Docs, want) {
+						t.Errorf("%s: Query(%q) = %d docs, want %d", name, tc.q, len(res.Docs), len(want))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSnapshotRoundTrip is the serialize→restart→parity acceptance test: a
 // multi-segment engine saved to disk and loaded into a FRESH engine must
 // answer every query identically, preserve the tier shape (frozen and active

@@ -102,7 +102,7 @@ func runRealCompressed(cfg Config) []*Table {
 	fam := core.NewFamily(cfg.Seed, core.MaxImageCount)
 	// Compressed structures per term, built on demand. The compressed RGS
 	// intersection is two-list, so this experiment uses the 2-keyword
-	// queries (68% of the workload), as noted in DESIGN.md.
+	// queries (68% of the workload).
 	type termStructs struct {
 		md, mg *compress.MergeList
 		ld, lg *compress.LookupList

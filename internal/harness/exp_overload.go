@@ -85,7 +85,7 @@ func OverloadBench(cfg Config) *OverloadReport {
 	// that has nothing to do with admission policy.
 	rc := workload.SmallRealConfig()
 	rc.NumDocs, rc.NumTerms, rc.NumQueries = 10_000, 1_000, 128
-	window := 2 * time.Second
+	window := 500 * time.Millisecond
 	if cfg.Full() {
 		rc.NumDocs, rc.NumTerms, rc.NumQueries = 50_000, 2_000, 512
 		window = 3 * time.Second
@@ -197,9 +197,9 @@ func runOverloadPoint(e *engine.Engine, real *workload.Real, sc workload.StreamC
 
 	outcomes := make([]uint8, n)
 	latencies := make([]time.Duration, n) // arrival→completion, valid when ocComplete
+	done := make([]time.Duration, n)      // completion offset from start
 	var wg sync.WaitGroup
 	start := time.Now()
-	var lastDone atomic64Time
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -220,7 +220,7 @@ func runOverloadPoint(e *engine.Engine, real *workload.Real, sc workload.StreamC
 				default:
 					outcomes[i] = ocShed
 				}
-				lastDone.set(time.Since(start))
+				done[i] = time.Since(start)
 				return
 			}
 			_, qerr := e.QueryContext(ctx, queries[i])
@@ -231,14 +231,11 @@ func runOverloadPoint(e *engine.Engine, real *workload.Real, sc workload.StreamC
 				outcomes[i] = ocComplete
 				latencies[i] = time.Since(arrived)
 			}
-			lastDone.set(time.Since(start))
+			done[i] = time.Since(start)
 		}(i)
 	}
 	wg.Wait()
-	wall := lastDone.get()
-	if wall <= 0 {
-		wall = time.Since(start)
-	}
+	wall := slices.Max(done)
 
 	pt := OverloadPoint{Mode: mode, Multiple: mult, OfferedQPS: qps, Offered: n}
 	var acc []time.Duration
@@ -276,24 +273,20 @@ func runOverloadPoint(e *engine.Engine, real *workload.Real, sc workload.StreamC
 	return pt
 }
 
-// atomic64Time tracks the latest completion offset across goroutines.
-type atomic64Time struct {
-	mu sync.Mutex
-	d  time.Duration
-}
-
-func (a *atomic64Time) set(d time.Duration) {
-	a.mu.Lock()
-	if d > a.d {
-		a.d = d
+// nearestRank returns the p-th percentile (nearest rank) of sorted
+// latencies.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
 	}
-	a.mu.Unlock()
-}
-
-func (a *atomic64Time) get() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.d
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
 }
 
 func runOverloadBench(cfg Config) []*Table {

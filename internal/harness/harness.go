@@ -1,7 +1,7 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (Section 4 and Appendices A.5.2/C). Each experiment is a named
-// entry in Registry producing one or more text tables; cmd/fsibench is the
-// CLI front end and EXPERIMENTS.md records paper-vs-measured shapes.
+// entry in Registry producing one or more text tables, and names the paper
+// artifact it reproduces; cmd/fsibench is the CLI front end.
 //
 // Experiments run at two scales: "small" (the default; minutes for the full
 // registry) and "full" (paper-scale set sizes; tens of minutes). Absolute

@@ -55,6 +55,8 @@ func TestOverloadBench(t *testing.T) {
 			t.Errorf("noshed x%.0f accepted p99 %.0fus unexpectedly within 3x uncontended %.0fus (not saturated?)",
 				mult, noshed.AcceptedP99US, rep.UncontendedP99US)
 		}
+		t.Logf("x%.0f: accepted p99 shed %.0fµs, noshed %.0fµs (uncontended %.0fµs); goodput shed %.0f, noshed %.0f qps",
+			mult, shed.AcceptedP99US, noshed.AcceptedP99US, rep.UncontendedP99US, shed.GoodputQPS, noshed.GoodputQPS)
 		// Shedding must not cost goodput.
 		if shed.GoodputQPS < noshed.GoodputQPS {
 			t.Errorf("shed x%.0f goodput %.0f < noshed %.0f",

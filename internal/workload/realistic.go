@@ -256,7 +256,8 @@ func (r *Real) Lists(q Query) [][]uint32 {
 }
 
 // Stats summarizes the workload the way §4 "Query characteristics" does,
-// so EXPERIMENTS.md can compare simulated against reported statistics.
+// so the intro-stats experiment can compare simulated against reported
+// statistics.
 type Stats struct {
 	QueriesByK      map[int]int
 	AvgRatioL1L2    map[int]float64 // per k: avg |L1|/|L2|

@@ -6,8 +6,8 @@
 //     independent draws (Figure 6), and
 //   - a simulated "real" corpus + query workload standing in for the paper's
 //     8M Wikipedia pages and 10⁴ Bing queries (Figures 7, 9, 12 and the
-//     §4.1 real-data numbers). See realistic.go and DESIGN.md §2.5 for the
-//     substitution rationale.
+//     §4.1 real-data numbers). See RealConfig in realistic.go for the
+//     substitution.
 //
 // All generators are deterministic given a seed.
 package workload
