@@ -8,7 +8,6 @@
 //	fsibench -list
 //	fsibench -exp fig4                 # one experiment, small scale
 //	fsibench -exp all -scale full      # the whole evaluation, paper scale
-//	fsibench -json BENCH_compress.json # machine-readable encoding benchmark
 //	fsibench -plan-json BENCH_plan.json # machine-readable plan-quality experiment
 //	fsibench -overload-json BENCH_overload.json # machine-readable saturation sweep (shedding vs unbounded queue)
 //
@@ -37,8 +36,7 @@ func main() {
 		seed    = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		algos   = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
-		jsonOut = flag.String("json", "", "run the storage-sweep encoding benchmark and write it as JSON to this file (ns/op and bytes/posting per encoding), then exit")
-		planOut = flag.String("plan-json", "", "run the plan-quality experiment (cost-based plans vs df-ordered baseline vs worst-order) and write it as JSON to this file (ns/op per workload shape × storage × policy), then exit")
+		planOut = flag.String("plan-json", "", "run the plan-quality experiment (cost-based plans vs df-ordered baseline vs worst-order) and write it as JSON to this file (ns/op per workload shape × policy), then exit")
 		overOut = flag.String("overload-json", "", "run the saturation experiment (open-loop offered load at multiples of capacity, shedding vs unbounded queue) and write it as JSON to this file (accepted p50/p99 and goodput per point), then exit")
 	)
 	flag.Parse()
@@ -74,13 +72,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fsibench: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *jsonOut != "" {
-		rep := harness.CompressBench(cfg)
-		writeJSON(*jsonOut, rep)
-		fmt.Printf("wrote %s (%d workloads × %d encodings)\n",
-			*jsonOut, len(rep.Workloads), len(rep.Workloads[0].Encodings))
-		return
 	}
 	if *planOut != "" {
 		rep := harness.PlanBench(cfg)

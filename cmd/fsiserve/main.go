@@ -53,7 +53,6 @@ import (
 
 	"fastintersect/internal/admission"
 	"fastintersect/internal/engine"
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
 	"fastintersect/internal/workload"
 )
@@ -64,7 +63,6 @@ func main() {
 		shards      = flag.Int("shards", 4, "index shards")
 		workers     = flag.Int("workers", 0, "shard-query worker pool size (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache", 4096, "result-cache entries (0 disables)")
-		storageName = flag.String("storage", "raw", "posting encoding policy: 'raw' (every list uncompressed: fastest) or 'compressed' (per-list adaptive encoding: smaller heap, slower queries)")
 		docs        = flag.Uint("docs", 200_000, "synthetic corpus: number of documents")
 		terms       = flag.Int("terms", 20_000, "synthetic corpus: vocabulary size")
 		queries     = flag.Int("queries", 2_000, "synthetic corpus: base query count")
@@ -89,12 +87,6 @@ func main() {
 	)
 	flag.Parse()
 
-	storage, err := invindex.ParseStorage(*storageName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fsiserve: %v\n", err)
-		os.Exit(2)
-	}
-
 	if *docs > math.MaxUint32 {
 		fmt.Fprintf(os.Stderr, "fsiserve: -docs %d exceeds the uint32 docID space\n", *docs)
 		os.Exit(2)
@@ -118,7 +110,6 @@ func main() {
 		Shards:           *shards,
 		Workers:          *workers,
 		CacheSize:        *cacheSize,
-		Storage:          storage,
 		CompactThreshold: *compactAt,
 		TraceSample:      *traceSample,
 		PlanFeedback:     *feedback,
@@ -126,7 +117,7 @@ func main() {
 	if *snapDir != "" && engine.SnapshotExists(*snapDir) {
 		// Restart path: the serialized tier (frozen segments with their
 		// tombstones, the active segment) replaces the corpus index build.
-		// Each frozen segment is re-encoded by the same parallel build an
+		// Each frozen segment is rebuilt by the same parallel build an
 		// install runs; the active segment loads as-is.
 		if err := eng.LoadSnapshot(*snapDir); err != nil {
 			fmt.Fprintf(os.Stderr, "fsiserve: restoring snapshot from %s: %v\n", *snapDir, err)
@@ -138,8 +129,8 @@ func main() {
 		os.Exit(1)
 	}
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "fsiserve: indexed %d docs, %d (term,shard) postings across %d shards (%s storage, %.2f B/posting) in %v\n",
-		st.Docs, st.Terms, st.Shards, st.Storage, st.Postings.BytesPerPosting,
+	fmt.Fprintf(os.Stderr, "fsiserve: indexed %d docs, %d (term,shard) postings across %d shards (%.2f B/posting) in %v\n",
+		st.Docs, st.Terms, st.Shards, st.Postings.BytesPerPosting,
 		time.Since(genStart).Round(time.Millisecond))
 
 	if *load > 0 {
@@ -631,9 +622,9 @@ type batchResponse struct {
 
 // handleQueryBatch executes many queries as one engine batch: queries that
 // normalize to the same canonical form are planned and evaluated once, and
-// all cache misses share per-shard execution contexts (and their
-// decoded-term memos). Per-query failures land in the matching result slot;
-// only a malformed body or a missing index fails the whole request.
+// all cache misses share per-shard execution contexts. Per-query failures
+// land in the matching result slot; only a malformed body or a missing
+// index fails the whole request.
 func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))

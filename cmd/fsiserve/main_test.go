@@ -13,7 +13,6 @@ import (
 
 	"fastintersect"
 	"fastintersect/internal/engine"
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 	"fastintersect/internal/workload"
 )
@@ -33,12 +32,8 @@ func testCorpus(t testing.TB) *workload.Real {
 }
 
 func testServer(t testing.TB, corpus *workload.Real, shards int) (*httptest.Server, *engine.Engine) {
-	return testServerStorage(t, corpus, shards, invindex.StorageRaw)
-}
-
-func testServerStorage(t testing.TB, corpus *workload.Real, shards int, st invindex.Storage) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	eng := engine.New(engine.Config{Shards: shards, CacheSize: 256, Storage: st})
+	eng := engine.New(engine.Config{Shards: shards, CacheSize: 256})
 	if err := loadCorpus(eng, corpus); err != nil {
 		t.Fatal(err)
 	}
@@ -132,55 +127,6 @@ func TestServeMatchesDirectIntersection(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeCompressedStorage runs the same service over compressed posting
-// storage: served results must match the raw-storage server query for
-// query, and /stats must expose the per-encoding posting accounting.
-func TestServeCompressedStorage(t *testing.T) {
-	corpus := testCorpus(t)
-	tsRaw, _ := testServer(t, corpus, 3)
-	tsComp, _ := testServerStorage(t, corpus, 3, invindex.StorageCompressed)
-
-	queries := []string{
-		workload.TermName(0),
-		workload.TermName(0) + " AND " + workload.TermName(3),
-		workload.TermName(1) + " AND (" + workload.TermName(5) + " OR " + workload.TermName(9) + ")",
-		workload.TermName(2) + " AND NOT " + workload.TermName(4),
-	}
-	for _, q := range queries {
-		rr, code := getQuery(t, tsRaw, q)
-		if code != http.StatusOK {
-			t.Fatalf("raw %q: status %d", q, code)
-		}
-		cr, code := getQuery(t, tsComp, q)
-		if code != http.StatusOK {
-			t.Fatalf("compressed %q: status %d", q, code)
-		}
-		if !sets.Equal(rr.Docs, cr.Docs) {
-			t.Fatalf("storage changed result of %q: raw %d docs, compressed %d docs",
-				q, len(rr.Docs), len(cr.Docs))
-		}
-	}
-
-	resp, err := http.Get(tsComp.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Storage != "compressed" {
-		t.Fatalf("storage = %q", st.Storage)
-	}
-	if st.Postings.Total == 0 || st.Postings.StoredBytes >= st.Postings.RawBytes {
-		t.Fatalf("postings accounting = %+v", st.Postings)
-	}
-	if len(st.Postings.Encodings) < 2 {
-		t.Fatalf("expected multiple encodings, got %v", st.Postings.Encodings)
-	}
-}
-
 // TestServeBooleanOperators verifies OR/NOT queries against reference set
 // algebra over the raw posting lists.
 func TestServeBooleanOperators(t *testing.T) {
@@ -256,6 +202,10 @@ func TestServeEndpoints(t *testing.T) {
 	wantDocs := uint64(len(sets.UnionKInto(nil, corpus.Postings...)))
 	if st.Shards != 4 || st.Queries < 2 || st.Cache.Hits < 1 || st.Docs != wantDocs {
 		t.Fatalf("stats = %+v, want docs = %d", st, wantDocs)
+	}
+	// Every list is raw: 4 bytes a posting, all under one "Raw" encoding.
+	if p := st.Postings; p.Total == 0 || p.StoredBytes != p.RawBytes || len(p.Encodings) != 1 || p.Encodings["Raw"].Bytes != p.StoredBytes {
+		t.Fatalf("postings accounting = %+v", p)
 	}
 
 	// Bad queries are 400s with a JSON error.
@@ -398,94 +348,92 @@ func deleteDoc(t *testing.T, ts *httptest.Server, id string) int {
 	return resp.StatusCode
 }
 
-// TestServeMutationEndpoints drives the live-update API end to end over
-// both storage modes: an added document answers queries immediately
+// TestServeMutationEndpoints drives the live-update API end to end: an
+// added document answers queries immediately
 // (including previously cached ones), a deleted one disappears, and /stats
 // surfaces the mutation/delta/generation counters.
 func TestServeMutationEndpoints(t *testing.T) {
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(st.String(), func(t *testing.T) {
-			corpus := testCorpus(t)
-			ts, _ := testServerStorage(t, corpus, 3, st)
-			probe := workload.TermName(7)
+	t.Run("raw", func(t *testing.T) {
+		corpus := testCorpus(t)
+		ts, _ := testServer(t, corpus, 3)
+		probe := workload.TermName(7)
 
-			before, code := getQuery(t, ts, probe) // warms the cache
-			if code != http.StatusOK {
-				t.Fatalf("probe query: %d", code)
-			}
+		before, code := getQuery(t, ts, probe) // warms the cache
+		if code != http.StatusOK {
+			t.Fatalf("probe query: %d", code)
+		}
 
-			// Add a brand-new document carrying the probe term.
-			const newID = 1_000_000
-			mr, code := postDoc(t, ts, fmt.Sprintf(`{"doc_id":%d,"terms":[%q,"zzz-fresh"]}`, newID, probe))
-			if code != http.StatusOK || mr.Status != "indexed" || mr.Generation == 0 {
-				t.Fatalf("add: code=%d resp=%+v", code, mr)
-			}
-			after, code := getQuery(t, ts, probe)
-			if code != http.StatusOK {
-				t.Fatalf("post-add query: %d", code)
-			}
-			if after.Cached || after.Count != before.Count+1 || !sets.Contains(after.Docs, newID) {
-				t.Fatalf("added doc not served fresh: cached=%v count %d→%d", after.Cached, before.Count, after.Count)
-			}
-			if fresh, _ := getQuery(t, ts, "zzz-fresh"); fresh.Count != 1 || fresh.Docs[0] != newID {
-				t.Fatalf("fresh term query = %+v", fresh)
-			}
+		// Add a brand-new document carrying the probe term.
+		const newID = 1_000_000
+		mr, code := postDoc(t, ts, fmt.Sprintf(`{"doc_id":%d,"terms":[%q,"zzz-fresh"]}`, newID, probe))
+		if code != http.StatusOK || mr.Status != "indexed" || mr.Generation == 0 {
+			t.Fatalf("add: code=%d resp=%+v", code, mr)
+		}
+		after, code := getQuery(t, ts, probe)
+		if code != http.StatusOK {
+			t.Fatalf("post-add query: %d", code)
+		}
+		if after.Cached || after.Count != before.Count+1 || !sets.Contains(after.Docs, newID) {
+			t.Fatalf("added doc not served fresh: cached=%v count %d→%d", after.Cached, before.Count, after.Count)
+		}
+		if fresh, _ := getQuery(t, ts, "zzz-fresh"); fresh.Count != 1 || fresh.Docs[0] != newID {
+			t.Fatalf("fresh term query = %+v", fresh)
+		}
 
-			// Delete an original corpus document that matches the probe.
-			victim := after.Docs[0]
-			if victim == newID {
-				victim = after.Docs[1]
-			}
-			if code := deleteDoc(t, ts, fmt.Sprint(victim)); code != http.StatusOK {
-				t.Fatalf("delete: %d", code)
-			}
-			gone, _ := getQuery(t, ts, probe)
-			if sets.Contains(gone.Docs, victim) || gone.Count != after.Count-1 {
-				t.Fatalf("deleted doc still served: count %d→%d", after.Count, gone.Count)
-			}
-			// Deleting it again: 404.
-			if code := deleteDoc(t, ts, fmt.Sprint(victim)); code != http.StatusNotFound {
-				t.Fatalf("double delete: %d, want 404", code)
-			}
+		// Delete an original corpus document that matches the probe.
+		victim := after.Docs[0]
+		if victim == newID {
+			victim = after.Docs[1]
+		}
+		if code := deleteDoc(t, ts, fmt.Sprint(victim)); code != http.StatusOK {
+			t.Fatalf("delete: %d", code)
+		}
+		gone, _ := getQuery(t, ts, probe)
+		if sets.Contains(gone.Docs, victim) || gone.Count != after.Count-1 {
+			t.Fatalf("deleted doc still served: count %d→%d", after.Count, gone.Count)
+		}
+		// Deleting it again: 404.
+		if code := deleteDoc(t, ts, fmt.Sprint(victim)); code != http.StatusNotFound {
+			t.Fatalf("double delete: %d, want 404", code)
+		}
 
-			// Malformed mutations are 400s.
-			for _, bad := range []string{``, `{`, `{"doc_id":1}`, `{"doc_id":1,"terms":[]}`, `{"doc_id":1,"terms":[""]}`, `{"doc_id":-1,"terms":["a"]}`, `{"doc_id":1,"terms":["a"],"nope":1}`} {
-				if _, code := postDoc(t, ts, bad); code != http.StatusBadRequest {
-					t.Fatalf("body %q: code %d, want 400", bad, code)
-				}
+		// Malformed mutations are 400s.
+		for _, bad := range []string{``, `{`, `{"doc_id":1}`, `{"doc_id":1,"terms":[]}`, `{"doc_id":1,"terms":[""]}`, `{"doc_id":-1,"terms":["a"]}`, `{"doc_id":1,"terms":["a"],"nope":1}`} {
+			if _, code := postDoc(t, ts, bad); code != http.StatusBadRequest {
+				t.Fatalf("body %q: code %d, want 400", bad, code)
 			}
-			if code := deleteDoc(t, ts, "notanumber"); code != http.StatusBadRequest {
-				t.Fatalf("bad delete id: %d, want 400", code)
-			}
-			if code := deleteDoc(t, ts, "99999999999"); code != http.StatusBadRequest {
-				t.Fatalf("out-of-range delete id: %d, want 400", code)
-			}
+		}
+		if code := deleteDoc(t, ts, "notanumber"); code != http.StatusBadRequest {
+			t.Fatalf("bad delete id: %d, want 400", code)
+		}
+		if code := deleteDoc(t, ts, "99999999999"); code != http.StatusBadRequest {
+			t.Fatalf("out-of-range delete id: %d, want 400", code)
+		}
 
-			// /stats surfaces the mutable tier.
-			resp, err := http.Get(ts.URL + "/stats")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var stat statsResponse
-			if err := json.NewDecoder(resp.Body).Decode(&stat); err != nil {
-				t.Fatal(err)
-			}
-			// Effective mutations: one add + one delete (the 404 double
-			// delete is a no-op and must not invalidate the cache). Only the
-			// delete tombstones anything — the added doc is brand new, so no
-			// older segment holds a copy to suppress.
-			if stat.Mutations != 2 || stat.Generation < 3 || stat.Delta.Docs != 1 || stat.Delta.Tombstones < 1 {
-				t.Fatalf("stats mutable tier = mutations:%d gen:%d delta:%+v",
-					stat.Mutations, stat.Generation, stat.Delta)
-			}
-		})
-	}
+		// /stats surfaces the mutable tier.
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stat statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&stat); err != nil {
+			t.Fatal(err)
+		}
+		// Effective mutations: one add + one delete (the 404 double
+		// delete is a no-op and must not invalidate the cache). Only the
+		// delete tombstones anything — the added doc is brand new, so no
+		// older segment holds a copy to suppress.
+		if stat.Mutations != 2 || stat.Generation < 3 || stat.Delta.Docs != 1 || stat.Delta.Tombstones < 1 {
+			t.Fatalf("stats mutable tier = mutations:%d gen:%d delta:%+v",
+				stat.Mutations, stat.Generation, stat.Delta)
+		}
+	})
 }
 
 // TestServeChurn replays an interleaved add/delete/query stream over HTTP
-// against a scan-based reference for a single probe term — raw and
-// compressed storage must both track the reference exactly.
+// against a scan-based reference for a single probe term, which the
+// service must track exactly.
 func TestServeChurn(t *testing.T) {
 	corpus := testCorpus(t)
 	ts, eng := testServer(t, corpus, 4)
@@ -541,37 +489,35 @@ func TestServeChurn(t *testing.T) {
 // physical plan, results are unchanged, and cache hits still explain.
 func TestServeExplain(t *testing.T) {
 	corpus := testCorpus(t)
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(st.String(), func(t *testing.T) {
-			ts, _ := testServerStorage(t, corpus, 2, st)
-			q := workload.TermName(0) + " AND " + workload.TermName(7)
-			plain, code := getQuery(t, ts, q)
-			if code != http.StatusOK {
-				t.Fatalf("plain query: HTTP %d", code)
-			}
-			if plain.Plan != "" {
-				t.Error("plan rendered without explain=1")
-			}
-			resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {q}, "explain": {"1"}, "limit": {"-1"}}.Encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var qr queryResponse
-			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-				t.Fatal(err)
-			}
-			if qr.Count != plain.Count || !sets.Equal(qr.Docs, plain.Docs) {
-				t.Errorf("explain changed the result: %d docs vs %d", qr.Count, plain.Count)
-			}
-			if !strings.Contains(qr.Plan, "AND kernel=") || !strings.Contains(qr.Plan, "term "+workload.TermName(0)) {
-				t.Errorf("plan missing kernel/operand lines:\n%s", qr.Plan)
-			}
-			if !qr.Cached {
-				t.Error("second request (explain) should have hit the cache")
-			}
-		})
-	}
+	t.Run("raw", func(t *testing.T) {
+		ts, _ := testServer(t, corpus, 2)
+		q := workload.TermName(0) + " AND " + workload.TermName(7)
+		plain, code := getQuery(t, ts, q)
+		if code != http.StatusOK {
+			t.Fatalf("plain query: HTTP %d", code)
+		}
+		if plain.Plan != "" {
+			t.Error("plan rendered without explain=1")
+		}
+		resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {q}, "explain": {"1"}, "limit": {"-1"}}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qr queryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Count != plain.Count || !sets.Equal(qr.Docs, plain.Docs) {
+			t.Errorf("explain changed the result: %d docs vs %d", qr.Count, plain.Count)
+		}
+		if !strings.Contains(qr.Plan, "AND kernel=") || !strings.Contains(qr.Plan, "term "+workload.TermName(0)) {
+			t.Errorf("plan missing kernel/operand lines:\n%s", qr.Plan)
+		}
+		if !qr.Cached {
+			t.Error("second request (explain) should have hit the cache")
+		}
+	})
 }
 
 // TestServeSyntaxErrorOffset pins the satellite: a 400 for a malformed

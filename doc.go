@@ -47,12 +47,12 @@
 // Above the library sits a query-serving subsystem (internal/engine,
 // served by cmd/fsiserve): an inverted index hash-partitioned across
 // shards, a cost-based query planner (internal/plan) that lowers a small
-// AND/OR/NOT language to physical plans — kernel choice, operand order and
-// decode decisions priced by coefficients calibrated against the real
-// kernels at startup, inspectable via Engine.Explain / the HTTP explain=1
-// parameter — an LRU result cache keyed by the normalized (canonical)
-// query, batch execution (Engine.QueryBatch) that plans once per canonical
-// form and shares decode memos across a batch, and an HTTP JSON API with a
+// AND/OR/NOT language to physical plans — kernel choice and operand order
+// priced by coefficients calibrated against the real kernels at startup,
+// inspectable via Engine.Explain / the HTTP explain=1 parameter — an LRU
+// result cache keyed by the normalized (canonical) query, batch execution
+// (Engine.QueryBatch) that plans once per canonical form and shares
+// execution contexts across a batch, and an HTTP JSON API with a
 // built-in load generator — the search-engine setting that motivates the
 // paper, end to end. The corpus stays live: each shard is a tier of frozen
 // segments (the one an install builds is simply the first) and one active
@@ -62,20 +62,16 @@
 // compactions freeze and merge the tier. One plan evaluator runs over every
 // segment. See ARCHITECTURE.md's mutable-tier section for the design.
 //
-// The serving tier holds every posting list as one type,
-// internal/compress's Stored, under a per-list encoding (§4.1 and
-// Appendix B of the paper): raw sorted slices — intersected by merge,
-// galloping or a lazily attached bitmap form — Elias γ/δ gap codes behind
-// a bucket directory, density-partitioned bitmaps, or the paper's Lowbits
-// grouping whose decode is a single bit concatenation. The storage policy
-// only chooses the encodings: raw keeps every list raw, compressed picks
-// per list from its length and density (short lists stay raw, γ wins on
-// dense lists, δ on sparse ones, and long mid-density lists take Lowbits,
-// trading ≤2× the best gap-coded size for the fastest compressed
-// intersections). Queries intersect directly over whatever encodings the
-// lists hold, and engine.Stats reports the exact bytes-per-posting
-// footprint per encoding. The serving path chooses among Merge, galloping,
-// the bitmap AND and the compressed strategies; the full algorithm set
-// above stays available through this package. See ARCHITECTURE.md for the
+// The serving tier stores every posting list raw: an exact-size sorted
+// slice behind internal/compress's Stored header, intersected by merge,
+// galloping or a lazily attached bitmap form, whichever the cost model
+// prices cheapest; engine.Stats reports the exact bytes-per-posting
+// footprint. The paper's compressed structures (§4.1 and Appendix B) live
+// in internal/compress as a library tier — Elias γ/δ gap codes behind a
+// bucket directory, density-partitioned bitmaps and the paper's Lowbits
+// grouping whose decode is a single bit concatenation, with a per-list
+// encoding chooser and intersections directly over the compressed forms —
+// measured by fsibench's fig8, real-compressed and fig11 experiments. The
+// full algorithm set above stays available through this package. See ARCHITECTURE.md for the
 // full map from packages to paper sections.
 package fastintersect

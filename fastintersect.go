@@ -44,9 +44,9 @@ func WithHashImages(m int) Option { return func(o *Options) { o.m = m } }
 func WithAllWidths() Option { return func(o *Options) { o.allWidths = true } }
 
 // OptionsSeed resolves the hash-family seed an option list selects
-// (DefaultSeed when none is set). The serving tier's compressed storage
-// (internal/invindex with StorageCompressed) derives its grouped structures
-// from the same seed so every representation of an index shares one family.
+// (DefaultSeed when none is set), so grouped structures built outside this
+// package — internal/compress's Lowbits lists, say — can share one hash
+// family with the library's lists.
 func OptionsSeed(opts ...Option) uint64 {
 	o := Options{seed: DefaultSeed}
 	for _, f := range opts {

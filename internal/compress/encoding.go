@@ -10,10 +10,10 @@ import (
 	"fastintersect/internal/core"
 )
 
-// Encoding names a posting-list storage representation of the serving tier
-// (internal/invindex, internal/engine). It extends Coding/RGSCoding — which
-// select a code within one compressed structure — with the raw
-// representation, so a whole index can mix representations per list.
+// Encoding names a posting-list storage representation of a Stored. It
+// extends Coding/RGSCoding — which select a code within one compressed
+// structure — with the raw representation (the one the engine serves), so
+// a set of lists can mix representations per list.
 type Encoding int
 
 const (

@@ -17,8 +17,9 @@ import (
 // non-matching group pairs.
 const StoredHashImages = 1
 
-// Stored is one posting list held under a serving-tier Encoding — the one
-// posting type the serving path intersects, whatever the storage policy.
+// Stored is one posting list held under one Encoding — the one posting
+// type: the engine serves EncRaw lists, the other encodings are the
+// library tier.
 // A Stored is immutable after construction (apart from the lazily attached
 // bitseg form of an EncRaw list) and safe for concurrent use.
 //

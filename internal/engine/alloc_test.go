@@ -5,15 +5,15 @@ import (
 	"sync"
 	"testing"
 
-	"fastintersect/internal/compress"
-	"fastintersect/internal/invindex"
+	"strings"
+
 	"fastintersect/internal/race"
 	"fastintersect/internal/sets"
 )
 
 // TestOrTenWay verifies the k-way union satellite at the engine level: a
 // 10-operand OR must equal the reference union of its posting lists, under
-// both storage modes and both shard shapes.
+// both shard shapes.
 func TestOrTenWay(t *testing.T) {
 	const numDocs = 5000
 	q := "m2 OR m3 OR m4 OR m5 OR m6 OR m7 OR m8 OR m9 OR m10 OR m11"
@@ -25,17 +25,15 @@ func TestOrTenWay(t *testing.T) {
 		}
 		return false
 	})
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		for _, shards := range []int{1, 4} {
-			e := buildTestEngine(t, Config{Shards: shards, Storage: st}, numDocs)
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sets.Equal(res.Docs, want) {
-				t.Fatalf("storage=%v shards=%d: 10-way OR returned %d docs, want %d",
-					st, shards, len(res.Docs), len(want))
-			}
+	for _, shards := range []int{1, 4} {
+		e := buildTestEngine(t, Config{Shards: shards}, numDocs)
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sets.Equal(res.Docs, want) {
+			t.Fatalf("shards=%d: 10-way OR returned %d docs, want %d",
+				shards, len(res.Docs), len(want))
 		}
 	}
 }
@@ -47,38 +45,36 @@ func TestOrTenWay(t *testing.T) {
 // "no base operands" — and whether the kernel returned nil or a non-nil
 // empty slice depended on pool warmth, so results flipped with traffic.)
 func TestEmptyConjunctionWithCompositeKid(t *testing.T) {
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(st.String(), func(t *testing.T) {
-			e := New(Config{Shards: 1, Storage: st})
-			b := e.NewBuilder()
-			for term, docs := range map[string][]uint32{
-				"a": {1, 3, 5}, // disjoint from b
-				"b": {2, 4, 6},
-				"c": {1, 2},
-				"d": {3, 4},
-			} {
-				if err := b.AddPosting(term, docs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Install(b); err != nil {
+	t.Run("raw", func(t *testing.T) {
+		e := New(Config{Shards: 1})
+		b := e.NewBuilder()
+		for term, docs := range map[string][]uint32{
+			"a": {1, 3, 5}, // disjoint from b
+			"b": {2, 4, 6},
+			"c": {1, 2},
+			"d": {3, 4},
+		} {
+			if err := b.AddPosting(term, docs); err != nil {
 				t.Fatal(err)
 			}
-			for q, want := range map[string][]uint32{
-				"a AND b AND (c OR d)":  nil, // empty base ∧ composite kid
-				"a AND c AND (c OR d)":  {1}, // non-empty base ∧ composite kid
-				"(a OR b) AND (c OR d)": {1, 2, 3, 4},
-			} {
-				res, err := e.Query(q)
-				if err != nil {
-					t.Fatalf("Query(%q): %v", q, err)
-				}
-				if !sets.Equal(res.Docs, want) {
-					t.Fatalf("Query(%q) = %v, want %v", q, res.Docs, want)
-				}
+		}
+		if err := e.Install(b); err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string][]uint32{
+			"a AND b AND (c OR d)":  nil, // empty base ∧ composite kid
+			"a AND c AND (c OR d)":  {1}, // non-empty base ∧ composite kid
+			"(a OR b) AND (c OR d)": {1, 2, 3, 4},
+		} {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("Query(%q): %v", q, err)
 			}
-		})
-	}
+			if !sets.Equal(res.Docs, want) {
+				t.Fatalf("Query(%q) = %v, want %v", q, res.Docs, want)
+			}
+		}
+	})
 }
 
 // TestQueryAllocs pins the engine's per-query allocation budget so pooling
@@ -95,50 +91,48 @@ func TestQueryAllocs(t *testing.T) {
 	}
 	const numDocs = 20_000
 	cases := []struct {
-		name    string
-		storage invindex.Storage
-		shards  int
-		query   string
-		count   bool // QueryCount instead of Query
-		tier    bool // two frozen segments plus a non-empty active one per shard
-		max     float64
+		name   string
+		shards int
+		query  string
+		count  bool // QueryCount instead of Query
+		tier   bool // two frozen segments plus a non-empty active one per shard
+		max    float64
 	}{
-		{"raw-and-1shard", invindex.StorageRaw, 1, "m2 AND m3", false, false, 30},
-		{"raw-mixed-1shard", invindex.StorageRaw, 1, "(m2 AND m3) OR m11 AND NOT m13", false, false, 60},
-		{"raw-and-4shard", invindex.StorageRaw, 4, "m2 AND m3", false, false, 70},
-		{"compressed-and-1shard", invindex.StorageCompressed, 1, "m2 AND m3", false, false, 30},
-		{"compressed-mixed-1shard", invindex.StorageCompressed, 1, "(m2 AND m3) OR m11 AND NOT m13", false, false, 60},
-		{"compressed-and-4shard", invindex.StorageCompressed, 4, "m2 AND m3", false, false, 70},
-		// The m2/m3/m4 lists are dense enough to store as bitseg, so this
-		// pins the word-parallel k-way kernel end to end: stored bitmaps in,
-		// zero kernel-side allocations, same budget as the scalar paths.
-		{"bitseg-kway-1shard", invindex.StorageCompressed, 1, "m2 AND m3 AND m4", false, false, 30},
+		{"raw-and-1shard", 1, "m2 AND m3", false, false, 30},
+		{"raw-mixed-1shard", 1, "(m2 AND m3) OR m11 AND NOT m13", false, false, 60},
+		{"raw-and-4shard", 4, "m2 AND m3", false, false, 70},
+		// The m2/m3/m4 lists are dense enough for the planner to pick the
+		// bitmap tier, so this pins the word-parallel k-way kernel end to
+		// end: the lists' attached bitseg forms in, zero kernel-side
+		// allocations, same budget as the scalar paths.
+		{"bitseg-kway-1shard", 1, "m2 AND m3 AND m4", false, false, 30},
 		// Count-only fast path: skips the merged-result copy entirely, so it
 		// must fit the same budget as (in the multi-shard case: a tighter
 		// budget than) the materializing query.
-		{"count-raw-and-1shard", invindex.StorageRaw, 1, "m2 AND m3", true, false, 30},
-		{"count-raw-and-4shard", invindex.StorageRaw, 4, "m2 AND m3", true, false, 60},
-		{"count-compressed-and-1shard", invindex.StorageCompressed, 1, "m2 AND m3", true, false, 30},
+		{"count-raw-and-1shard", 1, "m2 AND m3", true, false, 30},
+		{"count-raw-and-4shard", 4, "m2 AND m3", true, false, 60},
 		// The segment path: every in-memory segment runs the same evaluator
 		// over views from the context's arena. The bounds sit a few
 		// allocations above the 19 / 28 / 47 allocs/op the evaluator
 		// measured before views existed, tight enough that an arena
 		// allocating one view per operand trips every row.
-		{"raw-and-tiered-1shard", invindex.StorageRaw, 1, "m2 AND m3", false, true, 22},
-		{"raw-and-tiered-4shard", invindex.StorageRaw, 4, "m2 AND m3", false, true, 36},
-		{"raw-mixed-tiered-1shard", invindex.StorageRaw, 1, "(m2 AND m3) OR m11 AND NOT m13", false, true, 54},
-		{"compressed-and-tiered-1shard", invindex.StorageCompressed, 1, "m2 AND m3", false, true, 22},
-		{"compressed-and-tiered-4shard", invindex.StorageCompressed, 4, "m2 AND m3", false, true, 36},
+		{"raw-and-tiered-1shard", 1, "m2 AND m3", false, true, 22},
+		{"raw-and-tiered-4shard", 4, "m2 AND m3", false, true, 36},
+		{"raw-mixed-tiered-1shard", 1, "(m2 AND m3) OR m11 AND NOT m13", false, true, 54},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := buildTestEngine(t, Config{Shards: tc.shards, Storage: tc.storage}, numDocs)
+			e := buildTestEngine(t, Config{Shards: tc.shards}, numDocs)
 			if tc.tier {
 				addTier(t, e, numDocs, 50)
 			}
 			if tc.name == "bitseg-kway-1shard" {
-				if enc, ok := encodingOf(largestSeg(e, 0), "m2"); !ok || enc != compress.EncBitseg {
-					t.Fatalf("m2 encoding = %v, %v; the bitseg case needs bitseg-backed lists", enc, ok)
+				_, expl, err := e.Explain(tc.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(expl, "kernel=BitsegAnd") {
+					t.Fatalf("the bitseg case needs a BitsegAnd plan, got:\n%s", expl)
 				}
 			}
 			run := e.Query
@@ -194,76 +188,74 @@ func TestQueryCachedAllocs(t *testing.T) {
 // Run under -race in CI.
 func TestConcurrentQueryPoolingIntegrity(t *testing.T) {
 	const numDocs = 8000
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(st.String(), func(t *testing.T) {
-			e := buildTestEngine(t, Config{Shards: 4, CacheSize: 8, Storage: st}, numDocs)
-			type expectation struct {
-				q    string
-				want []uint32
+	t.Run("raw", func(t *testing.T) {
+		e := buildTestEngine(t, Config{Shards: 4, CacheSize: 8}, numDocs)
+		type expectation struct {
+			q    string
+			want []uint32
+		}
+		var exps []expectation
+		for _, tq := range testQueries {
+			if tq.pred == nil {
+				continue
 			}
-			var exps []expectation
-			for _, tq := range testQueries {
-				if tq.pred == nil {
-					continue
+			exps = append(exps, expectation{tq.q, refEval(numDocs, tq.pred)})
+		}
+		stop := make(chan struct{})
+		var rebuildWG sync.WaitGroup
+		rebuildWG.Add(1)
+		go func() {
+			defer rebuildWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				exps = append(exps, expectation{tq.q, refEval(numDocs, tq.pred)})
-			}
-			stop := make(chan struct{})
-			var rebuildWG sync.WaitGroup
-			rebuildWG.Add(1)
-			go func() {
-				defer rebuildWG.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					b := e.NewBuilder()
-					for d := uint32(0); d < numDocs; d++ {
-						terms := []string{"all"}
-						for k := uint32(2); k <= 13; k++ {
-							if d%k == 0 {
-								terms = append(terms, fmt.Sprintf("m%d", k))
-							}
-						}
-						if d%97 == 0 {
-							terms = append(terms, "rare")
-						}
-						if err := b.Add(d, terms); err != nil {
-							t.Error(err)
-							return
+				b := e.NewBuilder()
+				for d := uint32(0); d < numDocs; d++ {
+					terms := []string{"all"}
+					for k := uint32(2); k <= 13; k++ {
+						if d%k == 0 {
+							terms = append(terms, fmt.Sprintf("m%d", k))
 						}
 					}
-					if err := e.Install(b); err != nil {
+					if d%97 == 0 {
+						terms = append(terms, "rare")
+					}
+					if err := b.Add(d, terms); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-			}()
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 200; i++ {
-						exp := exps[(g+i)%len(exps)]
-						res, err := e.Query(exp.q)
-						if err != nil {
-							t.Errorf("Query(%q): %v", exp.q, err)
-							return
-						}
-						if !sets.Equal(res.Docs, exp.want) {
-							t.Errorf("goroutine %d iter %d: Query(%q) returned %d docs, want %d — pooled buffer corruption?",
-								g, i, exp.q, len(res.Docs), len(exp.want))
-							return
-						}
-					}
-				}(g)
+				if err := e.Install(b); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			wg.Wait()
-			close(stop)
-			rebuildWG.Wait()
-		})
-	}
+		}()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					exp := exps[(g+i)%len(exps)]
+					res, err := e.Query(exp.q)
+					if err != nil {
+						t.Errorf("Query(%q): %v", exp.q, err)
+						return
+					}
+					if !sets.Equal(res.Docs, exp.want) {
+						t.Errorf("goroutine %d iter %d: Query(%q) returned %d docs, want %d — pooled buffer corruption?",
+							g, i, exp.q, len(res.Docs), len(exp.want))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		rebuildWG.Wait()
+	})
 }

@@ -22,9 +22,7 @@ type BatchResult struct {
 //     and executed once (they share one *Result);
 //   - all cache misses of the batch are planned against one statistics
 //     snapshot and evaluated per shard by ONE pooled execution context, so
-//     the decoded-term memo of compressed storage is shared across the
-//     whole batch — a compressed term appearing in ten queries is decoded
-//     once per shard, not ten times;
+//     its buffers and frames are shared across the whole batch;
 //   - each shard is visited once for the whole batch instead of once per
 //     query, halving fan-out scheduling overhead for small queries.
 //
@@ -140,7 +138,7 @@ type batchPending struct {
 
 // runBatch plans every pending canonical form once and evaluates all plans
 // shard by shard: one execution context per shard runs the whole batch, so
-// its decoded-term memo and buffers are shared across queries.
+// its buffers are shared across queries.
 func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, countOnly bool) {
 	var stats *planStats
 	for _, u := range pending {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/workload"
 )
 
@@ -38,10 +37,6 @@ func benchWorkload(tb testing.TB) (*workload.Real, []string) {
 	return benchState.real, benchState.queries
 }
 
-func buildBenchEngine(tb testing.TB, st invindex.Storage, cacheSize int) *Engine {
-	return buildBenchEngineCfg(tb, Config{Shards: 2, CacheSize: cacheSize, Storage: st})
-}
-
 // buildBenchEngineCfg builds the shared bench corpus into an engine with an
 // arbitrary configuration (the overhead guard compares instrumented vs.
 // NoMetrics on otherwise identical engines).
@@ -66,17 +61,13 @@ func buildBenchEngineCfg(tb testing.TB, cfg Config) *Engine {
 // allocs/op here are the numbers the ExecContext pooling is accountable
 // for; TestQueryAllocs pins them as a regression bound.
 func BenchmarkQueryMixed(b *testing.B) {
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		b.Run(st.String(), func(b *testing.B) {
-			e := buildBenchEngine(b, st, 0)
-			_, queries := benchWorkload(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Query(queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := buildBenchEngineCfg(b, Config{Shards: 2})
+	_, queries := benchWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

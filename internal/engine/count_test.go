@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"fastintersect/internal/compress"
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
 
@@ -15,54 +13,52 @@ import (
 // by a prior materializing query) without re-executing.
 func TestQueryCountSemantics(t *testing.T) {
 	const numDocs = 10_000
-	for _, storage := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", storage, shards), func(t *testing.T) {
-				e := buildTestEngine(t, Config{Shards: shards, Storage: storage, CacheSize: 32}, numDocs)
-				for _, tq := range testQueries {
-					if tq.pred == nil {
-						if _, err := e.QueryCount(tq.q); err == nil {
-							t.Fatalf("QueryCount(%q) accepted, want error", tq.q)
-						}
-						continue
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("raw/shards=%d", shards), func(t *testing.T) {
+			e := buildTestEngine(t, Config{Shards: shards, CacheSize: 32}, numDocs)
+			for _, tq := range testQueries {
+				if tq.pred == nil {
+					if _, err := e.QueryCount(tq.q); err == nil {
+						t.Fatalf("QueryCount(%q) accepted, want error", tq.q)
 					}
-					want := refEval(numDocs, tq.pred)
-					// Cold count: executes without materializing.
-					c1, err := e.QueryCount(tq.q)
-					if err != nil {
-						t.Fatalf("QueryCount(%q): %v", tq.q, err)
-					}
-					if c1.Docs != nil {
-						t.Fatalf("QueryCount(%q) materialized %d docs", tq.q, len(c1.Docs))
-					}
-					if c1.Count != len(want) {
-						t.Fatalf("QueryCount(%q) = %d, want %d", tq.q, c1.Count, len(want))
-					}
-					// (No Cached assertion here: queries that normalize to an
-					// earlier canonical form legitimately hit the cache.)
-					// Materializing query agrees and fills the result cache.
-					r, err := e.Query(tq.q)
-					if err != nil {
-						t.Fatalf("Query(%q): %v", tq.q, err)
-					}
-					if !sets.Equal(r.Docs, want) || r.Count != len(want) {
-						t.Fatalf("Query(%q) = %d docs (Count=%d), want %d", tq.q, len(r.Docs), r.Count, len(want))
-					}
-					// Warm count: served from the materialized cache entry.
-					c2, err := e.QueryCount(tq.q)
-					if err != nil {
-						t.Fatalf("warm QueryCount(%q): %v", tq.q, err)
-					}
-					if !c2.Cached {
-						t.Fatalf("QueryCount(%q) missed the cache right after Query populated it", tq.q)
-					}
-					if c2.Count != len(want) || c2.Docs != nil {
-						t.Fatalf("cached QueryCount(%q) = %d docs, Count=%d, want Count=%d and nil docs",
-							tq.q, len(c2.Docs), c2.Count, len(want))
-					}
+					continue
 				}
-			})
-		}
+				want := refEval(numDocs, tq.pred)
+				// Cold count: executes without materializing.
+				c1, err := e.QueryCount(tq.q)
+				if err != nil {
+					t.Fatalf("QueryCount(%q): %v", tq.q, err)
+				}
+				if c1.Docs != nil {
+					t.Fatalf("QueryCount(%q) materialized %d docs", tq.q, len(c1.Docs))
+				}
+				if c1.Count != len(want) {
+					t.Fatalf("QueryCount(%q) = %d, want %d", tq.q, c1.Count, len(want))
+				}
+				// (No Cached assertion here: queries that normalize to an
+				// earlier canonical form legitimately hit the cache.)
+				// Materializing query agrees and fills the result cache.
+				r, err := e.Query(tq.q)
+				if err != nil {
+					t.Fatalf("Query(%q): %v", tq.q, err)
+				}
+				if !sets.Equal(r.Docs, want) || r.Count != len(want) {
+					t.Fatalf("Query(%q) = %d docs (Count=%d), want %d", tq.q, len(r.Docs), r.Count, len(want))
+				}
+				// Warm count: served from the materialized cache entry.
+				c2, err := e.QueryCount(tq.q)
+				if err != nil {
+					t.Fatalf("warm QueryCount(%q): %v", tq.q, err)
+				}
+				if !c2.Cached {
+					t.Fatalf("QueryCount(%q) missed the cache right after Query populated it", tq.q)
+				}
+				if c2.Count != len(want) || c2.Docs != nil {
+					t.Fatalf("cached QueryCount(%q) = %d docs, Count=%d, want Count=%d and nil docs",
+						tq.q, len(c2.Docs), c2.Count, len(want))
+				}
+			}
+		})
 	}
 }
 
@@ -71,7 +67,7 @@ func TestQueryCountSemantics(t *testing.T) {
 // their per-entry error, and duplicate queries coalesce onto one result.
 func TestQueryBatchCount(t *testing.T) {
 	const numDocs = 8000
-	e := buildTestEngine(t, Config{Shards: 2, Storage: invindex.StorageCompressed, CacheSize: 8}, numDocs)
+	e := buildTestEngine(t, Config{Shards: 2, CacheSize: 8}, numDocs)
 	var qs []string
 	for _, tq := range testQueries {
 		qs = append(qs, tq.q)
@@ -116,47 +112,14 @@ func TestQueryBatchCount(t *testing.T) {
 	}
 }
 
-// TestPutExecCtxResetsMemoToScanMode is the regression test for the pooled
-// context's decoded-term memo: after one wide evaluation pushes the memo
-// past memoScanLimit (growing the map index), putExecCtx must reclaim the
-// decode buffers and drop the map entirely — resetting the context to
-// linear-scan mode instead of retaining (and re-clearing) a
-// thousands-of-buckets map for its pooled lifetime.
-func TestPutExecCtxResetsMemoToScanMode(t *testing.T) {
-	c := getExecCtx()
-	// Simulate a post-batch context: memo past the scan limit, map built.
-	n := memoScanLimit + 1
-	c.memoM = make(map[*compress.Stored][]uint32, 2*memoScanLimit)
-	for i := 0; i < n; i++ {
-		k := new(compress.Stored)
-		v := make([]uint32, 4, 8)
-		c.memoK = append(c.memoK, k)
-		c.memoV = append(c.memoV, v)
-		c.memoM[k] = v
-	}
-	free := len(c.free)
-	putExecCtx(c)
-	// The test still holds the only other reference; nothing else draws from
-	// the pool between Put and these reads.
-	if c.memoM != nil {
-		t.Fatalf("putExecCtx retained the memo map (%d entries); context must reset to scan mode", len(c.memoM))
-	}
-	if len(c.memoK) != 0 || len(c.memoV) != 0 {
-		t.Fatalf("memo keys/values not reset: %d/%d", len(c.memoK), len(c.memoV))
-	}
-	if got := len(c.free); got != free+n {
-		t.Fatalf("decode buffers not reclaimed: free list %d, want %d", got, free+n)
-	}
-}
-
-// TestBatchMemoMapRebuild drives the real crossing twice through the query
-// path: a batch over >memoScanLimit distinct compressed terms builds the
-// map index, putExecCtx resets it, and a second identical batch must
-// rebuild it from scratch with correct results.
+// TestBatchMemoMapRebuild runs one wide batch — 72 distinct terms, each
+// conjoined with "all" — twice through the query path: one pooled
+// execution context serves each whole batch and is recycled in between,
+// and the second round must answer exactly like the first.
 func TestBatchMemoMapRebuild(t *testing.T) {
-	const terms = 2*memoScanLimit + 8
+	const terms = 72
 	const numDocs = 2000
-	e := New(Config{Shards: 1, Storage: invindex.StorageCompressed})
+	e := New(Config{Shards: 1})
 	b := e.NewBuilder()
 	for d := uint32(0); d < numDocs; d++ {
 		var ts []string
@@ -175,8 +138,7 @@ func TestBatchMemoMapRebuild(t *testing.T) {
 	}
 	var qs []string
 	for k := 0; k < terms; k++ {
-		// Each query touches "all" plus one distinct term: the batch's shared
-		// context decodes every distinct term once, crossing memoScanLimit.
+		// Each query touches "all" plus one distinct term.
 		qs = append(qs, fmt.Sprintf("all AND t%d", k))
 	}
 	for round := 0; round < 2; round++ {

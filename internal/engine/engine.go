@@ -16,7 +16,7 @@
 // Background compaction (see mutable.go) is incremental: the active segment
 // freezes into the tier by a map move, a size-tiered merge coalesces only
 // the smallest segments, and a full compaction — a merge of every segment
-// encoded by the parallel build Install runs — happens only on demand
+// through the parallel build Install runs — happens only on demand
 // (Compact) or when the largest segment's tombstones accumulate.
 //
 // A query is parsed and normalized by internal/plan (the canonical form is
@@ -28,16 +28,14 @@
 // results are merged. Cache entries are stamped with the engine's index
 // generation — every mutation and rebuild bumps it — so a cached result
 // can never resurrect a deleted document. Explain returns the executed
-// plan; QueryBatch amortizes planning and decode memos across many
+// plan; QueryBatch amortizes planning and shard fan-out across many
 // queries.
 //
-// Config.Storage is the encoding policy of the segments Install, Compact and
-// LoadSnapshot build: invindex.StorageRaw stores every list as EncRaw
-// (fastest), invindex.StorageCompressed lets compress.ChooseEncoding pick
-// per list from its density (smaller heap, slower intersections). Freezes
-// and size-tiered merges keep lists EncRaw. Both policies run the same
-// evaluator; Stats reports the exact per-encoding bytes-per-posting
-// footprint.
+// Every posting list is stored raw: an exact-size sorted []uint32 behind an
+// EncRaw compress.Stored header, whichever path built it (Install, a
+// freeze, a merge, a snapshot load). Stats reports the exact posting
+// footprint. internal/compress keeps the paper's compressed encodings as a
+// library tier; the engine does not serve them.
 package engine
 
 import (
@@ -66,12 +64,6 @@ type Config struct {
 	Workers int
 	// CacheSize is the result-cache capacity in entries (0 disables it).
 	CacheSize int
-	// Storage is the encoding policy of the segments Install, Compact and
-	// LoadSnapshot build (default StorageRaw: every list EncRaw).
-	// StorageCompressed stores each of their lists under the encoding
-	// compress.ChooseEncoding picks from its length and density; Stats
-	// reports the per-encoding footprint.
-	Storage invindex.Storage
 	// CompactThreshold triggers a background compaction of a shard once its
 	// active segment holds that many postings: the active segment freezes,
 	// and a size-tiered merge follows when the tier exceeds MaxSegments. It
@@ -140,14 +132,13 @@ type Engine struct {
 	// they change the representation, not the visible document set.
 	gen atomic.Uint64
 
-	// statsEpoch tracks representation changes: bumped by every Install,
-	// LoadSnapshot and full compaction, the events that can re-encode
-	// posting lists and so change the statistics a physical plan was priced
-	// against (freezes and size-tiered merges only move EncRaw lists). The
-	// plan cache stamps entries with it (see plancache.go); document
-	// mutations deliberately leave it alone — they bump gen, and a slightly
-	// stale plan is correctness-safe because shards re-price kernels on
-	// actual sizes at execution.
+	// statsEpoch tracks wholesale index replacement: bumped by every Install
+	// and LoadSnapshot, the events that swap in a new corpus and so change
+	// the statistics a physical plan was priced against wholesale. The plan
+	// cache stamps entries with it (see plancache.go); compactions and
+	// document mutations deliberately leave it alone — they only move or
+	// add postings, and a slightly stale plan is correctness-safe because
+	// shards re-price kernels on actual sizes at execution.
 	statsEpoch atomic.Uint64
 
 	// met is the observability surface: operation counters, latency and
@@ -218,16 +209,14 @@ func shardOf(docID uint32, shards int) int {
 // Builder accumulates documents for one build. It is not safe for
 // concurrent use; Build (via Engine.Install) parallelizes internally.
 type Builder struct {
-	cfg    Config
 	shards []*invindex.Index
 }
 
-// NewBuilder returns an empty builder with the engine's sharding and
-// storage configuration.
+// NewBuilder returns an empty builder with the engine's sharding.
 func (e *Engine) NewBuilder() *Builder {
-	b := &Builder{cfg: e.cfg, shards: make([]*invindex.Index, e.cfg.Shards)}
+	b := &Builder{shards: make([]*invindex.Index, e.cfg.Shards)}
 	for i := range b.shards {
-		b.shards[i] = invindex.NewWithStorage(e.cfg.Storage)
+		b.shards[i] = invindex.New()
 	}
 	return b
 }
@@ -274,10 +263,6 @@ func (e *Engine) Install(b *Builder) error {
 		return fmt.Errorf("engine: cannot install a %d-shard builder into a %d-shard engine (builders are engine-specific; use NewBuilder on this engine)",
 			len(b.shards), e.cfg.Shards)
 	}
-	if b.cfg.Storage != e.cfg.Storage {
-		return fmt.Errorf("engine: cannot install a %v-storage builder into a %v-storage engine",
-			b.cfg.Storage, e.cfg.Storage)
-	}
 	errs := make([]error, len(b.shards))
 	var wg sync.WaitGroup
 	for i, ix := range b.shards {
@@ -315,7 +300,7 @@ func (e *Engine) Install(b *Builder) error {
 	e.shards = shards
 	e.mu.Unlock()
 	e.gen.Add(1)
-	e.statsEpoch.Add(1) // new segments may store terms under new encodings
+	e.statsEpoch.Add(1) // a new corpus: every memoized plan is stale
 	e.met.rebuilds.Inc()
 	return nil
 }
@@ -372,8 +357,8 @@ func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
 }
 
 // Explain is Query plus the executed physical plan rendered as an operator
-// tree (kernel per conjunction, operand order, storage shapes, cardinality
-// and cost estimates). The plan is rebuilt even on a cache hit, so the
+// tree (kernel per conjunction, operand order, cardinality and cost
+// estimates). The plan is rebuilt even on a cache hit, so the
 // rendering always reflects current index statistics.
 func (e *Engine) Explain(q string) (*Result, string, error) {
 	return e.execute(context.Background(), q, modeExplain)
@@ -545,12 +530,13 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 		return nil, "", ErrNotBuilt
 	}
 	// The stats epoch is loaded BEFORE the statistics are read: if an
-	// Install or full compaction swaps segments in between, the plan built
-	// below is stamped with the superseded epoch and rebuilt on its next lookup
-	// instead of lingering with stale shapes. The feedback epoch is folded
-	// in the same way: both counters only ever increase, so their sum
-	// strictly increases whenever either bumps, and a published correction
-	// snapshot re-prices every cached plan without plancache changes.
+	// Install or snapshot load swaps shards in between, the plan built below
+	// is stamped with the superseded epoch and rebuilt on its next lookup
+	// instead of lingering with the old corpus's estimates. The feedback
+	// epoch is folded in the same way: both counters only ever increase, so
+	// their sum strictly increases whenever either bumps, and a published
+	// correction snapshot re-prices every cached plan without plancache
+	// changes.
 	epoch := e.statsEpoch.Load()
 	if e.fb != nil {
 		epoch += e.fb.Epoch()
@@ -815,7 +801,8 @@ type EncodingStat struct {
 // shard's largest segment (the installed or fully compacted one in steady
 // state, which holds nearly every posting): how many bytes its lists
 // actually hold versus the 4-byte-per-posting raw footprint, broken down
-// per encoding. The rest of the tier is accounted in DeltaStats.
+// per encoding (every list is raw, so Encodings holds one "Raw" entry). The
+// rest of the tier is accounted in DeltaStats.
 type PostingStats struct {
 	Total           uint64                  `json:"total"`
 	RawBytes        uint64                  `json:"raw_bytes"`
@@ -854,7 +841,6 @@ func (e *Engine) Generation() uint64 { return e.gen.Load() }
 // Stats is a point-in-time snapshot of the engine.
 type Stats struct {
 	Shards      int          `json:"shards"`
-	Storage     string       `json:"storage"`
 	Docs        uint64       `json:"docs"`
 	Terms       int          `json:"terms"`
 	ShardTerms  []int        `json:"shard_terms,omitempty"`
@@ -875,9 +861,9 @@ type Stats struct {
 	// segment included; a shard holding no document has none).
 	ShardSegments []int  `json:"shard_segments,omitempty"`
 	Generation    uint64 `json:"generation"`
-	// StatsEpoch counts representation changes (installs, snapshot loads
-	// and full compactions); PlanCacheEntries is the number of physical plans memoized
-	// against the current epoch's statistics.
+	// StatsEpoch counts index replacements (installs and snapshot loads);
+	// PlanCacheEntries is the number of physical plans memoized against the
+	// current epoch's statistics.
 	StatsEpoch       uint64     `json:"stats_epoch"`
 	PlanCacheEntries int        `json:"plan_cache_entries"`
 	Delta            DeltaStats `json:"delta"`
@@ -913,7 +899,6 @@ func (e *Engine) Stats() Stats {
 	shards := e.snapshot()
 	st := Stats{
 		Shards:          e.cfg.Shards,
-		Storage:         e.cfg.Storage.String(),
 		Postings:        PostingStats{Encodings: map[string]EncodingStat{}},
 		Queries:         e.met.queries.Value(),
 		QueryErrors:     e.met.queryErrors.Value(),

@@ -15,16 +15,14 @@ import (
 // file is the one interpreter that runs a plan.Plan inside a pooled
 // execCtx, over frozen and active segments alike.
 //
-// Every operand is a *compress.Stored: a frozen segment hands out its
-// stored lists (EncRaw under StorageRaw and for freezes and size-tiered
-// merges, any encoding a full compaction chose under StorageCompressed),
-// and the active segment's sorted lists — like the intermediate results a
-// conjunction intersects with its composite kids — are wrapped as EncRaw
-// views drawn from the context's arena. Kernel selection is delegated to
-// the plan package: the plan fixes the operand order (built once per query
-// from engine-aggregate statistics), and each segment re-prices the kernel
-// on its actual operand sizes and encodings through plan.ChooseStored. No
-// execution path picks a kernel inline.
+// Every operand is an EncRaw *compress.Stored: a frozen segment hands out
+// its stored lists, and the active segment's sorted lists — like the
+// intermediate results a conjunction intersects with its composite kids —
+// are wrapped as views drawn from the context's arena. Kernel selection is
+// delegated to the plan package: the plan fixes the operand order (built
+// once per query from engine-aggregate statistics), and each segment
+// re-prices the kernel on its actual operand sizes and spans through
+// plan.ChooseStored. No execution path picks a kernel inline.
 
 // source is the segment a plan is evaluated against: one frozen segment or
 // the shard's active segment. Exactly one field is set.
@@ -48,8 +46,8 @@ func (c *execCtx) operand(src source, term string) *compress.Stored {
 
 // evalOp evaluates physical operator i of p against one segment, returning
 // sorted docIDs. All transient memory comes from c; the returned slice
-// either aliases segment memory or the context's memo (owned = false;
-// read-only) or is backed by a context buffer (owned = true; the caller
+// either aliases segment memory (owned = false; read-only) or is backed by
+// a context buffer (owned = true; the caller
 // recycles it with c.putBuf once consumed). Either way it is only valid
 // until the context is released.
 //
@@ -59,7 +57,7 @@ func (c *execCtx) operand(src source, term string) *compress.Stored {
 // time. Untraced queries take the first branch — a nil check per operator.
 //
 // Each evaluation also polls the request context (pollCancel): operators
-// are the engine's unit of work between kernel/decode runs, so a deadline
+// are the engine's unit of work between kernel runs, so a deadline
 // that expires mid-shard aborts before the next kernel starts rather than
 // after the whole shard finishes.
 func (e *Engine) evalOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uint32, bool, error) {
@@ -86,7 +84,7 @@ func (e *Engine) evalOpInner(c *execCtx, src source, p *plan.Plan, i int32) (doc
 		if s == nil {
 			return nil, false, nil
 		}
-		return c.sortedList(s), false, nil
+		return s.Decode(), false, nil
 
 	case plan.OpOr:
 		f := c.frame()
@@ -123,7 +121,7 @@ func recTerm(c *execCtx, ti int32, n int) {
 }
 
 // intersect runs the kernel plan.ChooseStored picks for ops on their actual
-// lengths and encodings, into a fresh context buffer. ops[0] is the probe
+// lengths and spans, into a fresh context buffer. ops[0] is the probe
 // side. A traced conjunction (rec non-nil) records the kernel that ran and
 // the price it was chosen at.
 func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []*compress.Stored) []uint32 {
@@ -146,8 +144,8 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 	op := &p.Ops[i]
 	f := c.frame()
 	for _, ti := range p.TermOps(op) {
-		// A wide conjunction fetches (and under compressed storage decodes)
-		// many operands inside one operator — poll between them too.
+		// A wide conjunction fetches many operands inside one operator —
+		// poll between them too.
 		if err := c.pollCancel(); err != nil {
 			c.releaseFrame(f)
 			return nil, false, err
@@ -174,7 +172,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 		curOwned = true
 		haveBase = true
 	case len(f.stored) == 1:
-		cur = c.sortedList(f.stored[0])
+		cur = f.stored[0].Decode()
 		haveBase = true
 	}
 	if haveBase && len(cur) == 0 {

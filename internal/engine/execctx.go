@@ -10,31 +10,27 @@ import (
 
 // execCtx is the engine's per-shard-evaluation execution context: it owns
 // every piece of transient memory evalShard needs — a free list of result
-// buffers, the decoded-term memo for compressed lists, the arena of EncRaw
-// views over segment lists and intermediate results, and a free list of
-// evaluation frames. One context serves one evalShard call at a time;
-// Query draws one per shard from the package pool so concurrent shard
-// evaluations never share scratch.
+// buffers, the arena of EncRaw views over segment lists and intermediate
+// results, and a free list of evaluation frames. One context serves one
+// evalShard call at a time; Query draws one per shard from the package
+// pool so concurrent shard evaluations never share scratch.
 //
 // Ownership rules (the "memory discipline" ARCHITECTURE.md documents):
 //
 //   - evalShard returns (docs, owned): owned=true means docs is backed by a
 //     buffer of this context, which the caller recycles with putBuf once
 //     the docs are consumed; owned=false means docs aliases index memory
-//     (a raw posting list) or the context's decode memo and must be treated
-//     as read-only — it is never recycled directly.
+//     (a posting list) and must be treated as read-only — it is never
+//     recycled directly.
 //   - Every buffer handed out by getBuf returns to the free list exactly
-//     once: through putBuf when its consumer is done, through releaseFrame
-//     for results parked in a frame, or through putExecCtx for memo
-//     entries. Buffers never escape the context: Query copies the final
+//     once: through putBuf when its consumer is done, or through
+//     releaseFrame for results parked in a frame. Buffers never escape the
+//     context: Query copies the final
 //     docs into a fresh slice before caching or returning them.
 type execCtx struct {
-	free  [][]uint32
-	memoK []*compress.Stored
-	memoV [][]uint32
-	memoM map[*compress.Stored][]uint32 // index over memoK once it outgrows linear scans
-	pool  []*evalFrame
-	ops   []plan.Operand // scratch for per-segment kernel pricing
+	free [][]uint32
+	pool []*evalFrame
+	ops  []plan.Operand // scratch for per-segment kernel pricing
 
 	// views is the view arena: views[:nviews] wrap lists of the segment
 	// being evaluated (see view), and resetViews recycles them all once its
@@ -104,24 +100,9 @@ var execCtxPool = sync.Pool{New: func() any { return new(execCtx) }}
 
 func getExecCtx() *execCtx { return execCtxPool.Get().(*execCtx) }
 
-// putExecCtx reclaims the memo buffers, drops every reference into index
-// memory (so a pooled context never pins a swapped-out shard set), and
-// returns the context to the pool.
+// putExecCtx drops every reference into index memory (so a pooled context
+// never pins a swapped-out shard set) and returns the context to the pool.
 func putExecCtx(c *execCtx) {
-	for _, b := range c.memoV {
-		c.free = append(c.free, b)
-	}
-	clear(c.memoK)
-	clear(c.memoV)
-	// Drop the map index outright rather than clear it: one wide batch can
-	// grow it to thousands of buckets, and a cleared-but-retained map would
-	// (a) pin that memory for the lifetime of the pooled context and
-	// (b) make every future put pay an O(buckets) clear walk — so the
-	// context resets to the allocation-free linear-scan mode and rebuilds
-	// the index only if another wide evaluation crosses memoScanLimit.
-	c.memoM = nil
-	c.memoK = c.memoK[:0]
-	c.memoV = c.memoV[:0]
 	c.resetViews()
 	c.ctx = nil
 	c.polls = 0
@@ -154,61 +135,9 @@ func (c *execCtx) putBuf(b []uint32) {
 	}
 }
 
-// memoScanLimit is where the memo trades its allocation-free linear scan
-// for a map index: single-query evaluations stay under it, but a context
-// serving a whole QueryBatch can accumulate thousands of decoded terms,
-// and scanning those per lookup would be quadratic in the batch's
-// distinct-term count.
-const memoScanLimit = 32
-
-// decodeStored returns the decoded posting list of s, decoding at most once
-// per context lifetime (one shard evaluation — or, in a batch, one shard's
-// whole batch): a compressed term referenced twice pays a single decode.
-// The returned slice is owned by the memo — valid until putExecCtx, never
-// recycled by callers.
-func (c *execCtx) decodeStored(s *compress.Stored) []uint32 {
-	if len(c.memoK) > memoScanLimit {
-		if b, ok := c.memoM[s]; ok {
-			return b
-		}
-	} else {
-		for i, k := range c.memoK {
-			if k == s {
-				return c.memoV[i]
-			}
-		}
-	}
-	b := s.DecodeInto(c.getBuf())
-	c.memoK = append(c.memoK, s)
-	c.memoV = append(c.memoV, b)
-	if len(c.memoK) == memoScanLimit+1 {
-		// Crossing the threshold: index everything accumulated so far.
-		if c.memoM == nil {
-			c.memoM = make(map[*compress.Stored][]uint32, 2*memoScanLimit)
-		}
-		for i, k := range c.memoK {
-			c.memoM[k] = c.memoV[i]
-		}
-	} else if len(c.memoK) > memoScanLimit {
-		c.memoM[s] = b
-	}
-	return b
-}
-
-// sortedList returns s as a sorted list: an EncRaw list (or view) aliases
-// its payload, a compressed one decodes through the memo. Read-only either
-// way.
-func (c *execCtx) sortedList(s *compress.Stored) []uint32 {
-	if s.Encoding() == compress.EncRaw {
-		return s.Decode()
-	}
-	return c.decodeStored(s)
-}
-
 // view wraps a sorted list as an EncRaw operand from the arena — the form
 // in which in-memory segment lists and intermediate results reach the
-// kernel chooser. Valid until resetViews; never a memo key (views are
-// EncRaw, which aliases instead of decoding).
+// kernel chooser. Valid until resetViews.
 func (c *execCtx) view(l []uint32) *compress.Stored {
 	if c.nviews == len(c.views) {
 		c.views = append(c.views, new(compress.Stored))

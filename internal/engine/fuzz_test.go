@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"testing"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
@@ -77,7 +76,7 @@ func decodeRefShard(payload []byte) (ref refShard, ok bool) {
 
 // FuzzLoadSnapshot feeds arbitrary shard payloads — the bytes after the
 // header — to the snapshot loader, framed with a valid header and CRC so
-// they reach the decoder, under both storage policies. Every input must
+// they reach the decoder, under both valid storage bytes. Every input must
 // either fail to load or load into a shard that answers each single-term
 // query exactly as the reference reading of its sections does, with
 // Stats.Docs equal to the number of distinct visible documents. The loader
@@ -97,31 +96,27 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(sectionPayload(f, map[string][]uint32{"a": {1, 2, 1 << 31}, "": {7}}, []map[string][]uint32{{"a": {5}}}, nil))
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0x80, 0x80, 0x04, 0, 0})
-	engines := map[invindex.Storage]*Engine{}
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		engines[st] = New(Config{Shards: 1, Workers: 1, Storage: st})
-	}
+	e := New(Config{Shards: 1, Workers: 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ref, refOK := decodeRefShard(payload)
-		for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-			e := engines[st]
+		for st := range byte(len(snapStorages)) {
 			data := shardFileBytes(st, payload)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			s, err := e.decodeShard(data)
 			runtime.ReadMemStats(&after)
 			if grew, budget := after.TotalAlloc-before.TotalAlloc, shardAllocBudget(len(payload)); grew > budget {
-				t.Fatalf("%v: decoding %d bytes allocated %d bytes (budget %d)", st, len(payload), grew, budget)
+				t.Fatalf("storage byte %d: decoding %d bytes allocated %d bytes (budget %d)", st, len(payload), grew, budget)
 			}
 			if err != nil {
 				continue
 			}
 			if !refOK {
-				t.Fatalf("%v: loader accepted a payload the reference cannot parse", st)
+				t.Fatalf("storage byte %d: loader accepted a payload the reference cannot parse", st)
 			}
 			e.shards = []*shard{s}
 			if got := e.Stats().Docs; got != uint64(len(ref.visible)) {
-				t.Fatalf("%v: Stats.Docs = %d, want %d distinct visible documents", st, got, len(ref.visible))
+				t.Fatalf("storage byte %d: Stats.Docs = %d, want %d distinct visible documents", st, got, len(ref.visible))
 			}
 			var ps planStats
 			ps.fill(e.shards)
@@ -129,10 +124,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 				pp := plan.Build(new(plan.Plan), plan.Term(term), term, &ps, e.planCosts(), e.cfg.PlanPolicy)
 				got, _, err := e.executePlan(context.Background(), e.shards, pp, nil, nil, false)
 				if err != nil {
-					t.Fatalf("%v: term %q: %v", st, term, err)
+					t.Fatalf("storage byte %d: term %q: %v", st, term, err)
 				}
 				if !sets.Equal(got, want) {
-					t.Fatalf("%v: term %q = %v, want %v", st, term, head(got), head(want))
+					t.Fatalf("storage byte %d: term %q = %v, want %v", st, term, head(got), head(want))
 				}
 			}
 		}

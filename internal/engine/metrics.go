@@ -100,7 +100,7 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 		func() float64 { return float64(e.cache.stats().Entries) })
 	r.GaugeFunc("fsi_index_generation", "Index generation (bumped by every install and effective mutation).",
 		func() float64 { return float64(e.gen.Load()) })
-	r.GaugeFunc("fsi_stats_epoch", "Statistics epoch (bumped by installs and compaction swaps; invalidates the plan cache).",
+	r.GaugeFunc("fsi_stats_epoch", "Statistics epoch (bumped by installs and snapshot loads; invalidates the plan cache).",
 		func() float64 { return float64(e.statsEpoch.Load()) })
 	r.GaugeFunc("fsi_plan_cache_entries", "Plan-cache resident entries.",
 		func() float64 { return float64(e.plans.entries()) })

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
@@ -49,17 +48,18 @@ import (
 //   - When more than Config.MaxSegments segments sit beside the largest one
 //     (the installed or fully compacted segment in steady state), a
 //     size-tiered merge coalesces only the smallest, off-lock, against
-//     tombstone snapshots, into an EncRaw segment; tombstones added
-//     mid-merge are re-applied at swap time. Write amplification is bounded
-//     by merge fan-in instead of corpus size.
+//     tombstone snapshots; tombstones added mid-merge are re-applied at swap
+//     time. Write amplification is bounded by merge fan-in instead of
+//     corpus size.
 //   - A full compaction (Compact, or the background escalation once the
 //     largest segment's tombstones reach rebuildTombFactor ×
-//     CompactThreshold) merges every segment into one encoded under
-//     Config.Storage by the same invindex.BuildParallel Install runs. Only
-//     it (and Install and LoadSnapshot) bumps the stats epoch.
+//     CompactThreshold) merges every segment into one, with the build
+//     parallelism Install runs.
 //
-// The visible document set is unchanged by freezes and merges, which is why
-// none of them bump the cache generation.
+// Merges build their output with invindex.BuildParallel, the same builder
+// Install runs. The visible document set is unchanged by freezes and
+// merges, which is why none of them bump the cache generation; they only
+// move postings between raw segments, so none bumps the stats epoch either.
 type shard struct {
 	mu     sync.RWMutex
 	segs   []*segment.Frozen
@@ -272,13 +272,13 @@ func (e *Engine) wantsCompactLocked(s *shard) bool {
 }
 
 // Compact synchronously merges every shard's whole tier (frozen segments,
-// the active segment, tombstones) into one segment encoded under the
-// storage policy — the same parallel build Install runs — and swaps it in
-// per shard. Queries keep running throughout and the visible document set
-// is unchanged, so the result cache stays valid. Shards already being
-// compacted in the background, and shards already compact (at most one
-// segment, no tombstones, an empty active segment), are skipped. Returns
-// ErrNotBuilt before the first Install.
+// the active segment, tombstones) into one segment — the same parallel
+// build Install runs — and swaps it in per shard. Queries keep running
+// throughout and the visible document set is unchanged, so the result
+// cache stays valid. Shards already being compacted in the background, and
+// shards already compact (at most one segment, no tombstones, an empty
+// active segment), are skipped. Returns ErrNotBuilt before the first
+// Install.
 func (e *Engine) Compact() error {
 	shards := e.snapshot()
 	if shards == nil {
@@ -454,20 +454,17 @@ func (s *shard) pickMergeLocked(maxSegs int) ([]*segment.Frozen, [][]uint32) {
 // re-applying tombstones recorded after the snapshots and releasing the
 // compaction claim. Inputs keep serving queries until the swap; their lists
 // are immutable, so the off-lock merge reads them safely against the
-// tombstone snapshots. A size-tiered merge (full = false) writes an EncRaw
-// segment; a full compaction (every segment, the active one frozen first)
-// writes one encoded under the storage policy and, since that can re-encode
-// any list of the shard (a dense segment folding into the largest may flip
-// a term from Gamma to Bitseg, say), bumps the stats epoch so plans priced
-// against the old shapes are rebuilt (see plancache.go). On a merge error
-// the tier is untouched, so no mutation is lost and a later compaction
-// retries.
+// tombstone snapshots. A full compaction (full = true: every segment, the
+// active one frozen first) builds with the per-shard build parallelism, a
+// size-tiered merge with one worker; neither bumps the stats epoch. On a
+// merge error the tier is untouched, so no mutation is lost and a later
+// compaction retries.
 func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uint32, full bool) error {
-	st, workers := invindex.StorageRaw, 1
+	workers := 1
 	if full {
-		st, workers = e.cfg.Storage, e.shardWorkers()
+		workers = e.shardWorkers()
 	}
-	merged, err := segment.Merge(inputs, snaps, st, workers)
+	merged, err := segment.Merge(inputs, snaps, workers)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -500,11 +497,8 @@ func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uin
 	s.appendSeg(merged)
 	e.met.compactionBytes.Add(4 * uint64(merged.NumPostings()))
 	if full {
-		e.statsEpoch.Add(1)
 		e.met.compactions.Inc()
 	} else {
-		// No stats-epoch bump: a tiered merge only moves postings between
-		// EncRaw segments, so every memoized plan stays correctly priced.
 		e.met.segmentMerges.Inc()
 	}
 	return nil

@@ -9,46 +9,43 @@ import (
 	"testing"
 	"time"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
 	"fastintersect/internal/race"
 )
 
 // TestExplainAnalyze pins the planner-feedback surface: the rendered plan
 // must carry measured rows and time per operator next to the estimates,
-// under both storage modes and both shard shapes.
+// under both shard shapes.
 func TestExplainAnalyze(t *testing.T) {
 	const numDocs = 20_000
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s-%dshard", st, shards), func(t *testing.T) {
-				e := buildTestEngine(t, Config{Shards: shards, Storage: st, CacheSize: 64}, numDocs)
-				res, expl, err := e.ExplainAnalyze("(m2 AND m3) OR m11 AND NOT m13")
-				if err != nil {
-					t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("raw-%dshard", shards), func(t *testing.T) {
+			e := buildTestEngine(t, Config{Shards: shards, CacheSize: 64}, numDocs)
+			res, expl, err := e.ExplainAnalyze("(m2 AND m3) OR m11 AND NOT m13")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"est_rows=", "act_rows=", "act_time=", "est_cost=", "stages:", "shard 0:",
+			} {
+				if !strings.Contains(expl, want) {
+					t.Errorf("analyze output missing %q:\n%s", want, expl)
 				}
-				for _, want := range []string{
-					"est_rows=", "act_rows=", "act_time=", "est_cost=", "stages:", "shard 0:",
-				} {
-					if !strings.Contains(expl, want) {
-						t.Errorf("analyze output missing %q:\n%s", want, expl)
-					}
-				}
-				if strings.Contains(expl, "(not executed)") {
-					t.Errorf("fully-executed plan rendered unexecuted operators:\n%s", expl)
-				}
-				// The engine has no deltas or tombstones here, so the root's
-				// measured rows (base segments, summed over shards) must equal
-				// the final result exactly.
-				rootWant := fmt.Sprintf("act_rows=%d", len(res.Docs))
-				if !strings.Contains(expl, rootWant) {
-					t.Errorf("no operator reports the result cardinality %s:\n%s", rootWant, expl)
-				}
-				if shards > 1 && !strings.Contains(expl, fmt.Sprintf("shard %d:", shards-1)) {
-					t.Errorf("missing per-shard span for shard %d:\n%s", shards-1, expl)
-				}
-			})
-		}
+			}
+			if strings.Contains(expl, "(not executed)") {
+				t.Errorf("fully-executed plan rendered unexecuted operators:\n%s", expl)
+			}
+			// The engine has no deltas or tombstones here, so the root's
+			// measured rows (base segments, summed over shards) must equal
+			// the final result exactly.
+			rootWant := fmt.Sprintf("act_rows=%d", len(res.Docs))
+			if !strings.Contains(expl, rootWant) {
+				t.Errorf("no operator reports the result cardinality %s:\n%s", rootWant, expl)
+			}
+			if shards > 1 && !strings.Contains(expl, fmt.Sprintf("shard %d:", shards-1)) {
+				t.Errorf("missing per-shard span for shard %d:\n%s", shards-1, expl)
+			}
+		})
 	}
 }
 

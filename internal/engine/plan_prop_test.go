@@ -6,17 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/sets"
 )
 
 // The planner property test: random AND/OR/NOT trees over random corpora,
-// driven through the physical planner under every storage mode, shard
-// shape, order/kernel policy and with/without delta-segment churn, checked
-// against a naive per-document reference evaluator. This is the
-// end-to-end guard that cost-based planning is a pure optimization: no
-// choice of kernel, operand order or stored strategy may change results.
+// driven through the physical planner under every shard shape,
+// order/kernel policy and with/without delta-segment churn, checked against
+// a naive per-document reference evaluator. This is the end-to-end guard
+// that cost-based planning is a pure optimization: no choice of kernel or
+// operand order may change results.
 
 // propCorpus is a randomized corpus with an independent membership oracle.
 type propCorpus struct {
@@ -182,28 +181,26 @@ func TestPlanPropertyRandomTrees(t *testing.T) {
 		for i := range queries {
 			queries[i] = genTree(rng, corpus, 3)
 		}
-		for _, storage := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-			for _, shards := range []int{1, 3} {
-				for pi, pol := range policies {
-					for _, withDelta := range []bool{false, true} {
-						// The oracle mutates with the engine, so each
-						// (engine, delta) pair gets its own corpus copy.
-						cc := corpus.clone()
-						e := cc.install(t, Config{Shards: shards, Storage: storage, PlanPolicy: pol})
-						if withDelta {
-							cc.churn(t, rng, e)
+		for _, shards := range []int{1, 3} {
+			for pi, pol := range policies {
+				for _, withDelta := range []bool{false, true} {
+					// The oracle mutates with the engine, so each
+					// (engine, delta) pair gets its own corpus copy.
+					cc := corpus.clone()
+					e := cc.install(t, Config{Shards: shards, PlanPolicy: pol})
+					if withDelta {
+						cc.churn(t, rng, e)
+					}
+					for _, q := range queries {
+						want := cc.refQuery(t, q)
+						res, err := e.Query(q)
+						if err != nil {
+							t.Fatalf("trial=%d shards=%d policy=%d delta=%v: Query(%q): %v",
+								trial, shards, pi, withDelta, q, err)
 						}
-						for _, q := range queries {
-							want := cc.refQuery(t, q)
-							res, err := e.Query(q)
-							if err != nil {
-								t.Fatalf("trial=%d storage=%v shards=%d policy=%d delta=%v: Query(%q): %v",
-									trial, storage, shards, pi, withDelta, q, err)
-							}
-							if !sets.Equal(res.Docs, want) {
-								t.Fatalf("trial=%d storage=%v shards=%d policy=%d delta=%v: Query(%q) = %d docs, want %d",
-									trial, storage, shards, pi, withDelta, q, len(res.Docs), len(want))
-							}
+						if !sets.Equal(res.Docs, want) {
+							t.Fatalf("trial=%d shards=%d policy=%d delta=%v: Query(%q) = %d docs, want %d",
+								trial, shards, pi, withDelta, q, len(res.Docs), len(want))
 						}
 					}
 				}
@@ -229,49 +226,46 @@ func (c *propCorpus) clone() *propCorpus {
 // every batch result matches its Query twin.
 func TestQueryBatch(t *testing.T) {
 	const numDocs = 10_000
-	for _, storage := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(storage.String(), func(t *testing.T) {
-			e := buildTestEngine(t, Config{Shards: 3, Storage: storage, CacheSize: 64}, numDocs)
-			queries := []string{
-				"m2 AND m3",
-				"m3 AND m2", // same canonical form as above
-				"m5 OR (m2 AND m7)",
-				"NOT m2", // parse error: unbounded
-				"all AND NOT m2",
-				"m2 AND m3", // literal duplicate
+	t.Run("raw", func(t *testing.T) {
+		e := buildTestEngine(t, Config{Shards: 3, CacheSize: 64}, numDocs)
+		queries := []string{
+			"m2 AND m3",
+			"m3 AND m2", // same canonical form as above
+			"m5 OR (m2 AND m7)",
+			"NOT m2", // parse error: unbounded
+			"all AND NOT m2",
+			"m2 AND m3", // literal duplicate
+		}
+		batch := e.QueryBatch(queries)
+		if len(batch) != len(queries) {
+			t.Fatalf("QueryBatch returned %d results for %d queries", len(batch), len(queries))
+		}
+		for i, q := range queries {
+			want, wantErr := e.Query(q)
+			got := batch[i]
+			if (wantErr == nil) != (got.Err == nil) {
+				t.Fatalf("query %d %q: batch err %v, Query err %v", i, q, got.Err, wantErr)
 			}
-			batch := e.QueryBatch(queries)
-			if len(batch) != len(queries) {
-				t.Fatalf("QueryBatch returned %d results for %d queries", len(batch), len(queries))
+			if wantErr != nil {
+				continue
 			}
-			for i, q := range queries {
-				want, wantErr := e.Query(q)
-				got := batch[i]
-				if (wantErr == nil) != (got.Err == nil) {
-					t.Fatalf("query %d %q: batch err %v, Query err %v", i, q, got.Err, wantErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				if !sets.Equal(got.Result.Docs, want.Docs) {
-					t.Errorf("query %d %q: batch %d docs, Query %d docs", i, q, len(got.Result.Docs), len(want.Docs))
-				}
+			if !sets.Equal(got.Result.Docs, want.Docs) {
+				t.Errorf("query %d %q: batch %d docs, Query %d docs", i, q, len(got.Result.Docs), len(want.Docs))
 			}
-			// Commuted conjunctions share one canonical form — and one result.
-			if batch[0].Result != batch[1].Result || batch[0].Result != batch[5].Result {
-				t.Error("queries sharing a canonical form did not share one batch result")
-			}
-		})
-	}
+		}
+		// Commuted conjunctions share one canonical form — and one result.
+		if batch[0].Result != batch[1].Result || batch[0].Result != batch[5].Result {
+			t.Error("queries sharing a canonical form did not share one batch result")
+		}
+	})
 }
 
-// TestQueryBatchLargeMemo crosses the decode memo's linear-scan threshold:
-// a single-shard compressed batch touching 3× memoScanLimit distinct
-// encoded terms must keep returning correct results once lookups go
-// through the map index.
+// TestQueryBatchLargeMemo runs one single-shard batch touching 96 distinct
+// terms, each referenced outside a kernel pushdown, through one shared
+// execution context: every query must return exactly its term's list.
 func TestQueryBatchLargeMemo(t *testing.T) {
-	const terms = 3 * memoScanLimit
-	e := New(Config{Shards: 1, Storage: invindex.StorageCompressed})
+	const terms = 96
+	e := New(Config{Shards: 1})
 	b := e.NewBuilder()
 	want := make(map[string][]uint32, terms)
 	for ti := 0; ti < terms; ti++ {
@@ -290,8 +284,8 @@ func TestQueryBatchLargeMemo(t *testing.T) {
 	}
 	queries := make([]string, 0, terms)
 	for ti := 0; ti < terms; ti++ {
-		// OR of a term with itself under different spellings forces the
-		// memoized decode path (a term outside a kernel pushdown).
+		// OR of a term with itself under different spellings references
+		// the term outside a kernel pushdown.
 		queries = append(queries, fmt.Sprintf("w%03d OR (w%03d AND w%03d)", ti, ti, ti))
 	}
 	for _, br := range e.QueryBatch(queries) {

@@ -16,14 +16,11 @@ import (
 // Staleness is tracked by Engine.statsEpoch, NOT the index generation:
 // document mutations bump the generation every time (they must — cached
 // *results* would otherwise resurrect deleted documents), but a plan is
-// only estimates, and serving one a few mutations old is correctness-safe
-// because every shard re-prices kernels on its actual operand sizes and
-// encodings at execution (see exec.go). What a plan must not survive is a
-// representation change: an Install or a compaction can re-encode lists
-// (e.g. a dense delta folding into the base flips a term to EncBitseg),
-// and before the epoch existed a cached plan would keep its stale shapes
-// and decode decisions forever. Install and every successful compaction
-// swap bump the epoch; entries stamped with an older epoch are rebuilt.
+// only estimates, and serving one a few mutations or compactions old is
+// correctness-safe because every shard re-prices kernels on its actual
+// operand sizes at execution (see exec.go). What a plan should not survive
+// is a wholesale corpus change: Install and LoadSnapshot bump the epoch,
+// and entries stamped with an older epoch are rebuilt.
 //
 // Cached plans are shared read-only across concurrent queries: execution
 // never writes to a plan (per-query state lives on the exec contexts), and

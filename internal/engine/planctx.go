@@ -8,12 +8,11 @@ import (
 )
 
 // planStats aggregates a shard snapshot into the statistics the physical
-// planner consumes: document frequencies summed across shards, the dominant
-// encoding per term, and the live document count. Shards hash-partition
-// documents uniformly, so per-shard list sizes are proportional to the
-// aggregates and ONE physical plan (operand order, decode decisions) serves
-// every shard of a query; the kernel itself is re-priced per shard on the
-// actual sizes (see exec.go).
+// planner consumes: document frequencies summed across shards and the live
+// document count. Shards hash-partition documents uniformly, so per-shard
+// list sizes are proportional to the aggregates and ONE physical plan
+// (operand order) serves every shard of a query; the kernel itself is
+// re-priced per shard on the actual sizes (see exec.go).
 type planStats struct {
 	segs []*segment.Frozen
 	docs int
@@ -49,19 +48,6 @@ func (ps *planStats) TermLen(term string) int {
 		total += f.DocFreq(term)
 	}
 	return total
-}
-
-// TermShape is the encoding of the term's largest list in any segment —
-// the shape most of the query's kernel work will see.
-func (ps *planStats) TermShape(term string) plan.Shape {
-	shape, bestDF := plan.ShapeRaw, -1
-	for _, f := range ps.segs {
-		if s := f.List(term); s != nil && s.Len() > bestDF {
-			bestDF = s.Len()
-			shape = s.Shape()
-		}
-	}
-	return shape
 }
 
 // planCtx pairs one pooled physical plan with its statistics snapshot, so

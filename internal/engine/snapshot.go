@@ -10,9 +10,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
 )
@@ -23,7 +23,7 @@ import (
 //
 // Shard file layout (see internal/segment codec.go for the section format):
 //
-//	u32 magic "FSNP"   u16 version   u8 storage
+//	u32 magic "FSNP"   u16 version   u8 storage (0 raw, 1 compressed)
 //	section: first frozen segment (terms + its tombstone filter; empty
 //	         when the shard has no segment)
 //	uvarint n
@@ -32,17 +32,25 @@ import (
 //	u32 CRC-32 (IEEE) of everything above
 //
 // Every frozen segment goes through the same section path both ways: its
-// lists are written decoded, as varint delta-encoded docIDs, and on load
-// each section is encoded afresh under the configured storage by
-// invindex.BuildParallel (segment.ReadFrozen). A loaded shard must keep
-// the one-visible-segment invariant — no document visible in two segments
-// — or the load fails.
+// lists are written as varint delta-encoded docIDs, and on load each
+// section is built afresh into raw lists by invindex.BuildParallel
+// (segment.ReadFrozen). A loaded shard must keep the one-visible-segment
+// invariant — no document visible in two segments — or the load fails.
+//
+// The storage byte and the manifest's storage name record how the writing
+// engine stored its lists. The engine writes raw (0); a file written by an
+// engine that still stored compressed lists (1) holds the same postings,
+// so it loads too, into raw lists. Any other value is rejected.
 
 const (
 	snapMagic    = 0x46534E50 // "FSNP"
 	snapVersion  = 1
 	manifestName = "MANIFEST.json"
 )
+
+// snapStorages are the storage names a v1 snapshot may carry, indexed by
+// the shard header's storage byte; the engine writes the first.
+var snapStorages = [...]string{"raw", "compressed"}
 
 // snapManifest describes one snapshot directory.
 type snapManifest struct {
@@ -76,14 +84,14 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	}
 	gen := e.gen.Load()
 	for i, s := range shards {
-		if err := saveShard(filepath.Join(dir, shardFile(i)), s, e.cfg.Storage); err != nil {
+		if err := saveShard(filepath.Join(dir, shardFile(i)), s); err != nil {
 			return fmt.Errorf("engine: snapshot shard %d: %w", i, err)
 		}
 	}
 	man := snapManifest{
 		Version:    snapVersion,
 		Shards:     len(shards),
-		Storage:    e.cfg.Storage.String(),
+		Storage:    snapStorages[0],
 		Generation: gen,
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
@@ -102,7 +110,7 @@ func (e *Engine) SaveSnapshot(dir string) error {
 
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.seg", i) }
 
-func saveShard(path string, s *shard, st invindex.Storage) error {
+func saveShard(path string, s *shard) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -113,7 +121,7 @@ func saveShard(path string, s *shard, st invindex.Storage) error {
 	w := bufio.NewWriter(io.MultiWriter(f, crc))
 
 	s.mu.RLock()
-	err = writeShardLocked(w, s, st)
+	err = writeShardLocked(w, s)
 	s.mu.RUnlock()
 	if err != nil {
 		f.Close()
@@ -135,13 +143,12 @@ func saveShard(path string, s *shard, st invindex.Storage) error {
 	return os.Rename(tmp, path)
 }
 
-// writeShardLocked streams one shard's tier, stamped with the engine's
-// storage policy. Caller holds s.mu (read).
-func writeShardLocked(w *bufio.Writer, s *shard, st invindex.Storage) error {
+// writeShardLocked streams one shard's tier; the header's storage byte
+// (hdr[6]) stays 0, raw. Caller holds s.mu (read).
+func writeShardLocked(w *bufio.Writer, s *shard) error {
 	var hdr [7]byte
 	binary.BigEndian.PutUint32(hdr[0:], snapMagic)
 	binary.BigEndian.PutUint16(hdr[4:], snapVersion)
-	hdr[6] = byte(st)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -169,10 +176,10 @@ func writeShardLocked(w *bufio.Writer, s *shard, st invindex.Storage) error {
 // LoadSnapshot restores a snapshot written by SaveSnapshot into the engine,
 // replacing any installed index (the same retire-then-swap handshake Install
 // uses, so concurrent mutations land in the restored shard set). The
-// manifest's shard count and storage must match the engine's configuration —
-// a snapshot is an image of a specific partitioning. Every frozen segment
-// is encoded afresh under the configured storage by the parallel build
-// Install runs; the active segment loads directly.
+// manifest's shard count must match the engine's configuration — a
+// snapshot is an image of a specific partitioning. Every frozen segment is
+// built afresh into raw lists by the parallel build Install runs; the
+// active segment loads directly.
 func (e *Engine) LoadSnapshot(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -188,8 +195,8 @@ func (e *Engine) LoadSnapshot(dir string) error {
 	if man.Shards != e.cfg.Shards {
 		return fmt.Errorf("engine: snapshot has %d shards, engine is configured for %d", man.Shards, e.cfg.Shards)
 	}
-	if man.Storage != e.cfg.Storage.String() {
-		return fmt.Errorf("engine: snapshot storage %q, engine is configured for %q", man.Storage, e.cfg.Storage)
+	if !slices.Contains(snapStorages[:], man.Storage) {
+		return fmt.Errorf("engine: snapshot storage %q not supported (want one of %q)", man.Storage, snapStorages)
 	}
 	shards := make([]*shard, man.Shards)
 	errs := make([]error, man.Shards)
@@ -221,7 +228,7 @@ func (e *Engine) LoadSnapshot(dir string) error {
 	e.shards = shards
 	e.mu.Unlock()
 	e.gen.Add(1)
-	e.statsEpoch.Add(1) // restored segments may encode terms differently
+	e.statsEpoch.Add(1) // a restored corpus: every memoized plan is stale
 	e.met.rebuilds.Inc()
 	return nil
 }
@@ -242,14 +249,14 @@ func (e *Engine) decodeShard(data []byte) (*shard, error) {
 	if v := binary.BigEndian.Uint16(payload[4:]); v != snapVersion {
 		return nil, fmt.Errorf("unsupported shard version %d", v)
 	}
-	if st := invindex.Storage(payload[6]); st != e.cfg.Storage {
-		return nil, fmt.Errorf("shard storage %v, engine configured for %v", st, e.cfg.Storage)
+	if st := payload[6]; int(st) >= len(snapStorages) {
+		return nil, fmt.Errorf("unknown shard storage byte %d", st)
 	}
 	r := bufio.NewReader(bytes.NewReader(payload[7:]))
 	s := &shard{}
 	// The first section is followed by the count of the others.
 	for i, count := uint64(0), uint64(1); i < count; i++ {
-		fz, err := segment.ReadFrozen(r, e.cfg.Storage, e.shardWorkers())
+		fz, err := segment.ReadFrozen(r, e.shardWorkers())
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"testing"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
 )
@@ -28,20 +27,25 @@ type snapshotFixture struct {
 	Answers map[string][]uint32 `json:"answers"`
 }
 
-// TestSnapshotFixturesRestore pins snapshot compatibility: the snapshot
+// TestSnapshotFixturesRestore pins snapshot compatibility. The snapshot
 // directories under testdata/ were written by an engine whose shards kept a
 // separate base index beside their frozen segments (a two-shard tier with
-// frozen segments, a non-empty active segment and tombstones, one per
-// storage policy). Existing -snapshot-dir directories must keep restoring
-// to the same answers and document count.
+// frozen segments, a non-empty active segment and tombstones): one by an
+// engine storing raw lists, one by an engine storing compressed lists.
+// Their shard files differ only in the storage byte and the checksum. Both
+// must keep restoring to the same answers and document count, and both
+// must re-save to exactly the raw fixture's bytes. -update-snapshot-fixtures
+// rewrites only the raw fixture; the compressed one is a read-only legacy
+// input.
 func TestSnapshotFixturesRestore(t *testing.T) {
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		t.Run(st.String(), func(t *testing.T) {
-			dir := filepath.Join("testdata", "snapshot-v1-"+st.String())
-			cfg := Config{Shards: 2, Storage: st, MaxSegments: 3}
-			if *updateSnapshotFixtures {
-				writeSnapshotFixture(t, dir, cfg)
-			}
+	rawDir := filepath.Join("testdata", "snapshot-v1-raw")
+	cfg := Config{Shards: 2, MaxSegments: 3}
+	if *updateSnapshotFixtures {
+		writeSnapshotFixture(t, rawDir, cfg)
+	}
+	for _, name := range []string{"raw", "compressed"} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "snapshot-v1-"+name)
 			data, err := os.ReadFile(filepath.Join(dir, "expected.json"))
 			if err != nil {
 				t.Fatal(err)
@@ -67,14 +71,15 @@ func TestSnapshotFixturesRestore(t *testing.T) {
 						tc.q, len(res.Docs), head(res.Docs), len(want.Answers[tc.q]), head(want.Answers[tc.q]))
 				}
 			}
-			// The restored tier saves back to the same bytes: the format is
-			// unchanged and the load loses no segment, posting or tombstone.
+			// The restored tier saves back to the raw fixture's bytes: the
+			// format is unchanged and the load loses no segment, posting or
+			// tombstone.
 			resaved := filepath.Join(t.TempDir(), "resaved")
 			if err := e.SaveSnapshot(resaved); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < cfg.Shards; i++ {
-				orig, err := os.ReadFile(filepath.Join(dir, shardFile(i)))
+				orig, err := os.ReadFile(filepath.Join(rawDir, shardFile(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +88,7 @@ func TestSnapshotFixturesRestore(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(orig, again) {
-					t.Fatalf("shard %d re-saved to %d bytes that differ from the fixture's %d", i, len(again), len(orig))
+					t.Fatalf("shard %d re-saved to %d bytes that differ from the raw fixture's %d", i, len(again), len(orig))
 				}
 			}
 		})
@@ -117,12 +122,12 @@ func writeSnapshotFixture(t *testing.T, dir string, cfg Config) {
 }
 
 // shardFileBytes frames a shard payload (the sections after the header) as
-// a complete shard file: header for storage st, payload, CRC.
-func shardFileBytes(st invindex.Storage, payload []byte) []byte {
+// a complete shard file: header with storage byte st, payload, CRC.
+func shardFileBytes(st byte, payload []byte) []byte {
 	var hdr [7]byte
 	binary.BigEndian.PutUint32(hdr[0:], snapMagic)
 	binary.BigEndian.PutUint16(hdr[4:], snapVersion)
-	hdr[6] = byte(st)
+	hdr[6] = st
 	data := append(hdr[:], payload...)
 	return binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 }
@@ -168,10 +173,10 @@ func TestSnapshotRejectsOverlappingSegments(t *testing.T) {
 		map[string][]uint32{"a": {1}},
 		[]map[string][]uint32{{"b": {1}}},
 		map[string][]uint32{"c": {1}})
-	if err := os.WriteFile(filepath.Join(dir, shardFile(0)), shardFileBytes(invindex.StorageRaw, payload), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, shardFile(0)), shardFileBytes(0, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man, err := json.Marshal(snapManifest{Version: snapVersion, Shards: 1, Storage: invindex.StorageRaw.String()})
+	man, err := json.Marshal(snapManifest{Version: snapVersion, Shards: 1, Storage: snapStorages[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fastintersect/internal/engine"
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/workload"
 )
@@ -41,9 +40,9 @@ func init() {
 
 // planPolicies are the three planner configurations the experiment
 // compares: the cost-based default, the pre-planner df-ordered baseline
-// (ascending document frequency, fixed heuristic kernels: merge for raw
-// lists, the shape dispatch for compressed ones), and the
-// adversarial descending ordering that bounds the value of ordering at all.
+// (ascending document frequency, the fixed heuristic kernel: merge), and
+// the adversarial descending ordering that bounds the value of ordering at
+// all.
 var planPolicies = []struct {
 	Name   string
 	Policy plan.Policy
@@ -53,10 +52,9 @@ var planPolicies = []struct {
 	{"worst", plan.Policy{Order: plan.OrderWorst, Kernels: plan.KernelsHeuristic}},
 }
 
-// PlanScenario is one (workload shape, storage, policy) measurement.
+// PlanScenario is one (workload shape, policy) measurement.
 type PlanScenario struct {
 	Workload    string  `json:"workload"`
-	Storage     string  `json:"storage"`
 	Policy      string  `json:"policy"`
 	Queries     int     `json:"queries"`
 	NsPerOp     int64   `json:"ns_per_op"`
@@ -82,10 +80,10 @@ type PlanReport struct {
 }
 
 // PlanBench measures end-to-end Engine.Query throughput under each planner
-// policy, per workload shape and storage mode, with the result cache
-// disabled so every operation pays the full parse → plan → execute
-// pipeline. All policies run against the same engine instances and query
-// streams, so the deltas isolate the planner.
+// policy, per workload shape, with the result cache disabled so every
+// operation pays the full parse → plan → execute pipeline. Every policy's
+// engine indexes the same corpus and replays the same query streams, so
+// the deltas isolate the planner.
 func PlanBench(cfg Config) *PlanReport {
 	rc := workload.SmallRealConfig()
 	rc.NumDocs, rc.NumTerms, rc.NumQueries = 100_000, 2_000, 128
@@ -105,77 +103,74 @@ func PlanBench(cfg Config) *PlanReport {
 		{"mixed", workload.StreamConfig{OrFrac: 0.30, NotFrac: 0.10, Seed: cfg.Seed + 2}, nil},
 	}
 	rep := &PlanReport{
-		Schema: "fsibench/plan/v1",
+		Schema: "fsibench/plan/v2",
 		Scale:  cfg.Scale,
 		Seed:   cfg.Seed,
 	}
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		for _, pol := range planPolicies {
-			e := engine.New(engine.Config{Shards: 2, Storage: st, PlanPolicy: pol.Policy})
-			b := e.NewBuilder()
-			for t, docs := range real.Postings {
-				if err := b.AddPosting(workload.TermName(t), docs); err != nil {
-					panic(fmt.Sprintf("harness: plan bench build: %v", err))
+	for _, pol := range planPolicies {
+		e := engine.New(engine.Config{Shards: 2, PlanPolicy: pol.Policy})
+		b := e.NewBuilder()
+		for t, docs := range real.Postings {
+			if err := b.AddPosting(workload.TermName(t), docs); err != nil {
+				panic(fmt.Sprintf("harness: plan bench build: %v", err))
+			}
+		}
+		if err := e.Install(b); err != nil {
+			panic(fmt.Sprintf("harness: plan bench install: %v", err))
+		}
+		for _, wl := range workloads {
+			queries := wl.Queries
+			if queries == nil {
+				queries = real.QueryStream(2*rc.NumQueries, wl.SC)
+			}
+			for _, q := range queries[:min(64, len(queries))] { // warm pools and structure caches
+				if _, err := e.Query(q); err != nil {
+					panic(fmt.Sprintf("harness: plan bench warm-up query %q: %v", q, err))
 				}
 			}
-			if err := e.Install(b); err != nil {
-				panic(fmt.Sprintf("harness: plan bench install: %v", err))
+			reps := cfg.Reps
+			if reps < 1 {
+				reps = 1
 			}
-			for _, wl := range workloads {
-				queries := wl.Queries
-				if queries == nil {
-					queries = real.QueryStream(2*rc.NumQueries, wl.SC)
-				}
-				for _, q := range queries[:min(64, len(queries))] { // warm pools and structure caches
-					if _, err := e.Query(q); err != nil {
-						panic(fmt.Sprintf("harness: plan bench warm-up query %q: %v", q, err))
-					}
-				}
-				reps := cfg.Reps
-				if reps < 1 {
-					reps = 1
-				}
-				var r testing.BenchmarkResult
-				var ns int64
-				for rep := 0; rep < reps; rep++ { // min across reps: scheduler noise only ever adds time
-					rr := testing.Benchmark(func(b *testing.B) {
-						b.ReportAllocs()
-						for i := 0; i < b.N; i++ {
-							if _, err := e.Query(queries[i%len(queries)]); err != nil {
-								b.Fatal(err)
-							}
+			var r testing.BenchmarkResult
+			var ns int64
+			for rep := 0; rep < reps; rep++ { // min across reps: scheduler noise only ever adds time
+				rr := testing.Benchmark(func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := e.Query(queries[i%len(queries)]); err != nil {
+							b.Fatal(err)
 						}
-					})
-					if rep == 0 || rr.NsPerOp() < ns {
-						r, ns = rr, rr.NsPerOp()
 					}
-				}
-				qps := 0.0
-				if ns > 0 {
-					qps = 1e9 / float64(ns)
-				}
-				bitsegPlans := 0
-				for _, q := range queries[:min(32, len(queries))] {
-					_, expl, err := e.Explain(q)
-					if err != nil {
-						panic(fmt.Sprintf("harness: plan bench explain %q: %v", q, err))
-					}
-					if strings.Contains(expl, "BitsegAnd") {
-						bitsegPlans++
-					}
-				}
-				rep.Scenarios = append(rep.Scenarios, PlanScenario{
-					Workload:    wl.Name,
-					Storage:     st.String(),
-					Policy:      pol.Name,
-					Queries:     len(queries),
-					NsPerOp:     ns,
-					QPS:         qps,
-					BytesPerOp:  r.AllocedBytesPerOp(),
-					AllocsPerOp: r.AllocsPerOp(),
-					BitsegPlans: bitsegPlans,
 				})
+				if rep == 0 || rr.NsPerOp() < ns {
+					r, ns = rr, rr.NsPerOp()
+				}
 			}
+			qps := 0.0
+			if ns > 0 {
+				qps = 1e9 / float64(ns)
+			}
+			bitsegPlans := 0
+			for _, q := range queries[:min(32, len(queries))] {
+				_, expl, err := e.Explain(q)
+				if err != nil {
+					panic(fmt.Sprintf("harness: plan bench explain %q: %v", q, err))
+				}
+				if strings.Contains(expl, "BitsegAnd") {
+					bitsegPlans++
+				}
+			}
+			rep.Scenarios = append(rep.Scenarios, PlanScenario{
+				Workload:    wl.Name,
+				Policy:      pol.Name,
+				Queries:     len(queries),
+				NsPerOp:     ns,
+				QPS:         qps,
+				BytesPerOp:  r.AllocedBytesPerOp(),
+				AllocsPerOp: r.AllocsPerOp(),
+				BitsegPlans: bitsegPlans,
+			})
 		}
 	}
 	return rep
@@ -185,16 +180,15 @@ func runPlanBench(cfg Config) []*Table {
 	rep := PlanBench(cfg)
 	byKey := map[string]map[string]PlanScenario{}
 	for _, s := range rep.Scenarios {
-		key := s.Workload + "/" + s.Storage
-		if byKey[key] == nil {
-			byKey[key] = map[string]PlanScenario{}
+		if byKey[s.Workload] == nil {
+			byKey[s.Workload] = map[string]PlanScenario{}
 		}
-		byKey[key][s.Policy] = s
+		byKey[s.Workload][s.Policy] = s
 	}
 	t := &Table{
 		ID:      "plan-quality",
 		Title:   "Engine.Query ns/op per planner policy (cache disabled)",
-		Columns: []string{"workload", "storage", "cost ns/op", "df ns/op", "worst ns/op", "cost/df", "bitseg plans"},
+		Columns: []string{"workload", "cost ns/op", "df ns/op", "worst ns/op", "cost/df", "bitseg plans"},
 		Notes: []string{
 			"cost = calibrated cost model (order + kernels); df = pre-planner baseline (ascending df, heuristic kernels); worst = descending df",
 			"cost/df <= 1.0 means cost-based planning is no slower than the baseline it replaced",
@@ -205,9 +199,9 @@ func runPlanBench(cfg Config) []*Table {
 		if s.Policy != "cost" {
 			continue
 		}
-		row := byKey[s.Workload+"/"+s.Storage]
+		row := byKey[s.Workload]
 		ratio := float64(row["cost"].NsPerOp) / float64(row["df"].NsPerOp)
-		t.AddRow(s.Workload, s.Storage,
+		t.AddRow(s.Workload,
 			fmt.Sprintf("%d", row["cost"].NsPerOp),
 			fmt.Sprintf("%d", row["df"].NsPerOp),
 			fmt.Sprintf("%d", row["worst"].NsPerOp),

@@ -18,8 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig4", "fig5", "fig6", "ratio", "sizes", "fig7", "fig8",
 		"real-compressed", "fig9", "fig10", "fig11", "fig12", "intro-stats",
-		"ablation-width", "ablation-m", "ablation-parallel", "storage-sweep",
-		"overload",
+		"ablation-width", "ablation-m", "ablation-parallel", "overload",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -86,43 +85,6 @@ func TestSortedKeys(t *testing.T) {
 	got := sortedKeys(map[int]string{3: "c", 1: "a", 2: "b"})
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("sortedKeys = %v", got)
-	}
-}
-
-// TestCompressBenchSweep pins the storage sweep's guarantees: every
-// encoding's intersection is byte-identical to the reference, and the
-// adaptive heuristic selects each of Raw, Gamma, Delta, Lowbits and
-// Bitseg for at least one density regime.
-func TestCompressBenchSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is not -short friendly")
-	}
-	rep := CompressBench(tinyConfig())
-	if rep.Schema != "fsibench/compress/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	chosen := map[string]bool{}
-	for _, w := range rep.Workloads {
-		if len(w.Encodings) != 5 {
-			t.Fatalf("%s: %d encodings measured", w.Name, len(w.Encodings))
-		}
-		chosen[w.Chosen] = true
-		for _, m := range w.Encodings {
-			if !m.ResultOK {
-				t.Fatalf("%s/%s: intersection diverged from reference", w.Name, m.Encoding)
-			}
-			if m.BytesPerPosting <= 0 {
-				t.Fatalf("%s/%s: bytes/posting = %v", w.Name, m.Encoding, m.BytesPerPosting)
-			}
-			if m.Chosen != (m.Encoding == w.Chosen) {
-				t.Fatalf("%s/%s: chosen flag inconsistent with %q", w.Name, m.Encoding, w.Chosen)
-			}
-		}
-	}
-	for _, enc := range []string{"Raw", "Gamma", "Delta", "Lowbits", "Bitseg"} {
-		if !chosen[enc] {
-			t.Fatalf("no workload selects %s (chosen set: %v)", enc, chosen)
-		}
 	}
 }
 

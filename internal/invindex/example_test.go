@@ -20,28 +20,3 @@ func ExampleNew() {
 	fmt.Println(docs)
 	// Output: [2 3]
 }
-
-// ExampleNewWithStorage builds the same index under compressed storage:
-// each posting list is stored under the encoding ChooseEncoding picks from
-// its density, and queries intersect directly over the compressed
-// representations.
-func ExampleNewWithStorage() {
-	ix := invindex.NewWithStorage(invindex.StorageCompressed)
-	for d := uint32(0); d < 1000; d++ {
-		terms := []string{"all"}
-		if d%2 == 0 {
-			terms = append(terms, "even")
-		}
-		if d%3 == 0 {
-			terms = append(terms, "triple")
-		}
-		_ = ix.Add(d, terms)
-	}
-	if err := ix.Build(); err != nil {
-		panic(err)
-	}
-	docs, _ := ix.Query("even", "triple")
-	ms := ix.MemStats()
-	fmt.Println(len(docs), docs[:3], ms.StoredBytes < ms.RawBytes)
-	// Output: 167 [0 6 12] true
-}

@@ -1,19 +1,12 @@
 // Package invindex is a small in-memory inverted index — the substrate the
 // paper's motivating applications (enterprise/web search, conjunctive
 // predicate evaluation) sit on. Documents are added as (docID, terms)
-// pairs; Build freezes the index, encoding every posting list as a
-// compress.Stored.
+// pairs; Build freezes the index, storing every posting list as an EncRaw
+// compress.Stored: an exact-size sorted []uint32 intersected by Merge,
+// Gallop or a lazily attached bitseg form. MemStats reports the exact
+// payload footprint.
 //
-// Stored is the one posting type: the storage mode (see Storage) is only
-// the policy choosing each list's encoding. StorageRaw keeps every list as
-// EncRaw — an exact-size sorted []uint32 intersected by Merge, Gallop or a
-// lazily attached bitseg form — while StorageCompressed lets
-// compress.ChooseEncoding pick per list from its length and density (raw,
-// Elias γ/δ gap codes, the paper's Lowbits grouping of Appendix B, or
-// bitseg). Queries intersect directly over whatever encodings the lists
-// hold; MemStats reports the exact per-encoding payload footprint.
-//
-// BuildParallel is also the engine's one list encoder: every frozen
+// BuildParallel is also the engine's one list builder: every frozen
 // segment that is not a freeze — an installed shard, a merge output, a
 // loaded snapshot section — is built here and adopted by
 // segment.FromIndex, which takes the index's Lists and DocIDs without a
@@ -29,18 +22,11 @@ import (
 	"sync/atomic"
 
 	"fastintersect/internal/compress"
-	"fastintersect/internal/core"
 	"fastintersect/internal/sets"
 )
 
-// familySeed seeds the hash family of an index's Lowbits lists: the
-// library's default seed (fastintersect.DefaultSeed, pinned by a test), so
-// the serving path need not import the library package.
-const familySeed uint64 = 0xFA57_1D5E_C7AA_11CE
-
 // Index maps terms to stored posting lists.
 type Index struct {
-	storage Storage
 	pending map[string][]uint32
 	stored  map[string]*compress.Stored
 	frozen  bool
@@ -48,18 +34,9 @@ type Index struct {
 	docIDs  []uint32 // sorted distinct docIDs across all postings (set by Build)
 }
 
-// New creates an empty raw-storage index.
+// New creates an empty index.
 func New() *Index {
-	return NewWithStorage(StorageRaw)
-}
-
-// NewWithStorage creates an empty index whose built posting lists are
-// encoded under the given storage policy.
-func NewWithStorage(st Storage) *Index {
-	return &Index{
-		storage: st,
-		pending: map[string][]uint32{},
-	}
+	return &Index{pending: map[string][]uint32{}}
 }
 
 // Add records a document. Duplicate terms within a document are fine.
@@ -91,13 +68,13 @@ func (ix *Index) AddPosting(term string, docIDs []uint32) error {
 }
 
 // Build freezes the index: posting lists are sorted, deduplicated and
-// encoded under the storage policy. After Build the index is read-only and
+// stored as exact-size EncRaw lists. After Build the index is read-only and
 // safe for concurrent queries.
 func (ix *Index) Build() error {
 	return ix.BuildParallel(1)
 }
 
-// BuildParallel is Build with posting-list encoding spread across workers
+// BuildParallel is Build with posting-list construction spread across workers
 // goroutines (0 = GOMAXPROCS). This is the shard-friendly build path: a
 // sharded engine builds many independent indexes concurrently, and each
 // can additionally parallelize over its own terms.
@@ -108,23 +85,13 @@ func (ix *Index) BuildParallel(workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The storage policy is the encoding choice; Lowbits lists share one
-	// hash family per index.
-	choose := func([]uint32) compress.Encoding { return compress.EncRaw }
-	var fam *core.Family
-	if ix.storage == StorageCompressed {
-		choose = compress.ChooseEncoding
-		fam = core.NewFamily(familySeed, compress.StoredHashImages)
-	}
 	terms := make([]string, 0, len(ix.pending))
 	for t := range ix.pending {
 		terms = append(terms, t)
 	}
-	// A fixed set of workers claims terms by index; each term's results land
-	// in its own slots, so the workers share nothing but the counter.
-	lists := make([]*compress.Stored, len(terms))
-	rawSets := make([][]uint32, len(terms)) // per-term sorted sets, for the docID union
-	errs := make([]error, len(terms))
+	// A fixed set of workers claims terms by index; each term's list lands
+	// in its own slot, so the workers share nothing but the counter.
+	lists := make([][]uint32, len(terms))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(workers, len(terms)) {
@@ -132,36 +99,29 @@ func (ix *Index) BuildParallel(workers int) error {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(terms); i = int(next.Add(1)) - 1 {
+				// A stored list retains its slice: keep one exact-size copy
+				// rather than the append-grown pending array.
 				set := sets.SortDedup(ix.pending[terms[i]])
-				enc := choose(set)
-				list := set
-				if enc == compress.EncRaw {
-					// A raw list retains its slice: keep one exact-size copy
-					// rather than the append-grown pending array.
-					list = append(make([]uint32, 0, len(set)), set...)
-				}
-				lists[i], errs[i] = compress.NewStored(fam, list, enc)
-				rawSets[i] = set
+				lists[i] = append(make([]uint32, 0, len(set)), set...)
 			}
 		}()
 	}
 	wg.Wait()
-	stored := make(map[string]*compress.Stored, len(terms))
+	// Distinct documents = the union of every posting list. This is what
+	// makes doc counts exact regardless of how documents arrived (Add,
+	// duplicate Add, AddPosting). Tens of thousands of lists over one docID
+	// span are dense by UnionKInto's rule, so this is one bitmap pass —
+	// O(postings + span/64), whatever the term count — and docIDs comes out
+	// exactly sized.
+	ix.docIDs = sets.UnionKInto(nil, lists...)
+	// The lists are strictly increasing by construction; their headers are
+	// allocated together, as a segment freeze allocates its own.
+	hdrs := make([]compress.Stored, len(terms))
+	ix.stored = make(map[string]*compress.Stored, len(terms))
 	for i, term := range terms {
-		if errs[i] != nil {
-			return fmt.Errorf("invindex: term %q: %w", term, errs[i])
-		}
-		stored[term] = lists[i]
+		hdrs[i].SetRaw(lists[i])
+		ix.stored[term] = &hdrs[i]
 	}
-	// Distinct documents = the union of every posting list, computed here
-	// while the sorted sets are still in hand (compressed encodings drop
-	// them). This is what makes doc counts exact regardless of how
-	// documents arrived (Add, duplicate Add, AddPosting). Tens of thousands
-	// of lists over one docID span are dense by UnionKInto's rule, so this
-	// is one bitmap pass — O(postings + span/64), whatever the term count —
-	// and docIDs comes out exactly sized.
-	ix.docIDs = sets.UnionKInto(nil, rawSets...)
-	ix.stored = stored
 	ix.frozen = true
 	ix.pending = nil
 	return nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"fastintersect"
 	"fastintersect/internal/sets"
 )
 
@@ -233,13 +232,5 @@ func TestDocIDsDistinct(t *testing.T) {
 	}
 	if len(empty.DocIDs()) != 0 || empty.Docs() != 0 {
 		t.Fatalf("empty built index: DocIDs=%v Docs=%d", empty.DocIDs(), empty.Docs())
-	}
-}
-
-// TestFamilySeedIsLibraryDefault pins the compressed encodings' hash family
-// to the library's default seed.
-func TestFamilySeedIsLibraryDefault(t *testing.T) {
-	if familySeed != fastintersect.DefaultSeed {
-		t.Fatalf("familySeed = %#x, want fastintersect.DefaultSeed %#x", familySeed, fastintersect.DefaultSeed)
 	}
 }

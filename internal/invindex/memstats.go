@@ -1,52 +1,6 @@
 package invindex
 
-import (
-	"fmt"
-	"strings"
-
-	"fastintersect/internal/compress"
-)
-
-// Storage is the encoding policy of a built index: which compress.Encoding
-// each posting list is stored under. It is a space/speed trade-off, not a
-// separate code path — every list is a compress.Stored either way.
-type Storage int
-
-const (
-	// StorageRaw stores every posting list as EncRaw: 32 bits per posting,
-	// zero decode cost, the fastest serving policy.
-	StorageRaw Storage = iota
-	// StorageCompressed stores each posting list under the encoding
-	// compress.ChooseEncoding picks from its length and density — raw for
-	// short lists, γ/δ gap-coded buckets for dense/sparse lists, bitseg
-	// bitmaps for the densest, and the Lowbits-grouped RanGroupScan
-	// structure (Appendix B) for the long lists that dominate query time:
-	// a smaller heap for slower intersections.
-	StorageCompressed
-)
-
-// storageNames in declaration order.
-var storageNames = [...]string{"raw", "compressed"}
-
-// String names the storage mode.
-func (s Storage) String() string {
-	if int(s) < len(storageNames) {
-		return storageNames[s]
-	}
-	return "Storage(?)"
-}
-
-// ParseStorage parses a storage-mode name, case-insensitively, inverting
-// Storage.String.
-func ParseStorage(name string) (Storage, error) {
-	for i, n := range storageNames {
-		if strings.EqualFold(n, name) {
-			return Storage(i), nil
-		}
-	}
-	return 0, fmt.Errorf("invindex: unknown storage mode %q (known: %s)",
-		name, strings.Join(storageNames[:], ", "))
-}
+import "fastintersect/internal/compress"
 
 // EncodingStats aggregates the posting lists stored under one encoding.
 type EncodingStats struct {

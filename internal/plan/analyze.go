@@ -66,11 +66,7 @@ func (p *Plan) analyzeOp(sb *strings.Builder, i int32, prefix, childPrefix strin
 	a := &actuals[i]
 	sb.WriteString(prefix)
 	if o.Kind == OpTerm {
-		fmt.Fprintf(sb, "term %s (df=%d, %s", o.Term, o.Rows, o.Shape)
-		if o.Decode {
-			sb.WriteString(", decode")
-		}
-		sb.WriteString(")")
+		fmt.Fprintf(sb, "term %s (df=%d)", o.Term, o.Rows)
 		writeActuals(sb, o, a, p.childNs(i, actuals))
 		sb.WriteString("\n")
 		return

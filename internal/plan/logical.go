@@ -2,10 +2,10 @@
 // and its normalizer (the canonical form the result cache keys on), a
 // calibrated cost model over the paper's intersection kernels, and a
 // physical planner that lowers a normalized tree to explicit operators —
-// kernel choice, operand order, decode-vs-stored decisions. One chooser,
-// ChooseStored, prices every conjunction the engine runs: raw lists (and
-// the engine's segment views) among Merge, Gallop and BitsegAnd, compressed
-// lists among the stored-tier strategies.
+// kernel choice and operand order. One chooser, ChooseStored, prices every
+// conjunction: the engine's raw lists (and its segment views) among Merge,
+// Gallop and BitsegAnd, and internal/compress's compressed lists among the
+// stored-tier strategies.
 //
 // The package is deliberately a leaf: it knows set sizes and storage shapes
 // (Operand), not posting lists, so internal/engine and internal/compress can

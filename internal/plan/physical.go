@@ -6,25 +6,22 @@ import (
 )
 
 // Stats is what the physical planner knows about an index: per-term
-// cardinality and storage shape, and the universe size for selectivity
-// estimates. The engine implements it by aggregating its shards, so one
-// physical plan serves every shard of a query.
+// cardinality and the universe size for selectivity estimates. The engine
+// implements it by aggregating its shards, so one physical plan serves
+// every shard of a query.
 type Stats interface {
 	// NumDocs is the number of live documents (0 if unknown; estimates then
 	// degrade gracefully to min-based bounds).
 	NumDocs() int
 	// TermLen is the term's document frequency (0 for unknown terms).
 	TermLen(term string) int
-	// TermShape is the term's storage representation (ShapeRaw for terms
-	// the index does not hold).
-	TermShape(term string) Shape
 }
 
 // OpKind discriminates physical operators.
 type OpKind uint8
 
 const (
-	// OpTerm fetches one posting list (decoding it if Decode is set).
+	// OpTerm fetches one posting list.
 	OpTerm OpKind = iota
 	// OpAnd intersects its ordered term operands with Kernel, then its
 	// composite kids ascending by estimated size, then subtracts its
@@ -43,8 +40,6 @@ type span struct{ off, n int32 }
 type Op struct {
 	Kind   OpKind
 	Kernel Kernel // OpAnd with ≥ 2 term operands: the chosen kernel
-	Shape  Shape  // OpTerm: storage representation
-	Decode bool   // OpTerm: stored list must be decoded (memoized) vs aliased
 	Term   string // OpTerm
 	// Rows is the operator's estimated output cardinality: the df for
 	// OpTerm, a selectivity estimate for composites.
@@ -98,9 +93,9 @@ func (p *Plan) Reset() {
 
 // Build lowers a normalized, bounded logical tree to a physical plan
 // against the given index statistics: term operands of every conjunction
-// are ordered per pol.Order, kernels chosen per pol.Kernels through the
-// cost model, and compressed terms get their decode-vs-probe decision. The
-// plan is rebuilt in place (dst is reset first) and returned.
+// are ordered per pol.Order and kernels chosen per pol.Kernels through the
+// cost model. The plan is rebuilt in place (dst is reset first) and
+// returned.
 func Build(dst *Plan, n Node, canon string, st Stats, c *Costs, pol Policy) *Plan {
 	dst.Reset()
 	dst.Canon = canon
@@ -149,16 +144,7 @@ func (b *builder) build(n Node) int32 {
 
 func (b *builder) buildTerm(t Term) int32 {
 	term := string(t)
-	df := b.st.TermLen(term)
-	shape := b.st.TermShape(term)
-	op := Op{Kind: OpTerm, Shape: shape, Term: term, Rows: df}
-	if !shape.raw() {
-		// A compressed list referenced outside a kernel pushdown must be
-		// materialized; raw stored lists alias their payload for free.
-		op.Decode = true
-		op.Cost = decodeCost(b.c, Operand{Len: df, Shape: shape})
-	}
-	return b.emit(op)
+	return b.emit(Op{Kind: OpTerm, Term: term, Rows: b.st.TermLen(term)})
 }
 
 func (b *builder) buildOr(n Or) int32 {
@@ -228,24 +214,11 @@ func (b *builder) buildAnd(n And) int32 {
 			// The planner knows no per-term extent, so the universe stands in
 			// as every operand's span; the engine re-prices per shard with the
 			// real spans.
-			p.ops = append(p.ops, Operand{Len: to.Rows, Shape: to.Shape, Span: u})
+			p.ops = append(p.ops, Operand{Len: to.Rows, Span: u})
 		}
 		if terms.n >= 2 {
 			op.Kernel = ChooseStored(b.c, b.pol.Kernels, p.ops)
 			op.Cost = PriceStored(b.c, op.Kernel, p.ops)
-			// Inside the pushdown the strategy decides who decodes: the
-			// probe side for the chains, everyone for DecodeAll, no one for
-			// the kernels that run over the stored forms.
-			for j, ti := range p.TermOps(&op) {
-				switch op.Kernel {
-				case KernelFilterChain, KernelLookupProbe:
-					p.Ops[ti].Decode = j == 0 && !p.Ops[ti].Shape.raw()
-				case KernelDecodeAll:
-					p.Ops[ti].Decode = !p.Ops[ti].Shape.raw()
-				default:
-					p.Ops[ti].Decode = false
-				}
-			}
 		}
 		rows, haveRows = estAnd(p.buf, u), true
 	}
@@ -340,8 +313,8 @@ func (p *Plan) CostEstimate() float64 {
 }
 
 // Explain renders the physical plan as an indented operator tree: one line
-// per operator with its kernel, ordered operands, storage shapes, and
-// cardinality/cost estimates — the form fsiserve returns for explain=1 and
+// per operator with its kernel, ordered operands, and cardinality/cost
+// estimates — the form fsiserve returns for explain=1 and
 // fsi -explain prints.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
@@ -366,11 +339,7 @@ func (p *Plan) explainOp(sb *strings.Builder, i int32, prefix, childPrefix strin
 	sb.WriteString(prefix)
 	switch o.Kind {
 	case OpTerm:
-		fmt.Fprintf(sb, "term %s (df=%d, %s", o.Term, o.Rows, o.Shape)
-		if o.Decode {
-			sb.WriteString(", decode")
-		}
-		sb.WriteString(")\n")
+		fmt.Fprintf(sb, "term %s (df=%d)\n", o.Term, o.Rows)
 		return
 	case OpAnd:
 		sb.WriteString("AND")

@@ -7,19 +7,12 @@ import (
 
 // fakeStats is a hand-set statistics source for planner tests.
 type fakeStats struct {
-	docs   int
-	lens   map[string]int
-	shapes map[string]Shape
+	docs int
+	lens map[string]int
 }
 
 func (f *fakeStats) NumDocs() int         { return f.docs }
 func (f *fakeStats) TermLen(t string) int { return f.lens[t] }
-func (f *fakeStats) TermShape(t string) Shape {
-	if s, ok := f.shapes[t]; ok {
-		return s
-	}
-	return ShapeRaw
-}
 
 func mustParse(t *testing.T, q string) Node {
 	t.Helper()
@@ -171,28 +164,6 @@ func TestBuildEstimates(t *testing.T) {
 	}
 }
 
-func TestBuildStoredDecodeFlags(t *testing.T) {
-	st := &fakeStats{
-		docs:   100_000,
-		lens:   map[string]int{"g1": 200, "g2": 5000},
-		shapes: map[string]Shape{"g1": ShapeGamma, "g2": ShapeGamma},
-	}
-	n := mustParse(t, "g1 AND g2")
-	var p Plan
-	Build(&p, n, n.String(), st, DefaultCosts(), Policy{})
-	root := &p.Ops[p.Root()]
-	if root.Kernel != KernelLookupProbe && root.Kernel != KernelFilterChain && root.Kernel != KernelDecodeAll {
-		t.Fatalf("stored kernel = %v, want a stored strategy", root.Kernel)
-	}
-	terms := p.TermOps(root)
-	if p.Ops[terms[0]].Term != "g1" {
-		t.Fatalf("probe side = %q, want g1 (the smaller list)", p.Ops[terms[0]].Term)
-	}
-	if root.Kernel != KernelDecodeAll && p.Ops[terms[1]].Decode {
-		t.Errorf("probed operand marked decode under %v", root.Kernel)
-	}
-}
-
 func TestExplain(t *testing.T) {
 	st := &fakeStats{docs: 100_000, lens: map[string]int{"a": 50, "b": 40_000, "c": 100, "d": 60}}
 	n := mustParse(t, "a AND b AND (c OR d) AND NOT c")
@@ -201,7 +172,7 @@ func TestExplain(t *testing.T) {
 	out := p.Explain()
 	for _, want := range []string{
 		"plan for", "AND kernel=", "OR merge", "NOT ",
-		"term a (df=50, raw)", "term b (df=40000, raw)", "est_rows=", "est_cost=",
+		"term a (df=50)", "term b (df=40000)", "est_rows=", "est_cost=",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/workload"
 )
 
@@ -71,7 +70,7 @@ func BenchmarkMergeTiered(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Merge(inputs, snaps, invindex.StorageRaw, 1); err != nil {
+		if _, err := Merge(inputs, snaps, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -179,16 +179,16 @@ func (f *Frozen) WriteFrozen(w *bufio.Writer) error {
 }
 
 // ReadFrozen decodes one section into a Frozen segment whose lists are
-// encoded under st by invindex.BuildParallel (workers goroutines), the same
-// encoder an installed shard runs. Tombstones are kept only for documents
+// built by invindex.BuildParallel (workers goroutines), the same builder an
+// installed shard runs. Tombstones are kept only for documents
 // the segment holds, so LiveDocs stays exact. A section with no terms gives
 // a segment with no documents.
-func ReadFrozen(r *bufio.Reader, st invindex.Storage, workers int) (*Frozen, error) {
+func ReadFrozen(r *bufio.Reader, workers int) (*Frozen, error) {
 	terms, tombs, err := ReadSection(r)
 	if err != nil {
 		return nil, err
 	}
-	ix := invindex.NewWithStorage(st)
+	ix := invindex.New()
 	for t, ps := range terms {
 		if err := ix.AddPosting(t, ps); err != nil {
 			return nil, err

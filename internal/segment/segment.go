@@ -19,11 +19,11 @@
 // converts it into a Frozen segment by MOVING its lists — each becomes an
 // EncRaw compress.Stored over the same array, so no posting is copied and
 // freezing the active segment is a near-zero-cost compaction step. A Frozen
-// segment holds compress.Stored lists under any encoding, its docID set and
-// its tombstone filter; it is immutable except for that filter, which only
+// segment holds EncRaw compress.Stored lists, its docID set and its
+// tombstone filter; it is immutable except for that filter, which only
 // grows and is guarded by the owning shard's lock. Every frozen segment
 // that is not a freeze — an installed shard, a merge, a loaded snapshot
-// section — is encoded by invindex.BuildParallel, the one list encoder, and
+// section — is built by invindex.BuildParallel, the one list builder, and
 // adopted with FromIndex.
 package segment
 
@@ -227,10 +227,10 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Merge coalesces frozen segments into one, dropping the documents each
-// input had tombstoned at snapshot time, and encodes the result under st
-// through invindex.BuildParallel (workers goroutines). It serves every
-// merge: a size-tiered merge of the smallest segments passes StorageRaw,
-// a full compaction of every segment the engine's storage policy.
+// input had tombstoned at snapshot time, and builds the result through
+// invindex.BuildParallel (workers goroutines). It serves every merge: a
+// size-tiered merge of the smallest segments and a full compaction of
+// every segment alike.
 //
 // tombSnaps[i] is the snapshot of inputs[i].Tombs() taken under the shard
 // lock when the merge was scheduled; the merge itself runs off-lock
@@ -239,8 +239,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // k-way union. The result has an empty tombstone filter and its NumPostings
 // is exactly the number of postings written — the merge's write
 // amplification numerator.
-func Merge(inputs []*Frozen, tombSnaps [][]uint32, st invindex.Storage, workers int) (*Frozen, error) {
-	ix := invindex.NewWithStorage(st)
+func Merge(inputs []*Frozen, tombSnaps [][]uint32, workers int) (*Frozen, error) {
+	ix := invindex.New()
 	live := make([][]uint32, 0, len(inputs))
 	bufs := make([][]uint32, len(inputs))
 	var merged []uint32

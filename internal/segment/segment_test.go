@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
 
@@ -68,7 +67,7 @@ func TestMergeDropsSnapshotTombs(t *testing.T) {
 	a := buildFrozen(t, map[uint32][]string{1: {"x"}, 2: {"x", "y"}})
 	b := buildFrozen(t, map[uint32][]string{3: {"y"}, 4: {"z"}})
 	a.AddTomb(2) // superseded before the merge was scheduled
-	merged, err := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil}, invindex.StorageRaw, 1)
+	merged, err := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,37 +114,34 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []invindex.Storage{invindex.StorageRaw, invindex.StorageCompressed} {
-		got, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), st, 2)
-		if err != nil {
-			t.Fatal(err)
+	got, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumDocs() != f.NumDocs() || got.NumPostings() != f.NumPostings() || got.LiveDocs() != f.LiveDocs() {
+		t.Fatalf("round trip: docs %d→%d postings %d→%d live %d→%d",
+			f.NumDocs(), got.NumDocs(), f.NumPostings(), got.NumPostings(), f.LiveDocs(), got.LiveDocs())
+	}
+	for _, term := range f.Terms() {
+		if want, have := f.List(term).Decode(), got.List(term).Decode(); !sets.Equal(have, want) {
+			t.Fatalf("term %q: %v → %v", term, want, have)
 		}
-		if got.NumDocs() != f.NumDocs() || got.NumPostings() != f.NumPostings() || got.LiveDocs() != f.LiveDocs() {
-			t.Fatalf("%v round trip: docs %d→%d postings %d→%d live %d→%d", st,
-				f.NumDocs(), got.NumDocs(), f.NumPostings(), got.NumPostings(), f.LiveDocs(), got.LiveDocs())
-		}
-		for _, term := range f.Terms() {
-			if want, have := f.List(term).Decode(), got.List(term).Decode(); !sets.Equal(have, want) {
-				t.Fatalf("%v term %q: %v → %v", st, term, want, have)
-			}
-		}
-		if !sets.Equal(got.Tombs(), f.Tombs()) {
-			t.Fatalf("%v tombs: %v → %v", st, f.Tombs(), got.Tombs())
-		}
+	}
+	if !sets.Equal(got.Tombs(), f.Tombs()) {
+		t.Fatalf("tombs: %v → %v", f.Tombs(), got.Tombs())
+	}
 
-		// Determinism: a second encode is byte-identical, whatever the
-		// lists' encoding in between.
-		var buf2 bytes.Buffer
-		w2 := bufio.NewWriter(&buf2)
-		if err := got.WriteFrozen(w2); err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatalf("%v: encoding is not deterministic", st)
-		}
+	// Determinism: a second encode is byte-identical.
+	var buf2 bytes.Buffer
+	w2 := bufio.NewWriter(&buf2)
+	if err := got.WriteFrozen(w2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatal("encoding is not deterministic")
 	}
 }
 
@@ -187,7 +183,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	valid := buf.Bytes()
 	// Truncations at every prefix must error, never panic or mis-decode.
 	for cut := 0; cut < len(valid); cut++ {
-		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(valid[:cut])), invindex.StorageRaw, 1); err == nil {
+		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(valid[:cut])), 1); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(valid))
 		}
 	}
@@ -196,7 +192,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 // BenchmarkReadFrozen times the snapshot load of one segment the size of a
 // default fsiserve freeze (-compact 50000): 24 900 terms with Zipf document
 // frequencies (df ∝ rank^-0.8, about 51 800 postings) over 14 400 documents
-// spread across a 1M docID span, decoded and encoded under raw storage.
+// spread across a 1M docID span, decoded and built as raw lists.
 func BenchmarkReadFrozen(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	docs := make([]uint32, 14_400)
@@ -226,7 +222,7 @@ func BenchmarkReadFrozen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), invindex.StorageRaw, 1); err != nil {
+		if _, err := ReadFrozen(bufio.NewReader(bytes.NewReader(buf.Bytes())), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
