@@ -10,8 +10,8 @@
 //
 // With -algo Auto (the default) the kernel is chosen by the query
 // planner's calibrated cost model over the operand sizes; -explain prints
-// the decision (kernel, cost-ordered operands, calibrated coefficients)
-// to stderr before intersecting.
+// the decision (kernel, cost-ordered operands, and the calibrated
+// coefficients that price it) to stderr before intersecting.
 package main
 
 import (
@@ -90,8 +90,11 @@ func main() {
 			for i, l := range lists {
 				parts = append(parts, fmt.Sprintf("%s(%d)", paths[i], l.Len()))
 			}
-			fmt.Fprintf(os.Stderr, "fsi: plan: kernel=%v operands=[%s] costs{scan=%.2f probe=%.2f hash=%.2f filter=%.2f gap=%.2f ns}\n",
-				algo, strings.Join(parts, " "), costs.Scan, costs.Probe, costs.Hash, costs.Filter, costs.GapDecode)
+			// The coefficients the raw-list choice is priced with: the
+			// Merge, Gallop and BitsegAnd anchors plus Scan, bitseg's
+			// per-output term.
+			fmt.Fprintf(os.Stderr, "fsi: plan: kernel=%v operands=[%s] costs{merge=%.2f gallop=%.2f bitseg_word=%.2f scan=%.2f ns}\n",
+				algo, strings.Join(parts, " "), costs.MergeElem, costs.GallopProbe, costs.BitsegWord, costs.Scan)
 		}
 	}
 	start := time.Now()

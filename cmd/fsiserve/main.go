@@ -129,8 +129,8 @@ func main() {
 		os.Exit(1)
 	}
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "fsiserve: indexed %d docs, %d (term,shard) postings across %d shards (%.2f B/posting) in %v\n",
-		st.Docs, st.Terms, st.Shards, st.Postings.BytesPerPosting,
+	fmt.Fprintf(os.Stderr, "fsiserve: indexed %d docs, %d (term,shard) postings across %d shards (%.1f MB of posting lists) in %v\n",
+		st.Docs, st.Terms, st.Shards, float64(st.Postings.StoredBytes)/1e6,
 		time.Since(genStart).Round(time.Millisecond))
 
 	if *load > 0 {

@@ -203,9 +203,14 @@ func TestServeEndpoints(t *testing.T) {
 	if st.Shards != 4 || st.Queries < 2 || st.Cache.Hits < 1 || st.Docs != wantDocs {
 		t.Fatalf("stats = %+v, want docs = %d", st, wantDocs)
 	}
-	// Every list is raw: 4 bytes a posting, all under one "Raw" encoding.
-	if p := st.Postings; p.Total == 0 || p.StoredBytes != p.RawBytes || len(p.Encodings) != 1 || p.Encodings["Raw"].Bytes != p.StoredBytes {
-		t.Fatalf("postings accounting = %+v", p)
+	// Every corpus posting sits in a shard's one segment, and every list is
+	// an exact-size []uint32: 4 bytes a posting.
+	wantPostings := uint64(0)
+	for _, l := range corpus.Postings {
+		wantPostings += uint64(len(l))
+	}
+	if p := st.Postings; p.Total != wantPostings || p.StoredBytes != 4*wantPostings {
+		t.Fatalf("postings accounting = %+v, want %d postings", p, wantPostings)
 	}
 
 	// Bad queries are 400s with a JSON error.

@@ -62,11 +62,11 @@
 // compactions freeze and merge the tier. One plan evaluator runs over every
 // segment. See ARCHITECTURE.md's mutable-tier section for the design.
 //
-// The serving tier stores every posting list raw: an exact-size sorted
-// slice behind internal/compress's Stored header, intersected by merge,
-// galloping or a lazily attached bitmap form, whichever the cost model
-// prices cheapest; engine.Stats reports the exact bytes-per-posting
-// footprint. The paper's compressed structures (§4.1 and Appendix B) live
+// The serving tier holds every posting list as a plain exact-size sorted
+// []uint32 (internal/segment), intersected by merge, galloping or a
+// lazily attached bitmap form, whichever the cost model prices cheapest;
+// engine.Stats reports the exact posting footprint. The paper's
+// compressed structures (§4.1 and Appendix B) live
 // in internal/compress as a library tier — Elias γ/δ gap codes behind a
 // bucket directory, density-partitioned bitmaps and the paper's Lowbits
 // grouping whose decode is a single bit concatenation, with a per-list

@@ -1,10 +1,10 @@
 // Websearch: conjunctive keyword queries over an inverted index — the
 // paper's motivating application. A synthetic corpus of documents is
-// indexed; multi-keyword queries are answered by intersecting posting
-// lists with the kernel the calibrated cost model picks for their sizes
-// (a linear merge for balanced lists, galloping once they are skewed).
-// The paper's full algorithm set stays available through the public
-// fastintersect API, shown at the end.
+// indexed by the query engine; multi-keyword queries are answered by
+// intersecting posting lists with the kernel the calibrated cost model
+// picks for their sizes (a linear merge for balanced lists, galloping once
+// they are skewed). The paper's full algorithm set stays available through
+// the public fastintersect API, shown at the end.
 //
 //	go run ./examples/websearch
 package main
@@ -12,10 +12,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"fastintersect"
-	"fastintersect/internal/invindex"
+	"fastintersect/internal/engine"
 	"fastintersect/internal/xhash"
 )
 
@@ -29,7 +30,8 @@ var vocabulary = []string{
 func main() {
 	const numDocs = 120_000
 	rng := xhash.NewRNG(7)
-	ix := invindex.New()
+	e := engine.New(engine.Config{})
+	b := e.NewBuilder()
 	for doc := uint32(0); doc < numDocs; doc++ {
 		var terms []string
 		for rank, w := range vocabulary {
@@ -38,17 +40,24 @@ func main() {
 				terms = append(terms, w)
 			}
 		}
-		if err := ix.Add(doc, terms); err != nil {
+		if err := b.Add(doc, terms); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := ix.Build(); err != nil {
+	if err := e.Install(b); err != nil {
 		log.Fatal(err)
+	}
+	query := func(q string) []uint32 {
+		res, err := e.Query(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Docs
 	}
 
 	fmt.Println("document frequencies:")
 	for _, w := range []string{"data", "search", "intersection", "scan"} {
-		fmt.Printf("  %-14s %6d docs\n", w, ix.DocFreq(w))
+		fmt.Printf("  %-14s %6d docs\n", w, len(query(w)))
 	}
 	fmt.Println()
 
@@ -59,14 +68,10 @@ func main() {
 		{"scan", "data"}, // rare ∧ frequent: skewed sizes favor galloping
 	}
 	for _, q := range queries {
-		if _, err := ix.Query(q...); err != nil { // warm: calibrates the cost model
-			log.Fatal(err)
-		}
+		and := strings.Join(q, " AND ")
+		query(and) // warm: the first run plans the query and memoizes the plan
 		start := time.Now()
-		hits, err := ix.Query(q...)
-		if err != nil {
-			log.Fatal(err)
-		}
+		hits := query(and)
 		fmt.Printf("query %-35s %6d hits in %v\n", fmt.Sprintf("%v", q), len(hits), time.Since(start).Round(time.Microsecond))
 	}
 
@@ -74,7 +79,7 @@ func main() {
 	// e.g. for benchmarking: preprocess the posting lists, then pick one.
 	var lists []*fastintersect.List
 	for _, w := range []string{"fast", "set", "intersection"} {
-		l, err := fastintersect.Preprocess(ix.Stored(w).Decode())
+		l, err := fastintersect.Preprocess(query(w))
 		if err != nil {
 			log.Fatal(err)
 		}

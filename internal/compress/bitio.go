@@ -15,11 +15,9 @@
 // from the gaps, with a bounded space allowance that buys Lowbits'
 // concatenation decode for long lists), and IntersectStoredStrategy runs
 // whichever kernel the planner's one chooser (plan.ChooseStored) picked,
-// directly over the stored representations. The engine serves raw lists
-// only: internal/invindex stores every built list as an EncRaw Stored and
-// internal/engine wraps its in-memory segment lists as EncRaw views
-// (SetView). The other encodings are the library tier the paper's Figure 8
-// and Figure 11 experiments measure.
+// directly over the stored representations. This is the library tier the
+// paper's Figure 8 and Figure 11 experiments measure; the engine serves
+// plain sorted lists (internal/segment) and does not link this package.
 //
 // Bit streams are LSB-first within 64-bit words, so unary runs are scanned
 // with a single TrailingZeros instruction.

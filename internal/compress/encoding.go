@@ -12,8 +12,8 @@ import (
 
 // Encoding names a posting-list storage representation of a Stored. It
 // extends Coding/RGSCoding — which select a code within one compressed
-// structure — with the raw representation (the one the engine serves), so
-// a set of lists can mix representations per list.
+// structure — with the raw representation, so a set of lists can mix
+// representations per list.
 type Encoding int
 
 const (

@@ -17,9 +17,9 @@ import (
 // non-matching group pairs.
 const StoredHashImages = 1
 
-// Stored is one posting list held under one Encoding — the one posting
-// type: the engine serves EncRaw lists, the other encodings are the
-// library tier.
+// Stored is one posting list held under one Encoding: the library tier of
+// the paper's compressed experiments (the engine serves plain sorted lists,
+// internal/segment's List).
 // A Stored is immutable after construction (apart from the lazily attached
 // bitseg form of an EncRaw list) and safe for concurrent use.
 //
@@ -33,12 +33,8 @@ const StoredHashImages = 1
 //	            is a single bit concatenation
 //	EncBitseg   a bitseg.List — density-partitioned bitmap segments and
 //	            sorted runs, intersected word-at-a-time with no decode
-//
-// A view (SetView) is an EncRaw Stored over memory the caller owns for one
-// evaluation — an in-memory segment list or an intermediate result.
 type Stored struct {
 	enc    Encoding
-	view   bool
 	n      int
 	span   int
 	raw    []uint32
@@ -93,36 +89,6 @@ func NewStoredAdaptive(fam *core.Family, set []uint32) (*Stored, error) {
 	return NewStored(fam, set, ChooseEncoding(set))
 }
 
-// SetView makes s an EncRaw view of set, neither validated nor copied:
-// the form the engine's evaluator wraps in-memory segment lists and
-// intermediate results in, drawn from a pooled arena and reused across
-// evaluations. set must be strictly increasing and outlive every use of s.
-// The planner never prices a view for BitsegAnd, and a forced one builds
-// its bitmaps afresh rather than attaching them to a recycled slot.
-func (s *Stored) SetView(set []uint32) {
-	s.enc, s.view, s.n, s.raw = EncRaw, true, len(set), set
-	s.span = 0
-	if len(set) > 0 {
-		s.span = int(set[len(set)-1]) + 1
-	}
-	s.lookup, s.rgs = nil, nil
-	if s.bits.Load() != nil {
-		s.bits.Store(nil)
-	}
-}
-
-// SetRaw makes s an EncRaw list of set, retaining it without validating or
-// copying: for a set the caller keeps strictly increasing by construction.
-// Unlike a view it is a stored list — the planner may price BitsegAnd for
-// it and its bitseg form attaches once — so s must be a fresh header, and
-// set must stay unmodified for as long as s is reachable. A caller adopting
-// many sets at once (a segment freeze) sets a slice of headers allocated
-// together.
-func (s *Stored) SetRaw(set []uint32) {
-	s.SetView(set)
-	s.view = false
-}
-
 // Encoding returns the representation the list is stored under.
 func (s *Stored) Encoding() Encoding { return s.enc }
 
@@ -160,8 +126,8 @@ func (s *Stored) Decode() []uint32 {
 }
 
 // DecodeInto appends the sorted posting list to dst. Unlike Decode it
-// always copies, so the result never aliases stored memory — the form the
-// engine's pooled execution contexts rely on. Beyond growing dst (and the
+// always copies, so the result never aliases stored memory. Beyond growing
+// dst (and the
 // one-time warm-up of the package's scratch pool) it does not allocate.
 func (s *Stored) DecodeInto(dst []uint32) []uint32 {
 	switch s.enc {
@@ -180,9 +146,7 @@ func (s *Stored) DecodeInto(dst []uint32) []uint32 {
 // bitsegList returns the list's bitseg form: the stored structure of an
 // EncBitseg list; for EncRaw, one built on first use and attached for every
 // later query. Concurrent first uses may each build one; the first attach
-// wins. A view builds afresh every time — its arena slot is recycled, and
-// an attached structure would outlive the list it was built from. Nil for
-// the other encodings.
+// wins. Nil for the other encodings.
 func (s *Stored) bitsegList() *bitseg.List {
 	if b := s.bits.Load(); b != nil {
 		return b
@@ -190,8 +154,8 @@ func (s *Stored) bitsegList() *bitseg.List {
 	if s.enc != EncRaw {
 		return nil
 	}
-	b, _ := bitseg.FromSorted(s.raw) // raw lists are validated (or caller-vouched views)
-	if s.view || s.bits.CompareAndSwap(nil, b) {
+	b, _ := bitseg.FromSorted(s.raw) // raw lists are validated
+	if s.bits.CompareAndSwap(nil, b) {
 		return b
 	}
 	return s.bits.Load()
@@ -199,9 +163,6 @@ func (s *Stored) bitsegList() *bitseg.List {
 
 // Shape maps the list's encoding onto the planner's operand vocabulary.
 func (s *Stored) Shape() plan.Shape {
-	if s.view {
-		return plan.ShapeView
-	}
 	switch s.enc {
 	case EncGamma:
 		return plan.ShapeGamma
@@ -279,11 +240,6 @@ func IntersectStoredStrategy(dst []uint32, strat plan.Kernel, ss ...*Stored) []u
 		return dst
 	case 1:
 		return ss[0].DecodeInto(dst)
-	case 2:
-		// The raw pair kernels need no workspace: skip the scratch pool.
-		if pair := rawPairKernel(strat); pair != nil && ss[0].enc == EncRaw && ss[1].enc == EncRaw {
-			return pair(dst, ss[0].raw, ss[1].raw)
-		}
 	}
 	sc := getScratch()
 	defer putScratch(sc)

@@ -222,7 +222,7 @@ func TestParseEncodingRoundtrip(t *testing.T) {
 }
 
 // TestStoredSize pins the posting header inside the 80-byte allocation
-// size class: an index holds one Stored per (term, shard), so every byte
+// size class: a compressed index holds one Stored per list, so every byte
 // past the class boundary multiplies across hundreds of thousands of lists.
 func TestStoredSize(t *testing.T) {
 	if n := unsafe.Sizeof(Stored{}); n > 80 {

@@ -112,10 +112,10 @@ func TestQueryAllocs(t *testing.T) {
 		{"count-raw-and-1shard", 1, "m2 AND m3", true, false, 30},
 		{"count-raw-and-4shard", 4, "m2 AND m3", true, false, 60},
 		// The segment path: every in-memory segment runs the same evaluator
-		// over views from the context's arena. The bounds sit a few
-		// allocations above the 19 / 28 / 47 allocs/op the evaluator
-		// measured before views existed, tight enough that an arena
-		// allocating one view per operand trips every row.
+		// over its plain []uint32 lists. The bounds sit a few allocations
+		// above the 19 / 28 / 47 allocs/op the evaluator measured before
+		// operands were ever wrapped, tight enough that wrapping one
+		// operand per evaluation trips every row.
 		{"raw-and-tiered-1shard", 1, "m2 AND m3", false, true, 22},
 		{"raw-and-tiered-4shard", 4, "m2 AND m3", false, true, 36},
 		{"raw-mixed-tiered-1shard", 1, "(m2 AND m3) OR m11 AND NOT m13", false, true, 54},

@@ -3,16 +3,15 @@
 // algorithms and a search service.
 //
 // Documents are hash-partitioned across S shards. Each shard is a tiered
-// segmented index (internal/segment): k frozen segments of compress.Stored
-// lists — the one Install builds is simply the first — and one active
-// mutable segment, each carrying its own tombstone filter, so the corpus
-// stays mutable (AddDocument / DeleteDocument) — every document is visible
-// in exactly one segment, so each shard evaluates a query f as the k-way
+// segmented index (internal/segment): k frozen segments of posting lists —
+// the one Install builds is simply the first — and one active mutable
+// segment, each carrying its own tombstone filter, so the corpus stays
+// mutable (AddDocument / DeleteDocument) — every document is visible in
+// exactly one segment, so each shard evaluates a query f as the k-way
 // union of (f(segment) − segment tombstones) across its tier. One evaluator
-// runs the plan over every segment: frozen segments hand it their stored
-// lists, the active segment EncRaw views of its sorted lists, and
-// conjunctions push down to whichever kernel the cost model picks for the
-// encodings at hand.
+// runs the plan over every segment: every operand is a sorted []uint32,
+// and conjunctions push down to whichever of Merge, Gallop or BitsegAnd
+// the cost model picks for the lists at hand.
 // Background compaction (see mutable.go) is incremental: the active segment
 // freezes into the tier by a map move, a size-tiered merge coalesces only
 // the smallest segments, and a full compaction — a merge of every segment
@@ -31,11 +30,12 @@
 // plan; QueryBatch amortizes planning and shard fan-out across many
 // queries.
 //
-// Every posting list is stored raw: an exact-size sorted []uint32 behind an
-// EncRaw compress.Stored header, whichever path built it (Install, a
-// freeze, a merge, a snapshot load). Stats reports the exact posting
-// footprint. internal/compress keeps the paper's compressed encodings as a
-// library tier; the engine does not serve them.
+// Every frozen posting list is a segment.List: an exact-size sorted
+// []uint32 with its span and its lazily attached bitseg form, whichever
+// path built it (Install, a merge, a snapshot load; a freeze adopts the
+// active segment's arrays). Stats reports the exact posting footprint.
+// internal/compress keeps the paper's compressed encodings as a library
+// tier; the engine does not link it.
 package engine
 
 import (
@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/obs"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
@@ -206,32 +205,51 @@ func shardOf(docID uint32, shards int) int {
 	return int((uint64(docID) * 0x9E3779B97F4A7C15 >> 33) % uint64(shards))
 }
 
-// Builder accumulates documents for one build. It is not safe for
-// concurrent use; Build (via Engine.Install) parallelizes internally.
+// Builder accumulates documents for one build: each shard's pending term →
+// docIDs postings, in any order and with duplicates, which Install hands
+// to segment.Build. It is not safe for concurrent use, and it installs
+// once: a second Install, and Add or AddPosting after Install, fail.
 type Builder struct {
-	shards []*invindex.Index
+	shards    []map[string][]uint32
+	installed bool
 }
+
+var errInstalled = errors.New("engine: builder already installed")
 
 // NewBuilder returns an empty builder with the engine's sharding.
 func (e *Engine) NewBuilder() *Builder {
-	b := &Builder{shards: make([]*invindex.Index, e.cfg.Shards)}
+	b := &Builder{shards: make([]map[string][]uint32, e.cfg.Shards)}
 	for i := range b.shards {
-		b.shards[i] = invindex.New()
+		b.shards[i] = map[string][]uint32{}
 	}
 	return b
 }
 
-// Add records a document in its home shard. Adding the same docID more than
-// once unions its terms; it is still counted as one document.
+// Add records a document in its home shard. Empty terms are skipped.
+// Repeating a term, or adding the same docID more than once, unions its
+// terms; it is still counted as one document.
 func (b *Builder) Add(docID uint32, terms []string) error {
-	return b.shards[shardOf(docID, len(b.shards))].Add(docID, terms)
+	if b.installed {
+		return errInstalled
+	}
+	pending := b.shards[shardOf(docID, len(b.shards))]
+	for _, t := range terms {
+		if t != "" {
+			pending[t] = append(pending[t], docID)
+		}
+	}
+	return nil
 }
 
 // AddPosting records a whole term → docIDs posting list, partitioning it
 // across shards (builder-style input for corpora that arrive term-major).
 func (b *Builder) AddPosting(term string, docIDs []uint32) error {
+	if b.installed {
+		return errInstalled
+	}
 	if len(b.shards) == 1 {
-		return b.shards[0].AddPosting(term, docIDs)
+		b.shards[0][term] = append(b.shards[0][term], docIDs...)
+		return nil
 	}
 	parts := make([][]uint32, len(b.shards))
 	for _, d := range docIDs {
@@ -239,11 +257,8 @@ func (b *Builder) AddPosting(term string, docIDs []uint32) error {
 		parts[s] = append(parts[s], d)
 	}
 	for s, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		if err := b.shards[s].AddPosting(term, part); err != nil {
-			return err
+		if len(part) > 0 {
+			b.shards[s][term] = append(b.shards[s][term], part...)
 		}
 	}
 	return nil
@@ -253,38 +268,35 @@ func (b *Builder) AddPosting(term string, docIDs []uint32) error {
 // parallelizes over its terms, so total build goroutines ≈ max(Workers,
 // Shards) — one per shard at minimum), swaps the new shard set in, and
 // bumps the index generation so cached results from the previous index are
-// never served. The builder must not be reused afterwards.
+// never served. A builder installs once: installing it again fails and
+// leaves the installed index as it was.
 //
 // The builder must come from an engine with the same shard count: installing
 // a mismatched builder would mis-route both queries and the mutation API,
 // since shardOf partitions by the installed shard count.
 func (e *Engine) Install(b *Builder) error {
+	if b.installed {
+		return errInstalled
+	}
 	if len(b.shards) != e.cfg.Shards {
 		return fmt.Errorf("engine: cannot install a %d-shard builder into a %d-shard engine (builders are engine-specific; use NewBuilder on this engine)",
 			len(b.shards), e.cfg.Shards)
 	}
-	errs := make([]error, len(b.shards))
+	b.installed = true
+	// Each built segment is its shard's first. segment.Build consumes the
+	// pending postings, so the builder lets go of them.
+	shards := make([]*shard, len(b.shards))
 	var wg sync.WaitGroup
-	for i, ix := range b.shards {
+	for i, pending := range b.shards {
+		shards[i] = &shard{active: segment.NewMutable()}
 		wg.Add(1)
-		go func(i int, ix *invindex.Index) {
+		go func() {
 			defer wg.Done()
-			errs[i] = ix.BuildParallel(e.shardWorkers())
-		}(i, ix)
+			shards[i].appendSeg(segment.Build(pending, e.shardWorkers()))
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-	}
-	// Each built index becomes its shard's first segment: the segment
-	// adopts the index's lists and docID set without copying.
-	shards := make([]*shard, len(b.shards))
-	for i, ix := range b.shards {
-		shards[i] = &shard{active: segment.NewMutable()}
-		shards[i].appendSeg(segment.FromIndex(ix))
-	}
+	clear(b.shards)
 	e.mu.Lock()
 	old := e.shards
 	// Retire the outgoing shards BEFORE they become unreachable: a mutation
@@ -788,27 +800,14 @@ func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan
 	return merged, total, nil
 }
 
-// EncodingStat aggregates the posting lists stored under one encoding
-// across all shards.
-type EncodingStat struct {
-	Lists           int     `json:"lists"`
-	Postings        uint64  `json:"postings"`
-	Bytes           uint64  `json:"bytes"`
-	BytesPerPosting float64 `json:"bytes_per_posting"`
-}
-
 // PostingStats is the engine-wide posting-payload accounting of each
 // shard's largest segment (the installed or fully compacted one in steady
-// state, which holds nearly every posting): how many bytes its lists
-// actually hold versus the 4-byte-per-posting raw footprint, broken down
-// per encoding (every list is raw, so Encodings holds one "Raw" entry). The
-// rest of the tier is accounted in DeltaStats.
+// state, which holds nearly every posting): its posting count and the
+// bytes its lists hold — 4 per posting, since every list is an exact-size
+// []uint32. The rest of the tier is accounted in DeltaStats.
 type PostingStats struct {
-	Total           uint64                  `json:"total"`
-	RawBytes        uint64                  `json:"raw_bytes"`
-	StoredBytes     uint64                  `json:"stored_bytes"`
-	BytesPerPosting float64                 `json:"bytes_per_posting"`
-	Encodings       map[string]EncodingStat `json:"encodings"`
+	Total       uint64 `json:"total"`
+	StoredBytes uint64 `json:"stored_bytes"`
 }
 
 // DeltaStats is the point-in-time accounting of the mutable tier across all
@@ -899,7 +898,6 @@ func (e *Engine) Stats() Stats {
 	shards := e.snapshot()
 	st := Stats{
 		Shards:          e.cfg.Shards,
-		Postings:        PostingStats{Encodings: map[string]EncodingStat{}},
 		Queries:         e.met.queries.Value(),
 		QueryErrors:     e.met.queryErrors.Value(),
 		Rebuilds:        e.met.rebuilds.Value(),
@@ -967,26 +965,8 @@ func (e *Engine) Stats() Stats {
 		}
 		st.Terms += largest.NumTerms()
 		st.ShardTerms = append(st.ShardTerms, largest.NumTerms())
-		ms := largest.MemStats()
-		st.Postings.Total += ms.Postings
-		st.Postings.RawBytes += ms.RawBytes
-		st.Postings.StoredBytes += ms.StoredBytes
-		for enc, es := range ms.Encodings {
-			agg := st.Postings.Encodings[enc]
-			agg.Lists += es.Lists
-			agg.Postings += es.Postings
-			agg.Bytes += es.Bytes
-			st.Postings.Encodings[enc] = agg
-		}
+		st.Postings.Total += uint64(largest.NumPostings())
 	}
-	if st.Postings.Total > 0 {
-		st.Postings.BytesPerPosting = float64(st.Postings.StoredBytes) / float64(st.Postings.Total)
-	}
-	for enc, agg := range st.Postings.Encodings {
-		if agg.Postings > 0 {
-			agg.BytesPerPosting = float64(agg.Bytes) / float64(agg.Postings)
-			st.Postings.Encodings[enc] = agg
-		}
-	}
+	st.Postings.StoredBytes = 4 * st.Postings.Total
 	return st
 }

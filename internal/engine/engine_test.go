@@ -168,8 +168,8 @@ func forceKernel(k plan.Kernel) *plan.Costs {
 
 // TestEngineEveryKernelAgrees forces each raw-list kernel through the
 // serving path — over the base and over frozen and active segments, whose
-// views fall back from BitsegAnd to the cheaper of the others — and holds
-// every answer to the reference.
+// active lists and intermediate results (span 0) fall back from BitsegAnd
+// to the cheaper of the others — and holds every answer to the reference.
 func TestEngineEveryKernelAgrees(t *testing.T) {
 	const numDocs = 2000
 	for _, k := range []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd} {
@@ -179,7 +179,7 @@ func TestEngineEveryKernelAgrees(t *testing.T) {
 		}
 		// Checked on the base-only tier: with segments, the costliest run
 		// names each traced operator, and under these corrections that is
-		// a view's priced-out Merge or Gallop.
+		// an active list's priced-out Merge or Gallop.
 		if got := e.Stats().KernelExecs; got[k.String()] == 0 {
 			t.Errorf("forced %v, but it never ran (kernel executions %v)", k, got)
 		}
@@ -405,4 +405,121 @@ func TestEngineConcurrentRebuild(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestBuilderDocsAndTerms pins how documents arrive through the builder:
+// empty terms are skipped, a term repeated within a document or a document
+// added twice yields one posting, and documents are counted once however
+// they arrived (Add, a repeated Add, AddPosting).
+func TestBuilderDocsAndTerms(t *testing.T) {
+	e := New(Config{})
+	b := e.NewBuilder()
+	_ = b.Add(7, []string{"x", "x", "", "y"})
+	_ = b.Add(5, []string{"a", "b"})
+	_ = b.Add(5, []string{"b", "c"})
+	_ = b.AddPosting("d", []uint32{9, 7, 5, 9})
+	if err := e.Install(b); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Docs != 3 || st.Terms != 6 || st.Postings.Total != 8 {
+		t.Fatalf("docs=%d terms=%d postings=%d, want 3/6/8", st.Docs, st.Terms, st.Postings.Total)
+	}
+	for q, want := range map[string]int{"x": 1, "b": 1, "d": 3, "x AND d": 1} {
+		if res, err := e.QueryCount(q); err != nil || res.Count != want {
+			t.Fatalf("%s: count %+v, %v; want %d", q, res, err, want)
+		}
+	}
+}
+
+const misuseDocs = 600
+
+// installMisuseIndex installs testDocTerms for misuseDocs documents through
+// one builder over the given number of shards and returns the engine and
+// the now-installed builder.
+func installMisuseIndex(t *testing.T, shards int) (*Engine, *Builder) {
+	t.Helper()
+	e := New(Config{Shards: shards})
+	b := e.NewBuilder()
+	for d := uint32(0); d < misuseDocs; d++ {
+		if err := b.Add(d, testDocTerms(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Install(b); err != nil {
+		t.Fatal(err)
+	}
+	return e, b
+}
+
+// checkLateUnindexed fails the test unless the index still holds exactly
+// the installed documents, once, and no "late" term.
+func checkLateUnindexed(t *testing.T, e *Engine, shards int) {
+	t.Helper()
+	if st := e.Stats(); st.Docs != misuseDocs || st.Rebuilds != 1 {
+		t.Fatalf("shards=%d: docs=%d rebuilds=%d, want %d/1", shards, st.Docs, st.Rebuilds, misuseDocs)
+	}
+	if res, err := e.Query("late"); err != nil || res.Count != 0 {
+		t.Fatalf("shards=%d: late term = %+v, %v; want no match", shards, res, err)
+	}
+}
+
+// TestBuilderInstallTwice pins the build-once contract of Install: a second
+// Install of one builder, serial or sharded, fails and leaves the installed
+// index answering as before, with its generation and rebuild count unchanged.
+func TestBuilderInstallTwice(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		e, b := installMisuseIndex(t, shards)
+		before, err := e.Query("m2 AND m3 AND NOT m5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := e.Generation()
+		if err := e.Install(b); err == nil {
+			t.Fatalf("shards=%d: second Install of one builder accepted", shards)
+		}
+		after, err := e.Query("m2 AND m3 AND NOT m5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sets.Equal(after.Docs, before.Docs) || len(after.Docs) == 0 || e.Generation() != gen {
+			t.Fatalf("shards=%d: after the failed Install: %d docs (was %d), generation %d (was %d)",
+				shards, len(after.Docs), len(before.Docs), e.Generation(), gen)
+		}
+		checkLateUnindexed(t, e, shards)
+	}
+}
+
+// TestBuilderAddAfterInstall pins the engine's misuse errors around one
+// build: a query before any Install fails with ErrNotBuilt, Add after
+// Install fails and indexes nothing, and an empty query fails with
+// plan.ErrEmptyQuery while an unknown term matches nothing.
+func TestBuilderAddAfterInstall(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		if _, err := New(Config{Shards: shards}).Query("m2"); !errors.Is(err, ErrNotBuilt) {
+			t.Fatalf("shards=%d: query before Install: err = %v, want ErrNotBuilt", shards, err)
+		}
+		e, b := installMisuseIndex(t, shards)
+		if err := b.Add(misuseDocs, []string{"late"}); err == nil {
+			t.Fatalf("shards=%d: Add after Install accepted", shards)
+		}
+		checkLateUnindexed(t, e, shards)
+		if _, err := e.Query(""); !errors.Is(err, plan.ErrEmptyQuery) {
+			t.Fatalf("shards=%d: empty query: err = %v, want plan.ErrEmptyQuery", shards, err)
+		}
+		if res, err := e.Query("nope"); err != nil || res.Count != 0 {
+			t.Fatalf("shards=%d: unknown term = %+v, %v; want no match", shards, res, err)
+		}
+	}
+}
+
+// TestBuilderAddPostingAfterInstall pins that AddPosting after Install
+// fails and indexes nothing.
+func TestBuilderAddPostingAfterInstall(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		e, b := installMisuseIndex(t, shards)
+		if err := b.AddPosting("late", []uint32{1, 2, 3, 4}); err == nil {
+			t.Fatalf("shards=%d: AddPosting after Install accepted", shards)
+		}
+		checkLateUnindexed(t, e, shards)
+	}
 }

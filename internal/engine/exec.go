@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"fastintersect/internal/compress"
+	"fastintersect/internal/bitseg"
 	"fastintersect/internal/plan"
 	"fastintersect/internal/segment"
 	"fastintersect/internal/sets"
@@ -15,14 +15,14 @@ import (
 // file is the one interpreter that runs a plan.Plan inside a pooled
 // execCtx, over frozen and active segments alike.
 //
-// Every operand is an EncRaw *compress.Stored: a frozen segment hands out
-// its stored lists, and the active segment's sorted lists — like the
-// intermediate results a conjunction intersects with its composite kids —
-// are wrapped as views drawn from the context's arena. Kernel selection is
-// delegated to the plan package: the plan fixes the operand order (built
-// once per query from engine-aggregate statistics), and each segment
-// re-prices the kernel on its actual operand sizes and spans through
-// plan.ChooseStored. No execution path picks a kernel inline.
+// Every operand is a sorted []uint32: a frozen segment's list, an
+// active-segment list or an intermediate result a conjunction intersects
+// with its composite kids. The evaluator intersects them itself with
+// Merge, Gallop or BitsegAnd. Kernel selection is delegated to the plan
+// package: the plan fixes the operand order (built once per query from
+// engine-aggregate statistics), and each segment re-prices the kernel on
+// its actual operand sizes and spans through plan.ChooseStored. No
+// execution path picks a kernel inline.
 
 // source is the segment a plan is evaluated against: one frozen segment or
 // the shard's active segment. Exactly one field is set.
@@ -31,17 +31,26 @@ type source struct {
 	active *segment.Mutable
 }
 
-// operand returns term's posting list in src, or nil when src holds none.
-// Active-segment lists come back as arena views, valid until the context's
-// next resetViews.
-func (c *execCtx) operand(src source, term string) *compress.Stored {
-	if src.seg != nil {
-		return src.seg.List(term)
+// operand is one conjunction input: sorted docIDs and, for a frozen
+// segment's list, the list itself — its span and its bitseg form.
+// Active-segment lists and intermediate results carry no list, so they are
+// priced with span 0, which never prices BitsegAnd: their bitmap form
+// would be rebuilt on every query.
+type operand struct {
+	docs []uint32
+	list *segment.List
+}
+
+// fetch returns term's posting list in src; its docs are empty when src
+// holds none.
+func fetch(src source, term string) operand {
+	if src.seg == nil {
+		return operand{docs: src.active.Postings(term)}
 	}
-	if l := src.active.Postings(term); len(l) > 0 {
-		return c.view(l)
+	if l := src.seg.List(term); l != nil {
+		return operand{docs: l.Docs(), list: l}
 	}
-	return nil
+	return operand{}
 }
 
 // evalOp evaluates physical operator i of p against one segment, returning
@@ -80,11 +89,7 @@ func (e *Engine) evalOpInner(c *execCtx, src source, p *plan.Plan, i int32) (doc
 	op := &p.Ops[i]
 	switch op.Kind {
 	case plan.OpTerm:
-		s := c.operand(src, op.Term)
-		if s == nil {
-			return nil, false, nil
-		}
-		return s.Decode(), false, nil
+		return fetch(src, op.Term).docs, false, nil
 
 	case plan.OpOr:
 		f := c.frame()
@@ -123,18 +128,62 @@ func recTerm(c *execCtx, ti int32, n int) {
 // intersect runs the kernel plan.ChooseStored picks for ops on their actual
 // lengths and spans, into a fresh context buffer. ops[0] is the probe
 // side. A traced conjunction (rec non-nil) records the kernel that ran and
-// the price it was chosen at.
-func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []*compress.Stored) []uint32 {
+// the price it was chosen at. The kernels run in their own functions,
+// keeping this frame — on every per-shard goroutine's stack — small.
+func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []operand) []uint32 {
 	c.ops = c.ops[:0]
-	for _, s := range ops {
-		c.ops = append(c.ops, s.Operand())
+	for _, o := range ops {
+		span := 0
+		if o.list != nil {
+			span = o.list.Span()
+		}
+		c.ops = append(c.ops, plan.Operand{Len: len(o.docs), Span: span})
 	}
 	costs := e.planCosts()
-	strat := plan.ChooseStored(costs, pol, c.ops)
+	k := plan.ChooseStored(costs, pol, c.ops)
 	if rec != nil {
-		rec.ranKernel(strat, plan.PriceStored(costs, strat, c.ops))
+		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
 	}
-	return compress.IntersectStoredStrategy(c.getBuf(), strat, ops...)
+	if k == plan.KernelBitsegAnd {
+		return c.bitsegAnd(ops)
+	}
+	return c.chain(k == plan.KernelGallop, ops)
+}
+
+// chain intersects ops pairwise from the probe side with the linear merge
+// or, when gallop, the gallop of the smaller list through the larger,
+// ping-ponging between two context buffers.
+func (c *execCtx) chain(gallop bool, ops []operand) []uint32 {
+	pair := sets.IntersectInto
+	if gallop {
+		pair = sets.IntersectGallopInto
+	}
+	cur := pair(c.getBuf(), ops[0].docs, ops[1].docs)
+	if len(ops) == 2 {
+		return cur
+	}
+	spare := c.getBuf()
+	for _, o := range ops[2:] {
+		if len(cur) == 0 {
+			break
+		}
+		cur, spare = pair(spare, cur, o.docs), cur[:0]
+	}
+	c.putBuf(spare)
+	return cur
+}
+
+// bitsegAnd runs the k-way word kernel over the operands' bitseg forms,
+// attaching each on its first use. The chooser prices BitsegAnd only when
+// every operand is a frozen list.
+func (c *execCtx) bitsegAnd(ops []operand) []uint32 {
+	for _, o := range ops {
+		c.bits = append(c.bits, o.list.Bitseg())
+	}
+	out := bitseg.IntersectKInto(c.getBuf(), c.bits...)
+	clear(c.bits)
+	c.bits = c.bits[:0]
+	return out
 }
 
 // evalAndOp evaluates one conjunction operator under evalOp's ownership
@@ -150,29 +199,29 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 			c.releaseFrame(f)
 			return nil, false, err
 		}
-		s := c.operand(src, p.Ops[ti].Term)
-		if s == nil || s.Len() == 0 {
+		o := fetch(src, p.Ops[ti].Term)
+		if len(o.docs) == 0 {
 			recTerm(c, ti, 0)
 			c.releaseFrame(f)
 			return nil, false, nil // empty operand: whole conjunction is empty
 		}
-		recTerm(c, ti, s.Len())
-		f.stored = append(f.stored, s)
+		recTerm(c, ti, len(o.docs))
+		f.ops = append(f.ops, o)
 	}
 	var cur []uint32
 	curOwned := false
 	haveBase := false // distinguishes "no term operands" from an empty base intersection
 	switch {
-	case len(f.stored) >= 2:
+	case len(f.ops) >= 2:
 		var rec *opAcc
 		if c.rec != nil {
 			rec = &c.rec.ops[i]
 		}
-		cur = e.intersect(c, p.Policy.Kernels, rec, f.stored)
+		cur = e.intersect(c, p.Policy.Kernels, rec, f.ops)
 		curOwned = true
 		haveBase = true
-	case len(f.stored) == 1:
-		cur = f.stored[0].Decode()
+	case len(f.ops) == 1:
+		cur = f.ops[0].docs
 		haveBase = true
 	}
 	if haveBase && len(cur) == 0 {
@@ -208,8 +257,9 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 			continue
 		}
 		// A composite operand meets the running result through the same
-		// chooser, both sides as views (the pair kernels are symmetric).
-		f.pair[0], f.pair[1] = c.view(cur), c.view(s)
+		// chooser, both sides without a list (the pair kernels are
+		// symmetric).
+		f.pair[0], f.pair[1] = operand{docs: cur}, operand{docs: s}
 		out := e.intersect(c, p.Policy.Kernels, nil, f.pair[:])
 		if curOwned {
 			c.putBuf(cur)

@@ -4,16 +4,16 @@ import (
 	"context"
 	"sync"
 
-	"fastintersect/internal/compress"
+	"fastintersect/internal/bitseg"
 	"fastintersect/internal/plan"
 )
 
 // execCtx is the engine's per-shard-evaluation execution context: it owns
 // every piece of transient memory evalShard needs — a free list of result
-// buffers, the arena of EncRaw views over segment lists and intermediate
-// results, and a free list of evaluation frames. One context serves one
-// evalShard call at a time; Query draws one per shard from the package
-// pool so concurrent shard evaluations never share scratch.
+// buffers, kernel scratch and a free list of evaluation frames. One
+// context serves one evalShard call at a time; Query draws one per shard
+// from the package pool so concurrent shard evaluations never share
+// scratch.
 //
 // Ownership rules (the "memory discipline" ARCHITECTURE.md documents):
 //
@@ -31,12 +31,7 @@ type execCtx struct {
 	free [][]uint32
 	pool []*evalFrame
 	ops  []plan.Operand // scratch for per-segment kernel pricing
-
-	// views is the view arena: views[:nviews] wrap lists of the segment
-	// being evaluated (see view), and resetViews recycles them all once its
-	// evaluation returns — results alias the lists, never the views.
-	views  []*compress.Stored
-	nviews int
+	bits []*bitseg.List // scratch for BitsegAnd's operands; cleared after each run
 
 	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
 	// rows, inclusive ns) into it — set by executePlan for traced queries,
@@ -90,8 +85,8 @@ func (c *execCtx) cancelled() error {
 // evalFrame holds one AND/OR operator's operand collections, recycled
 // across evaluations so nested expressions allocate nothing steady-state.
 type evalFrame struct {
-	stored    []*compress.Stored
-	pair      [2]*compress.Stored // a composite kid meeting the running result
+	ops       []operand
+	pair      [2]operand // a composite kid meeting the running result
 	kids      [][]uint32
 	kidsOwned []bool
 }
@@ -100,10 +95,11 @@ var execCtxPool = sync.Pool{New: func() any { return new(execCtx) }}
 
 func getExecCtx() *execCtx { return execCtxPool.Get().(*execCtx) }
 
-// putExecCtx drops every reference into index memory (so a pooled context
-// never pins a swapped-out shard set) and returns the context to the pool.
+// putExecCtx drops the request's context and any abandoned recording and
+// returns the context to the pool. Frames and kernel scratch drop their
+// references into index memory as they are released, so a pooled context
+// never pins a swapped-out shard set.
 func putExecCtx(c *execCtx) {
-	c.resetViews()
 	c.ctx = nil
 	c.polls = 0
 	if c.rec != nil {
@@ -135,28 +131,6 @@ func (c *execCtx) putBuf(b []uint32) {
 	}
 }
 
-// view wraps a sorted list as an EncRaw operand from the arena — the form
-// in which in-memory segment lists and intermediate results reach the
-// kernel chooser. Valid until resetViews.
-func (c *execCtx) view(l []uint32) *compress.Stored {
-	if c.nviews == len(c.views) {
-		c.views = append(c.views, new(compress.Stored))
-	}
-	v := c.views[c.nviews]
-	c.nviews++
-	v.SetView(l)
-	return v
-}
-
-// resetViews recycles every arena view, dropping their list references so
-// a pooled context never pins segment memory.
-func (c *execCtx) resetViews() {
-	for _, v := range c.views[:c.nviews] {
-		v.SetView(nil)
-	}
-	c.nviews = 0
-}
-
 // frame returns a cleared evaluation frame from the free list.
 func (c *execCtx) frame() *evalFrame {
 	if n := len(c.pool); n > 0 {
@@ -178,9 +152,9 @@ func (c *execCtx) releaseFrame(f *evalFrame) {
 		}
 	}
 	clear(f.kids)
-	clear(f.stored)
-	f.pair = [2]*compress.Stored{}
-	f.stored = f.stored[:0]
+	clear(f.ops)
+	f.pair = [2]operand{}
+	f.ops = f.ops[:0]
 	f.kids = f.kids[:0]
 	f.kidsOwned = f.kidsOwned[:0]
 	c.pool = append(c.pool, f)

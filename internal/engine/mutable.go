@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -15,7 +14,7 @@ import (
 // The mutable tier. Each shard is a tiered segmented index:
 //
 //   - segs: zero or more immutable segment.Frozen segments, each holding
-//     compress.Stored lists, its docID set and its own tombstone filter.
+//     its posting lists, its docID set and its own tombstone filter.
 //     Install builds the first one; freezing the active segment (a map
 //     move, no posting copied) appends more; merges coalesce them.
 //   - active: one segment.Mutable write head absorbing AddDocument calls.
@@ -30,9 +29,8 @@ import (
 //
 //	f(shard) = ∪ over segments s of (f(s) − s.tombs)
 //
-// — every segment runs the same plan evaluator (evalOp), the frozen ones
-// handing it their stored lists and the active one EncRaw views of its
-// sorted lists, and the results combine with one sets.UnionKInto. Order
+// — every segment runs the same plan evaluator (evalOp) over its sorted
+// lists, and the results combine with one sets.UnionKInto. Order
 // independence is what permits size-tiered merging: any subset of frozen
 // segments coalesces into one without consulting the rest. All scratch
 // comes from the pooled execCtx, so the zero-allocation discipline of the
@@ -56,8 +54,8 @@ import (
 //     CompactThreshold) merges every segment into one, with the build
 //     parallelism Install runs.
 //
-// Merges build their output with invindex.BuildParallel, the same builder
-// Install runs. The visible document set is unchanged by freezes and
+// Merges build their output with the one list builder Install runs
+// (segment.Merge). The visible document set is unchanged by freezes and
 // merges, which is why none of them bump the cache generation; they only
 // move postings between raw segments, so none bumps the stats epoch either.
 type shard struct {
@@ -167,7 +165,7 @@ func (e *Engine) AddDocument(docID uint32, terms []string) error {
 	e.met.mutations.Inc()
 	e.gen.Add(1)
 	if spawn {
-		go e.compactShard(s) //nolint:errcheck // state is untouched on failure; retried on the next trigger
+		go e.compactShard(s)
 	}
 	return nil
 }
@@ -198,7 +196,7 @@ func (e *Engine) DeleteDocument(docID uint32) (bool, error) {
 	e.met.mutations.Inc()
 	e.gen.Add(1)
 	if spawn {
-		go e.compactShard(s) //nolint:errcheck
+		go e.compactShard(s)
 	}
 	return true, nil
 }
@@ -284,7 +282,6 @@ func (e *Engine) Compact() error {
 	if shards == nil {
 		return ErrNotBuilt
 	}
-	var firstErr error
 	for _, s := range shards {
 		s.mu.Lock()
 		if s.compacting || s.retired ||
@@ -295,11 +292,9 @@ func (e *Engine) Compact() error {
 		s.compacting = true
 		inputs, snaps := e.fullInputsLocked(s)
 		s.mu.Unlock()
-		if err := e.mergeSegments(s, inputs, snaps, true); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		e.mergeSegments(s, inputs, snaps, true)
 	}
-	return firstErr
+	return nil
 }
 
 // FreezeActive moves every shard's non-empty active segment into its frozen
@@ -372,9 +367,7 @@ func (e *Engine) MergeSegments() error {
 			s.compacting = true
 			victims, snaps := s.pickMergeLocked(e.maxSegments())
 			s.mu.Unlock()
-			if err := e.mergeSegments(s, victims, snaps, false); err != nil {
-				return err
-			}
+			e.mergeSegments(s, victims, snaps, false)
 		}
 	}
 	return nil
@@ -385,18 +378,19 @@ func (e *Engine) MergeSegments() error {
 // size-tiered merge (more than MaxSegments segments beside the largest) or
 // stops after the freeze. The caller must have claimed s.compacting under
 // s.mu; the claim is released on every path.
-func (e *Engine) compactShard(s *shard) error {
+func (e *Engine) compactShard(s *shard) {
 	s.mu.Lock()
 	if s.retired {
 		s.compacting = false
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	e.freezeActiveLocked(s)
 	if e.escalateLocked(s) {
 		inputs, snaps := e.fullInputsLocked(s)
 		s.mu.Unlock()
-		return e.mergeSegments(s, inputs, snaps, true) // claim carries over
+		e.mergeSegments(s, inputs, snaps, true) // claim carries over
+		return
 	}
 	var victims []*segment.Frozen
 	var snaps [][]uint32
@@ -407,12 +401,11 @@ func (e *Engine) compactShard(s *shard) error {
 		s.compacting = false
 		s.mu.Unlock()
 		e.met.compactions.Inc()
-		return nil
+		return
 	}
 	s.mu.Unlock()
-	err := e.mergeSegments(s, victims, snaps, false)
+	e.mergeSegments(s, victims, snaps, false)
 	e.met.compactions.Inc()
-	return err
 }
 
 // pickMergeLocked selects the victims of one size-tiered pass among the
@@ -456,24 +449,19 @@ func (s *shard) pickMergeLocked(maxSegs int) ([]*segment.Frozen, [][]uint32) {
 // are immutable, so the off-lock merge reads them safely against the
 // tombstone snapshots. A full compaction (full = true: every segment, the
 // active one frozen first) builds with the per-shard build parallelism, a
-// size-tiered merge with one worker; neither bumps the stats epoch. On a
-// merge error the tier is untouched, so no mutation is lost and a later
-// compaction retries.
-func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uint32, full bool) error {
+// size-tiered merge with one worker; neither bumps the stats epoch.
+func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uint32, full bool) {
 	workers := 1
 	if full {
 		workers = e.shardWorkers()
 	}
-	merged, err := segment.Merge(inputs, snaps, workers)
+	merged := segment.Merge(inputs, snaps, workers)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compacting = false
 	if s.retired {
-		return nil // replaced mid-merge: the shard will never serve again
-	}
-	if err != nil {
-		return fmt.Errorf("engine: compaction: %w", err)
+		return // replaced mid-merge: the shard will never serve again
 	}
 	// Deletes that landed between snapshot and swap tombstoned the inputs;
 	// re-apply them to the merged segment (AddTomb skips documents the merge
@@ -501,7 +489,6 @@ func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uin
 	} else {
 		e.met.segmentMerges.Inc()
 	}
-	return nil
 }
 
 // evalSegments evaluates a physical plan against one shard's tier: every
@@ -544,7 +531,6 @@ func (e *Engine) evalSegments(c *execCtx, s *shard, p *plan.Plan) ([]uint32, boo
 	}
 	if s.active.NumDocs() > 0 {
 		res, resOwned, err := e.evalOp(c, source{active: s.active}, p, p.Root())
-		c.resetViews()
 		if err != nil {
 			c.releaseFrame(f)
 			return nil, false, err
@@ -577,7 +563,6 @@ func (e *Engine) evalSegments(c *execCtx, s *shard, p *plan.Plan) ([]uint32, boo
 // filter, under evalOp's ownership rules.
 func (e *Engine) evalFrozen(c *execCtx, fz *segment.Frozen, p *plan.Plan) ([]uint32, bool, error) {
 	docs, owned, err := e.evalOp(c, source{seg: fz}, p, p.Root())
-	c.resetViews()
 	if err != nil {
 		return nil, false, err
 	}

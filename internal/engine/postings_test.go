@@ -11,14 +11,12 @@ import (
 func TestStatsPostings(t *testing.T) {
 	const numDocs = 5000
 	rs := buildTestEngine(t, Config{Shards: 2}, numDocs).Stats()
-	if rs.Postings.Total == 0 || rs.Postings.StoredBytes != rs.Postings.RawBytes {
-		t.Fatalf("raw postings accounting: %+v", rs.Postings)
+	want := uint64(0)
+	for d := uint32(0); d < numDocs; d++ {
+		want += uint64(len(testDocTerms(d)))
 	}
-	if rs.Postings.BytesPerPosting != 4 {
-		t.Fatalf("raw bytes/posting = %v, want 4", rs.Postings.BytesPerPosting)
-	}
-	if raw, ok := rs.Postings.Encodings["Raw"]; !ok || len(rs.Postings.Encodings) != 1 || raw.Bytes != rs.Postings.StoredBytes {
-		t.Fatalf("encodings = %+v, want one Raw entry holding every byte", rs.Postings.Encodings)
+	if rs.Postings.Total != want || rs.Postings.StoredBytes != 4*want {
+		t.Fatalf("postings accounting = %+v, want %d postings in %d bytes", rs.Postings, want, 4*want)
 	}
 }
 
@@ -27,7 +25,7 @@ func TestStatsPostings(t *testing.T) {
 // cap == len — in an installed segment, a tiered-merge output, a
 // full-compaction output and a loaded snapshot segment. Freezes are exempt:
 // a freeze adopts the active segment's append-grown arrays by design. Each
-// list is read through Stored.Decode, which returns the raw slice itself.
+// list is read through List.Docs, which returns the slice itself.
 func TestRawListsExactSize(t *testing.T) {
 	const numDocs = 3000
 	frozen := func(eng *Engine) []*segment.Frozen {
@@ -46,7 +44,7 @@ func TestRawListsExactSize(t *testing.T) {
 		}
 		for _, f := range segs {
 			for _, term := range f.Terms() {
-				if l := f.List(term).Decode(); cap(l) != len(l) {
+				if l := f.List(term).Docs(); cap(l) != len(l) {
 					t.Fatalf("%s: term %q keeps capacity %d for %d postings", what, term, cap(l), len(l))
 				}
 			}

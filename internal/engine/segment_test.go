@@ -183,7 +183,7 @@ func TestFreezeIsCheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.RLock()
-	after := s.segs[len(s.segs)-1].List("hot").Decode()
+	after := s.segs[len(s.segs)-1].List("hot").Docs()
 	s.mu.RUnlock()
 	if len(after) != 100 || &after[0] != &before[0] {
 		t.Fatal("freeze copied the posting list")

@@ -33,7 +33,7 @@ import (
 //
 // Every frozen segment goes through the same section path both ways: its
 // lists are written as varint delta-encoded docIDs, and on load each
-// section is built afresh into raw lists by invindex.BuildParallel
+// section is built afresh into exact-size lists by the one list builder
 // (segment.ReadFrozen). A loaded shard must keep the one-visible-segment
 // invariant — no document visible in two segments — or the load fails.
 //

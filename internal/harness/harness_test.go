@@ -117,3 +117,27 @@ func TestExperimentSmokes(t *testing.T) {
 		}
 	}
 }
+
+// TestFig7HashBinNote checks that fig7's HashBin note follows the table it
+// annotates, on one synthetic table each way.
+func TestFig7HashBinNote(t *testing.T) {
+	totals := func(merge, hashBin time.Duration) []time.Duration {
+		out := make([]time.Duration, len(realAlgorithms))
+		for i := range out {
+			out[i] = time.Millisecond
+		}
+		out[0], out[len(out)-1] = merge, hashBin // Merge first, HashBin last
+		return out
+	}
+	for _, tc := range []struct {
+		merge, hashBin time.Duration
+		want           string
+	}{
+		{10 * time.Millisecond, 4 * time.Millisecond, "HashBin's total time is 0.40× Merge's: HashBin beats Merge, as in the paper"},
+		{10 * time.Millisecond, 70700 * time.Microsecond, "HashBin's total time is 7.07× Merge's: HashBin does not beat Merge here, unlike the paper"},
+	} {
+		if got := hashBinNote(totals(tc.merge, tc.hashBin)); got != tc.want {
+			t.Errorf("Merge %v, HashBin %v: note %q, want %q", tc.merge, tc.hashBin, got, tc.want)
+		}
+	}
+}

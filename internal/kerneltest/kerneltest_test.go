@@ -133,37 +133,32 @@ func TestStoredKernelParity(t *testing.T) {
 // rawStrategies are the kernels the planner runs over raw lists.
 var rawStrategies = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd}
 
-// rawOperands returns each set as a stored EncRaw list and as a view — the
-// form in which in-memory segment lists and intermediate results reach the
-// kernels.
-func rawOperands(t *testing.T, c Case) (raw, views []*compress.Stored) {
+// rawOperands returns each set as a stored EncRaw list.
+func rawOperands(t *testing.T, c Case) []*compress.Stored {
 	t.Helper()
+	var raw []*compress.Stored
 	for i, set := range c.Sets {
 		s, err := compress.NewStored(nil, set, compress.EncRaw)
 		if err != nil {
 			t.Fatalf("%s: set %d: %v", c.Name, i, err)
 		}
-		v := new(compress.Stored)
-		v.SetView(set)
-		raw, views = append(raw, s), append(views, v)
+		raw = append(raw, s)
 	}
-	return raw, views
+	return raw
 }
 
 // TestRawKernelParity forces Merge, Gallop and BitsegAnd over EncRaw lists
-// and over views for every corpus case — pairs and k ≥ 3 alike — and holds
-// each to the scalar reference.
+// for every corpus case — pairs and k ≥ 3 alike — and holds each to the
+// scalar reference.
 func TestRawKernelParity(t *testing.T) {
 	widths := map[bool]bool{}
 	for _, c := range Cases(corpusSeed) {
 		want := sets.IntersectReference(c.Sets...)
-		raw, views := rawOperands(t, c)
+		raw := rawOperands(t, c)
 		widths[len(c.Sets) > 2] = true
 		for _, strat := range rawStrategies {
-			for layout, ss := range map[string][]*compress.Stored{"raw": raw, "views": views} {
-				if got := compress.IntersectStoredStrategy(nil, strat, ss...); !sets.Equal(got, want) {
-					t.Errorf("%s/%s forced %v: %d results, want %d", c.Name, layout, strat, len(got), len(want))
-				}
+			if got := compress.IntersectStoredStrategy(nil, strat, raw...); !sets.Equal(got, want) {
+				t.Errorf("%s forced %v: %d results, want %d", c.Name, strat, len(got), len(want))
 			}
 		}
 	}
@@ -180,7 +175,7 @@ func TestRawBitsegLazyAttach(t *testing.T) {
 	const goroutines = 8
 	for _, c := range Cases(corpusSeed) {
 		want := sets.IntersectReference(c.Sets...)
-		raw, _ := rawOperands(t, c)
+		raw := rawOperands(t, c)
 		start := make(chan struct{})
 		wrong := make(chan int, goroutines)
 		var wg sync.WaitGroup

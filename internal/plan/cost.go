@@ -204,8 +204,8 @@ func Calibrated() *Costs {
 }
 
 // Kernel identifies the physical operator chosen for an intersection. Merge,
-// Gallop and BitsegAnd run over raw lists (EncRaw in internal/compress,
-// including the engine's segment views and intermediate results);
+// Gallop and BitsegAnd run over raw lists (the engine's sorted []uint32
+// lists and intermediate results, and EncRaw in internal/compress);
 // BitsegAnd, RGSPair, LookupProbe, FilterChain and DecodeAll over the
 // compressed encodings. HashBin and GroupScan name the paper's §3.4 and
 // Algorithm 5 list kernels: they remain public through fastintersect, and
@@ -374,13 +374,8 @@ func rawCost(c *Costs, k Kernel, ops []Operand, span int) float64 {
 type Shape uint8
 
 const (
-	// ShapeRaw is a stored list under the identity encoding.
+	// ShapeRaw is a sorted []uint32 list.
 	ShapeRaw Shape = iota
-	// ShapeView is a raw list the engine wraps for one evaluation — an
-	// in-memory segment list or an intermediate result. It is priced like
-	// ShapeRaw but never for BitsegAnd: its bitmap form would be rebuilt
-	// on every query.
-	ShapeView
 	// ShapeGamma and ShapeDelta are gap-coded bucket directories.
 	ShapeGamma
 	ShapeDelta
@@ -390,7 +385,7 @@ const (
 	ShapeBitseg
 )
 
-var shapeNames = [...]string{"raw", "view", "gamma", "delta", "lowbits", "bitseg"}
+var shapeNames = [...]string{"raw", "gamma", "delta", "lowbits", "bitseg"}
 
 func (s Shape) String() string {
 	if int(s) < len(shapeNames) {
@@ -399,12 +394,11 @@ func (s Shape) String() string {
 	return "shape(?)"
 }
 
-// raw reports whether the shape is an uncompressed sorted list.
-func (s Shape) raw() bool { return s == ShapeRaw || s == ShapeView }
-
 // Operand describes one intersection operand to the kernel chooser. Span is
-// one past the operand's largest docID (0 when unknown); only the bitseg
-// strategy consults it.
+// one past the operand's largest docID; only the bitseg strategy consults
+// it. Span 0 marks a raw operand whose bitmap form would be rebuilt on
+// every query — an in-memory segment list or an intermediate result — so
+// it is never priced for BitsegAnd.
 type Operand struct {
 	Len   int
 	Shape Shape
@@ -454,18 +448,17 @@ func probeCost(c *Costs, op Operand, p int) float64 {
 // ChooseStored is the one kernel chooser: it picks the intersection
 // strategy for k ≥ 2 operands given in ascending length order (ops[0] is
 // the probe side). All-raw operands choose among Merge, Gallop and — when
-// none is a view and a span is known — BitsegAnd; any compressed operand
-// brings in the compressed-tier strategies. Under KernelsHeuristic raw
-// operands always merge and compressed ones follow the pre-planner shape
-// dispatch.
+// every span is known — BitsegAnd; any compressed operand brings in the
+// compressed-tier strategies. Under KernelsHeuristic raw operands always
+// merge and compressed ones follow the pre-planner shape dispatch.
 func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
-	allRaw, allLookup, allBitseg, view := true, true, true, false
+	allRaw, allLookup, allBitseg, spans := true, true, true, true
 	span := 0
 	for _, op := range ops {
-		if !op.Shape.raw() {
+		if op.Shape != ShapeRaw {
 			allRaw = false
 		}
-		view = view || op.Shape == ShapeView
+		spans = spans && op.Span > 0
 		if op.Shape != ShapeGamma && op.Shape != ShapeDelta {
 			allLookup = false
 		}
@@ -477,7 +470,10 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 		}
 	}
 	if allRaw {
-		return chooseRaw(c, pol, ops, span, !view)
+		if !spans {
+			span = 0
+		}
+		return chooseRaw(c, pol, ops, span)
 	}
 	pairRGS := len(ops) == 2 && ops[0].Shape == ShapeLowbits && ops[1].Shape == ShapeLowbits
 	if pol == KernelsHeuristic {
@@ -525,9 +521,9 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 	return k
 }
 
-// chooseRaw picks Merge, Gallop or (bitsegOK) BitsegAnd for raw operands:
+// chooseRaw picks Merge, Gallop or (span > 0) BitsegAnd for raw operands:
 // the cheapest under the corrected list formulas, Merge on ties.
-func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int, bitsegOK bool) Kernel {
+func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int) Kernel {
 	if pol == KernelsHeuristic {
 		return KernelMerge
 	}
@@ -540,7 +536,7 @@ func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int, bitsegOK boo
 	if g := rawCost(c, KernelGallop, ops, span) * c.corr(KernelGallop); g < best {
 		best, k = g, KernelGallop
 	}
-	if bitsegOK && span > 0 {
+	if span > 0 {
 		if b := rawCost(c, KernelBitsegAnd, ops, span) * c.corr(KernelBitsegAnd); b < best {
 			k = KernelBitsegAnd
 		}

@@ -102,11 +102,11 @@ func TestFeedbackDeadband(t *testing.T) {
 
 func TestFeedbackCorrectionFlipsChoosers(t *testing.T) {
 	// A shape where gallop wins by default — but by less than the fbCorrMax
-	// clamp, so a railed correction can still flip it. Views pin the
-	// pairwise composite case, raw lists with a span the pushdown case
-	// (where the bitmap tier must be corrected away too).
+	// clamp, so a railed correction can still flip it. Lists with span 0
+	// pin the pairwise composite case, raw lists with a span the pushdown
+	// case (where the bitmap tier must be corrected away too).
 	for _, ops := range [][]Operand{
-		{{Len: 1024, Shape: ShapeView}, {Len: 65536, Shape: ShapeView}},
+		{{Len: 1024}, {Len: 65536}},
 		{{Len: 1024, Shape: ShapeRaw, Span: 1 << 20}, {Len: 65536, Shape: ShapeRaw, Span: 1 << 20}},
 	} {
 		base := DefaultCosts()

@@ -3,9 +3,9 @@
 // calibrated cost model over the paper's intersection kernels, and a
 // physical planner that lowers a normalized tree to explicit operators —
 // kernel choice and operand order. One chooser, ChooseStored, prices every
-// conjunction: the engine's raw lists (and its segment views) among Merge,
-// Gallop and BitsegAnd, and internal/compress's compressed lists among the
-// stored-tier strategies.
+// conjunction: the engine's raw lists (and its intermediate results) among
+// Merge, Gallop and BitsegAnd, and internal/compress's compressed lists
+// among the stored-tier strategies.
 //
 // The package is deliberately a leaf: it knows set sizes and storage shapes
 // (Operand), not posting lists, so internal/engine and internal/compress can

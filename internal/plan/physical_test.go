@@ -24,10 +24,10 @@ func mustParse(t *testing.T, q string) Node {
 }
 
 // rawOps describes raw operands of the given lengths over a shared span.
-func rawOps(shape Shape, span int, lens ...int) []Operand {
+func rawOps(span int, lens ...int) []Operand {
 	ops := make([]Operand, len(lens))
 	for i, n := range lens {
-		ops[i] = Operand{Len: n, Shape: shape, Span: span}
+		ops[i] = Operand{Len: n, Span: span}
 	}
 	return ops
 }
@@ -56,33 +56,37 @@ func checkRawChoices(t *testing.T, cases []rawChoice) {
 }
 
 // TestChooseListKernel pins the raw-list rules of the one chooser: Merge,
-// Gallop or BitsegAnd under the list formulas, never BitsegAnd for a view.
+// Gallop or BitsegAnd under the list formulas, never BitsegAnd when an
+// operand has span 0.
 func TestChooseListKernel(t *testing.T) {
 	checkRawChoices(t, []rawChoice{
-		{"balanced", rawOps(ShapeRaw, 0, 50_000, 60_000), KernelMerge},
-		{"heavy-skew", rawOps(ShapeRaw, 0, 10, 100_000), KernelGallop},
-		{"empty-operand", rawOps(ShapeRaw, 0, 0, 5_000), KernelMerge},
+		{"balanced", rawOps(0, 50_000, 60_000), KernelMerge},
+		{"heavy-skew", rawOps(0, 10, 100_000), KernelGallop},
+		{"empty-operand", rawOps(0, 0, 5_000), KernelMerge},
 		// Dense over a known universe: the word-parallel tier wins.
-		{"dense-span", rawOps(ShapeRaw, 100_000, 50_000, 60_000), KernelBitsegAnd},
+		{"dense-span", rawOps(100_000, 50_000, 60_000), KernelBitsegAnd},
 		// Sparse lists over the same universe pay full chunk ANDs, yet the
 		// bitmap walk still undercuts the linear merge (GroupScan, which
 		// was cheaper here, is no longer a planner candidate).
-		{"sparse-span", rawOps(ShapeRaw, 100_000, 1_000, 1_200), KernelBitsegAnd},
+		{"sparse-span", rawOps(100_000, 1_000, 1_200), KernelBitsegAnd},
 		// Heavy skew: galloping beats even the bitmap walk.
-		{"skew-span", rawOps(ShapeRaw, 100_000, 10, 100_000), KernelGallop},
-		{"skew-3way", rawOps(ShapeRaw, 0, 10, 50_000, 100_000), KernelGallop},
-		// A view would rebuild its bitmaps on every query: never BitsegAnd.
-		{"dense-views", rawOps(ShapeView, 100_000, 50_000, 60_000), KernelMerge},
-		{"dense-raw-and-view", append(rawOps(ShapeRaw, 100_000, 50_000), rawOps(ShapeView, 100_000, 60_000)...), KernelMerge},
+		{"skew-span", rawOps(100_000, 10, 100_000), KernelGallop},
+		{"skew-3way", rawOps(0, 10, 50_000, 100_000), KernelGallop},
+		// Span 0 marks a list whose bitmaps would be rebuilt on every query
+		// (an active-segment list, an intermediate result): never BitsegAnd,
+		// even beside a list with a span.
+		{"dense-no-span", rawOps(0, 50_000, 60_000), KernelMerge},
+		{"dense-span-and-no-span", append(rawOps(100_000, 50_000), rawOps(0, 60_000)...), KernelMerge},
 	})
 }
 
-// TestChoosePair pins pairwise composite intersections (two views):
-// galloping wins once the size ratio covers its per-probe overhead.
+// TestChoosePair pins pairwise composite intersections (two intermediate
+// results, span 0): galloping wins once the size ratio covers its
+// per-probe overhead.
 func TestChoosePair(t *testing.T) {
 	checkRawChoices(t, []rawChoice{
-		{"pair-skew", rawOps(ShapeView, 0, 5, 1_000_000), KernelGallop},
-		{"pair-balanced", rawOps(ShapeView, 0, 40_000, 50_000), KernelMerge},
+		{"pair-skew", rawOps(0, 5, 1_000_000), KernelGallop},
+		{"pair-balanced", rawOps(0, 40_000, 50_000), KernelMerge},
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 
-	"fastintersect/internal/invindex"
 	"fastintersect/internal/sets"
 )
 
@@ -175,29 +174,19 @@ func ReadSection(r *bufio.Reader) (map[string][]uint32, []uint32, error) {
 
 // WriteFrozen serializes f as one section.
 func (f *Frozen) WriteFrozen(w *bufio.Writer) error {
-	return WriteSection(w, f.Terms(), func(t string) []uint32 { return f.lists[t].Decode() }, f.tombs)
+	return WriteSection(w, f.Terms(), func(t string) []uint32 { return f.lists[t].docs }, f.tombs)
 }
 
 // ReadFrozen decodes one section into a Frozen segment whose lists are
-// built by invindex.BuildParallel (workers goroutines), the same builder an
-// installed shard runs. Tombstones are kept only for documents
-// the segment holds, so LiveDocs stays exact. A section with no terms gives
-// a segment with no documents.
+// built by Build (workers goroutines), as an installed shard's are. Tombstones are kept only for documents the segment holds,
+// so LiveDocs stays exact. A section with no terms gives a segment with no
+// documents.
 func ReadFrozen(r *bufio.Reader, workers int) (*Frozen, error) {
 	terms, tombs, err := ReadSection(r)
 	if err != nil {
 		return nil, err
 	}
-	ix := invindex.New()
-	for t, ps := range terms {
-		if err := ix.AddPosting(t, ps); err != nil {
-			return nil, err
-		}
-	}
-	if err := ix.BuildParallel(workers); err != nil {
-		return nil, fmt.Errorf("segment: build: %w", err)
-	}
-	f := FromIndex(ix)
+	f := Build(terms, workers)
 	for _, id := range tombs {
 		f.AddTomb(id)
 	}

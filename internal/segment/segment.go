@@ -15,24 +15,24 @@
 // size-tiered merging possible: any subset of frozen segments can be
 // coalesced into one without consulting the others.
 //
-// Mutable is the active write head (map-backed, cheap point updates); Freeze
-// converts it into a Frozen segment by MOVING its lists — each becomes an
-// EncRaw compress.Stored over the same array, so no posting is copied and
-// freezing the active segment is a near-zero-cost compaction step. A Frozen
-// segment holds EncRaw compress.Stored lists, its docID set and its
+// A frozen posting list is a List: a sorted []uint32 with its span and its
+// lazily attached bitseg form beside it. Mutable is the active write head
+// (map-backed, cheap point updates); Freeze converts it into a Frozen
+// segment by MOVING its lists — each becomes a List over the same array, so
+// no posting is copied and freezing the active segment is a near-zero-cost
+// compaction step. A Frozen segment holds its Lists, its docID set and its
 // tombstone filter; it is immutable except for that filter, which only
 // grows and is guarded by the owning shard's lock. Every frozen segment
 // that is not a freeze — an installed shard, a merge, a loaded snapshot
-// section — is built by invindex.BuildParallel, the one list builder, and
-// adopted with FromIndex.
+// section — is built by Build, the one list builder, which keeps one
+// exact-size copy per list.
 package segment
 
 import (
-	"fmt"
 	"sort"
+	"sync/atomic"
 
-	"fastintersect/internal/compress"
-	"fastintersect/internal/invindex"
+	"fastintersect/internal/bitseg"
 	"fastintersect/internal/sets"
 )
 
@@ -117,24 +117,48 @@ func (m *Mutable) NumPostings() int { return m.postings }
 func (m *Mutable) Terms() []string { return sortedKeys(m.terms) }
 
 // Freeze converts the active segment into a Frozen one by MOVING its lists:
-// each becomes an EncRaw compress.Stored over the same array, so a freeze
-// copies no posting — it costs one list header per term (all allocated
-// together) plus the sorted docID set. The Mutable must not be used
-// afterwards.
+// each becomes a List over the same array, so a freeze copies no posting —
+// it costs one list header per term (all allocated together) plus the
+// sorted docID set. The Mutable must not be used afterwards.
 func (m *Mutable) Freeze() *Frozen {
-	lists := make(map[string]*compress.Stored, len(m.terms))
-	hdrs := make([]compress.Stored, len(m.terms))
-	i := 0
+	f := newFrozen(len(m.terms), m.DocIDs())
 	for t, ps := range m.terms {
-		hdrs[i].SetRaw(ps)
-		lists[t] = &hdrs[i]
-		i++
+		f.add(t, ps)
 	}
-	f := &Frozen{lists: lists, docIDs: m.DocIDs(), postings: m.postings}
 	m.terms = nil
 	m.docs = nil
 	m.postings = 0
 	return f
+}
+
+// List is one frozen posting list: strictly increasing docIDs, one past the
+// largest (the span the planner prices BitsegAnd with) and the list's
+// bitseg form, attached the first time a query runs BitsegAnd over it. The
+// docIDs never change; a List is safe for concurrent use.
+type List struct {
+	docs []uint32
+	span int
+	bits atomic.Pointer[bitseg.List]
+}
+
+// Docs returns the sorted docIDs. The slice is the list itself: read-only.
+func (l *List) Docs() []uint32 { return l.docs }
+
+// Span returns one past the largest docID.
+func (l *List) Span() int { return l.span }
+
+// Bitseg returns the list's bitseg form, built on first use and attached
+// for every later query. Concurrent first uses may each build one; the
+// first attach wins and every caller gets a form of the same list.
+func (l *List) Bitseg() *bitseg.List {
+	if b := l.bits.Load(); b != nil {
+		return b
+	}
+	b, _ := bitseg.FromSorted(l.docs) // strictly increasing by construction
+	if l.bits.CompareAndSwap(nil, b) {
+		return b
+	}
+	return l.bits.Load()
 }
 
 // Frozen is an immutable segment: its posting lists never change after
@@ -143,31 +167,34 @@ func (m *Mutable) Freeze() *Frozen {
 // posting lists after the shard lock is released, and lets merges read
 // their inputs off-lock against a tombstone snapshot.
 type Frozen struct {
-	lists    map[string]*compress.Stored // term → posting list; immutable
-	docIDs   []uint32                    // sorted distinct docIDs; immutable
+	lists    map[string]*List // term → posting list; immutable
+	hdrs     []List           // the lists' headers, allocated together
+	docIDs   []uint32         // sorted distinct docIDs; immutable
 	postings int
 	tombs    []uint32 // sorted, ⊆ docIDs; guarded by the owning shard's lock
 }
 
-// FromIndex adopts a built index as a frozen segment: the index's stored
-// lists and docID set become the segment's, with nothing copied.
-func FromIndex(ix *invindex.Index) *Frozen {
-	lists := ix.Lists()
-	postings := 0
-	for _, s := range lists {
-		postings += s.Len()
-	}
-	return &Frozen{lists: lists, docIDs: ix.DocIDs(), postings: postings}
+// newFrozen returns a segment over docIDs with room for terms lists, which
+// add fills in.
+func newFrozen(terms int, docIDs []uint32) *Frozen {
+	return &Frozen{lists: make(map[string]*List, terms), hdrs: make([]List, 0, terms), docIDs: docIDs}
+}
+
+// add adopts docs, non-empty and strictly increasing, as term's list.
+func (f *Frozen) add(term string, docs []uint32) {
+	f.hdrs = append(f.hdrs, List{docs: docs, span: int(docs[len(docs)-1]) + 1})
+	f.lists[term] = &f.hdrs[len(f.hdrs)-1]
+	f.postings += len(docs)
 }
 
 // List returns term's posting list, or nil. The list is immutable and
 // remains valid after the shard lock is released.
-func (f *Frozen) List(term string) *compress.Stored { return f.lists[term] }
+func (f *Frozen) List(term string) *List { return f.lists[term] }
 
 // DocFreq returns the document frequency of term in this segment.
 func (f *Frozen) DocFreq(term string) int {
-	if s := f.lists[term]; s != nil {
-		return s.Len()
+	if l := f.lists[term]; l != nil {
+		return len(l.docs)
 	}
 	return 0
 }
@@ -189,9 +216,6 @@ func (f *Frozen) NumPostings() int { return f.postings }
 
 // NumTerms returns the number of distinct terms.
 func (f *Frozen) NumTerms() int { return len(f.lists) }
-
-// MemStats returns the posting-payload accounting of the segment's lists.
-func (f *Frozen) MemStats() invindex.MemStats { return invindex.MemStatsOf(f.lists) }
 
 // Tombs returns the tombstone filter. Guarded by the owning shard's lock.
 func (f *Frozen) Tombs() []uint32 { return f.tombs }
@@ -227,8 +251,8 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Merge coalesces frozen segments into one, dropping the documents each
-// input had tombstoned at snapshot time, and builds the result through
-// invindex.BuildParallel (workers goroutines). It serves every merge: a
+// input had tombstoned at snapshot time, and builds the result with Build
+// (workers goroutines). It serves every merge: a
 // size-tiered merge of the smallest segments and a full compaction of
 // every segment alike.
 //
@@ -239,43 +263,34 @@ func sortedKeys[V any](m map[string]V) []string {
 // k-way union. The result has an empty tombstone filter and its NumPostings
 // is exactly the number of postings written — the merge's write
 // amplification numerator.
-func Merge(inputs []*Frozen, tombSnaps [][]uint32, workers int) (*Frozen, error) {
-	ix := invindex.New()
+func Merge(inputs []*Frozen, tombSnaps [][]uint32, workers int) *Frozen {
+	pending := map[string][]uint32{}
 	live := make([][]uint32, 0, len(inputs))
 	bufs := make([][]uint32, len(inputs))
 	var merged []uint32
 	for i, in := range inputs {
-	terms:
 		for term := range in.lists {
-			for _, prev := range inputs[:i] {
-				if prev.lists[term] != nil {
-					continue terms // merged at the first input holding it
-				}
+			if _, done := pending[term]; done {
+				continue // merged at the first input holding it
 			}
 			live = live[:0]
 			for j, src := range inputs[i:] {
-				s := src.lists[term]
-				if s == nil {
+				l := src.lists[term]
+				if l == nil {
 					continue
 				}
-				l := s.Decode()
+				docs := l.docs
 				if tombs := tombSnaps[i+j]; len(tombs) > 0 {
-					bufs[i+j] = sets.DifferenceInto(bufs[i+j][:0], l, tombs)
-					l = bufs[i+j]
+					bufs[i+j] = sets.DifferenceInto(bufs[i+j][:0], docs, tombs)
+					docs = bufs[i+j]
 				}
-				live = append(live, l)
+				live = append(live, docs)
 			}
 			merged = sets.UnionKInto(merged[:0], live...)
-			if len(merged) == 0 {
-				continue
-			}
-			if err := ix.AddPosting(term, merged); err != nil {
-				return nil, err
-			}
+			// An exact-size copy, which Build adopts as it is; an empty one
+			// marks the term done and builds no list.
+			pending[term] = append(make([]uint32, 0, len(merged)), merged...)
 		}
 	}
-	if err := ix.BuildParallel(workers); err != nil {
-		return nil, fmt.Errorf("segment: merge: %w", err)
-	}
-	return FromIndex(ix), nil
+	return Build(pending, workers)
 }

@@ -32,7 +32,7 @@ func TestFreezeMovesPostings(t *testing.T) {
 		t.Fatalf("frozen docIDs = %v", f.DocIDs())
 	}
 	// The freeze must move, not copy: same backing array.
-	if got := f.List("a").Decode(); len(got) != 2 || &got[0] != &aList[0] {
+	if got := f.List("a").Docs(); len(got) != 2 || &got[0] != &aList[0] {
 		t.Fatalf("Freeze copied postings (len=%d, moved=%v)", len(got), len(got) == 2 && &got[0] == &aList[0])
 	}
 }
@@ -67,17 +67,14 @@ func TestMergeDropsSnapshotTombs(t *testing.T) {
 	a := buildFrozen(t, map[uint32][]string{1: {"x"}, 2: {"x", "y"}})
 	b := buildFrozen(t, map[uint32][]string{3: {"y"}, 4: {"z"}})
 	a.AddTomb(2) // superseded before the merge was scheduled
-	merged, err := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := Merge([]*Frozen{a, b}, [][]uint32{sets.Clone(a.Tombs()), nil}, 1)
 	if !sets.Equal(merged.DocIDs(), []uint32{1, 3, 4}) {
 		t.Fatalf("merged docIDs = %v, want [1 3 4]", merged.DocIDs())
 	}
-	if got := merged.List("x").Decode(); !sets.Equal(got, []uint32{1}) {
+	if got := merged.List("x").Docs(); !sets.Equal(got, []uint32{1}) {
 		t.Fatalf(`merged["x"] = %v, want [1] (doc 2 tombstoned at snapshot)`, got)
 	}
-	if got := merged.List("y").Decode(); !sets.Equal(got, []uint32{3}) {
+	if got := merged.List("y").Docs(); !sets.Equal(got, []uint32{3}) {
 		t.Fatalf(`merged["y"] = %v, want [3]`, got)
 	}
 	if merged.NumPostings() != 3 || len(merged.Tombs()) != 0 {
@@ -123,7 +120,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			f.NumDocs(), got.NumDocs(), f.NumPostings(), got.NumPostings(), f.LiveDocs(), got.LiveDocs())
 	}
 	for _, term := range f.Terms() {
-		if want, have := f.List(term).Decode(), got.List(term).Decode(); !sets.Equal(have, want) {
+		if want, have := f.List(term).Docs(), got.List(term).Docs(); !sets.Equal(have, want) {
 			t.Fatalf("term %q: %v → %v", term, want, have)
 		}
 	}
