@@ -53,6 +53,11 @@ const (
 	// density-partitioned lists intersected 64 docIDs per AND over dense
 	// ranges, run merges over sparse ones.
 	Bitseg
+	// BitProbe intersects the lists pairwise from the smallest: each pair
+	// sets the smaller list's bits in a 32 KB bitmap window and streams the
+	// larger through it, branch-free — §3.1's word image under the identity
+	// hash, the query planner's kernel for balanced raw pairs.
+	BitProbe
 )
 
 // AutoSkewThreshold is the size ratio above which Auto switches to HashBin;
@@ -64,7 +69,7 @@ const AutoSkewThreshold = 100
 var algoNames = [...]string{
 	"Auto", "RanGroupScan", "RanGroup", "IntGroup", "IntGroupOpt", "HashBin",
 	"Merge", "Hash", "SkipList", "SvS", "Adaptive", "BaezaYates",
-	"SmallAdaptive", "Lookup", "BPP", "Bitseg",
+	"SmallAdaptive", "Lookup", "BPP", "Bitseg", "BitProbe",
 }
 
 // String returns the algorithm's name as used in the paper.
@@ -102,6 +107,8 @@ func KernelAlgorithm(k plan.Kernel) Algorithm {
 		return HashBin
 	case plan.KernelBitsegAnd:
 		return Bitseg
+	case plan.KernelBitProbe:
+		return BitProbe
 	default:
 		return RanGroupScan
 	}
@@ -113,7 +120,7 @@ func Algorithms() []Algorithm {
 	return []Algorithm{
 		RanGroupScan, RanGroup, IntGroup, IntGroupOpt, HashBin,
 		Merge, Hash, SkipList, SvS, Adaptive, BaezaYates, SmallAdaptive,
-		Lookup, BPP, Bitseg,
+		Lookup, BPP, Bitseg, BitProbe,
 	}
 }
 

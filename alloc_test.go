@@ -41,6 +41,7 @@ func TestIntersectIntoAllocs(t *testing.T) {
 		{RanGroup, 0},
 		{HashBin, 0},
 		{Bitseg, 0},
+		{BitProbe, 0},
 		{Merge, 8}, // baselines allocate internally; just pin against blowup
 	} {
 		t.Run(tc.algo.String(), func(t *testing.T) {

@@ -91,10 +91,10 @@ func main() {
 				parts = append(parts, fmt.Sprintf("%s(%d)", paths[i], l.Len()))
 			}
 			// The coefficients the raw-list choice is priced with: the
-			// Merge, Gallop and BitsegAnd anchors plus Scan, bitseg's
-			// per-output term.
-			fmt.Fprintf(os.Stderr, "fsi: plan: kernel=%v operands=[%s] costs{merge=%.2f gallop=%.2f bitseg_word=%.2f scan=%.2f ns}\n",
-				algo, strings.Join(parts, " "), costs.MergeElem, costs.GallopProbe, costs.BitsegWord, costs.Scan)
+			// Merge, Gallop, BitProbe and BitsegAnd anchors plus Scan,
+			// bitseg's per-output term.
+			fmt.Fprintf(os.Stderr, "fsi: plan: kernel=%v operands=[%s] costs{merge=%.2f gallop=%.2f bitprobe=%.2f bitseg_word=%.2f scan=%.2f ns}\n",
+				algo, strings.Join(parts, " "), costs.MergeElem, costs.GallopProbe, costs.BitProbeElem, costs.BitsegWord, costs.Scan)
 		}
 	}
 	start := time.Now()

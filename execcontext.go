@@ -34,6 +34,8 @@ type ExecContext struct {
 	bpps    []*baseline.BPP
 	bsegs   []*bitseg.List
 	buf     []uint32
+	chain   [2][]uint32          // BitProbe's pairwise chain over three or more lists
+	probe   *sets.BitProbeWindow // BitProbe's window, allocated on first use
 }
 
 var execPool = sync.Pool{New: func() any { return new(ExecContext) }}
@@ -202,6 +204,8 @@ func IntersectInto(ctx *ExecContext, dst []uint32, algo Algorithm, lists ...*Lis
 			ctx.bsegs[i] = l.bitsegStruct()
 		}
 		return bitseg.IntersectKInto(dst, ctx.bsegs...), nil
+	case BitProbe:
+		return ctx.bitProbe(dst, lists), nil
 	default:
 		return nil, fmt.Errorf("fastintersect: unknown algorithm %d", int(algo))
 	}
@@ -214,6 +218,26 @@ func appendOrAdopt(dst, res []uint32) []uint32 {
 		return res
 	}
 	return append(dst, res...)
+}
+
+// bitProbe appends the intersection of lists to dst with the bitmap probe:
+// two lists straight into dst, more pairwise from the smallest,
+// ping-ponging between the context's chain buffers.
+func (c *ExecContext) bitProbe(dst []uint32, lists []*List) []uint32 {
+	if c.probe == nil {
+		c.probe = new(sets.BitProbeWindow)
+	}
+	if len(lists) == 2 {
+		return sets.IntersectBitProbeInto(dst, lists[0].set, lists[1].set, c.probe)
+	}
+	ordered := c.bySize(lists)
+	cur := sets.IntersectBitProbeInto(c.chain[0][:0], ordered[0].set, ordered[1].set, c.probe)
+	spare := c.chain[1]
+	for _, l := range ordered[2:] {
+		cur, spare = sets.IntersectBitProbeInto(spare[:0], cur, l.set, c.probe), cur
+	}
+	c.chain[0], c.chain[1] = cur, spare
+	return append(dst, cur...)
 }
 
 // rawSets extracts the sorted element slices into the context's slice.

@@ -132,7 +132,7 @@ func TestAlgorithmStringers(t *testing.T) {
 	if Algorithm(99).String() != "Algorithm(?)" {
 		t.Fatal("unknown String() wrong")
 	}
-	if len(Algorithms()) != 15 {
+	if len(Algorithms()) != 16 {
 		t.Fatalf("Algorithms() has %d entries", len(Algorithms()))
 	}
 }

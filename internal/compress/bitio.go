@@ -8,9 +8,9 @@
 // Beyond reproducing the paper's Figure 8 variants, the package holds the
 // one posting type of the serving path: Stored keeps one posting list under
 // one Encoding (raw, γ, δ, Lowbits or bitseg), and each encoding brings its
-// kernels — Merge, Gallop and BitsegAnd (over a lazily attached bitmap
-// form) for raw lists, Algorithm 5 for Lowbits pairs, bucket probes for
-// γ/δ, word ANDs for bitseg, filter chains for mixes. ChooseEncoding picks
+// kernels — Merge, Gallop, BitProbe and BitsegAnd (over a lazily attached
+// bitmap form) for raw lists, Algorithm 5 for Lowbits pairs, bucket probes
+// for γ/δ, word ANDs for bitseg, filter chains for mixes. ChooseEncoding picks
 // the encoding per list from its length and density (exact γ/δ bit counts
 // from the gaps, with a bounded space allowance that buys Lowbits'
 // concatenation decode for long lists), and IntersectStoredStrategy runs

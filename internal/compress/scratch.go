@@ -6,6 +6,7 @@ import (
 	"fastintersect/internal/bitseg"
 	"fastintersect/internal/bitword"
 	"fastintersect/internal/plan"
+	"fastintersect/internal/sets"
 )
 
 // scratch is the pooled per-call workspace of the stored-list kernels:
@@ -22,6 +23,7 @@ type scratch struct {
 	bufA  []uint32
 	bufB  []uint32
 	bufC  []uint32
+	probe *sets.BitProbeWindow // BitProbe's window, allocated on first use; all zero between runs
 }
 
 // scratchBufCap sizes the decode buffers for the common shapes: a γ/δ

@@ -25,8 +25,9 @@ const StoredHashImages = 1
 //
 // Each encoding keeps exactly one structure:
 //
-//	EncRaw      the sorted []uint32 itself, intersected by Merge, Gallop
-//	            or — through a bitseg.List attached on first use — BitsegAnd
+//	EncRaw      the sorted []uint32 itself, intersected by Merge, Gallop,
+//	            BitProbe or — through a bitseg.List attached on first use —
+//	            BitsegAnd
 //	EncGamma/δ  a LookupList — gap-coded buckets behind a directory, so
 //	            intersections decode only the buckets they visit
 //	EncLowbits  an RGSList — the Appendix B grouped structure whose decode
@@ -181,7 +182,7 @@ func (s *Stored) Shape() plan.Shape {
 // representations, returning ascending document IDs. Operands are
 // cost-ordered by length and the kernel is chosen by the planner's
 // calibrated cost model (plan.ChooseStored) over the shapes at hand:
-// Merge, Gallop or BitsegAnd over raw lists, Algorithm 5 over a Lowbits
+// BitProbe, Gallop or BitsegAnd over raw lists, Algorithm 5 over a Lowbits
 // pair, bucket-directory probes for γ/δ, decode-and-filter chains or full
 // decode-and-merge for mixed shapes (see the Kernel docs in internal/plan).
 //
@@ -247,17 +248,20 @@ func IntersectStoredStrategy(dst []uint32, strat plan.Kernel, ss ...*Stored) []u
 	return execStored(dst, sc, strat, sc.ord)
 }
 
-// rawPairKernel returns the sorted-pair form of a raw-list strategy — the
-// linear merge or the gallop of the smaller list through the larger — or
-// nil when strat is not one.
-func rawPairKernel(strat plan.Kernel) func(dst, a, b []uint32) []uint32 {
+// rawPair appends a ∩ b to dst with a pairwise raw-list strategy: the
+// gallop of the smaller list through the larger, the bitmap probe through
+// the scratch's window, or otherwise the linear merge.
+func (sc *scratch) rawPair(strat plan.Kernel, dst, a, b []uint32) []uint32 {
 	switch strat {
-	case plan.KernelMerge:
-		return sets.IntersectInto
 	case plan.KernelGallop:
-		return sets.IntersectGallopInto
+		return sets.IntersectGallopInto(dst, a, b)
+	case plan.KernelBitProbe:
+		if sc.probe == nil {
+			sc.probe = new(sets.BitProbeWindow)
+		}
+		return sets.IntersectBitProbeInto(dst, a, b, sc.probe)
 	}
-	return nil
+	return sets.IntersectInto(dst, a, b)
 }
 
 // allEnc reports whether every operand is stored under one of the given
@@ -279,21 +283,20 @@ func execStored(dst []uint32, sc *scratch, strat plan.Kernel, ord []*Stored) []u
 		return dst
 	}
 	switch strat {
-	case plan.KernelMerge, plan.KernelGallop:
+	case plan.KernelMerge, plan.KernelGallop, plan.KernelBitProbe:
 		if !allEnc(ord, EncRaw, EncRaw) {
 			break
 		}
-		// Pairwise chain from the probe side: each step merges (or gallops)
-		// the running result into the next list, ping-ponging between two
-		// scratch buffers.
-		pair := rawPairKernel(strat)
-		cur := pair(sc.bufC[:0], ord[0].raw, ord[1].raw)
+		// Pairwise chain from the probe side: each step merges (gallops,
+		// probes) the running result into the next list, ping-ponging
+		// between two scratch buffers.
+		cur := sc.rawPair(strat, sc.bufC[:0], ord[0].raw, ord[1].raw)
 		spare := sc.bufB
 		for _, s := range ord[2:] {
 			if len(cur) == 0 {
 				break
 			}
-			out := pair(spare[:0], cur, s.raw)
+			out := sc.rawPair(strat, spare[:0], cur, s.raw)
 			cur, spare = out, cur
 		}
 		sc.bufB, sc.bufC = cur, spare

@@ -112,11 +112,18 @@ func CalibrationSet(n int) []uint32 {
 // CalibrationSetSeeded is CalibrationSet with a caller-chosen seed, so a
 // calibration pass can derive several overlapping-but-distinct sets.
 func CalibrationSetSeeded(seed uint64, n int) []uint32 {
+	return CalibrationSetGaps(seed, n, 16)
+}
+
+// CalibrationSetGaps is CalibrationSetSeeded with gaps drawn uniformly from
+// [1, maxGap] (mean (1+maxGap)/2), so that sets of different sizes can
+// cover the same range.
+func CalibrationSetGaps(seed uint64, n int, maxGap uint32) []uint32 {
 	dst := make([]uint32, n)
 	x := uint32(0)
 	rng := xhash.NewRNG(seed)
 	for i := range dst {
-		x += 1 + rng.Uint32()%16
+		x += 1 + rng.Uint32()%maxGap
 		dst[i] = x
 	}
 	return dst

@@ -120,6 +120,23 @@ func TestFaultPanicBarrier(t *testing.T) {
 	}
 }
 
+// TestPanicBarrierDropsProbeWindow: a panic can cut a BitProbe run short
+// with bits still set in the context's window, and the caller pools that
+// context again once evalShard has converted the panic; the barrier must
+// drop the window, or a later pair would probe a dirty one.
+func TestPanicBarrierDropsProbeWindow(t *testing.T) {
+	e := New(Config{Faults: &FaultPlan{Shard: -1, PanicEvery: 1}})
+	c := getExecCtx()
+	defer putExecCtx(c)
+	c.window()[0] = 1 // what a run cut short leaves behind
+	if _, _, err := e.evalShard(c, nil, 0, nil); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("err = %v, want panic conversion", err)
+	}
+	if c.probe != nil {
+		t.Fatal("the panic barrier kept the BitProbe window of a run it cut short")
+	}
+}
+
 // TestFaultErrInjection: ErrEvery faults surface as ErrInjected query
 // errors at the configured rate.
 func TestFaultErrInjection(t *testing.T) {

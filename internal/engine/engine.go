@@ -10,8 +10,9 @@
 // exactly one segment, so each shard evaluates a query f as the k-way
 // union of (f(segment) − segment tombstones) across its tier. One evaluator
 // runs the plan over every segment: every operand is a sorted []uint32,
-// and conjunctions push down to whichever of Merge, Gallop or BitsegAnd
-// the cost model picks for the lists at hand.
+// and conjunctions push down to BitsegAnd or to a pairwise chain of
+// BitProbe and Gallop, whichever the cost model picks for the lists (and
+// each pair) at hand.
 // Background compaction (see mutable.go) is incremental: the active segment
 // freezes into the tier by a map move, a size-tiered merge coalesces only
 // the smallest segments, and a full compaction — a merge of every segment

@@ -153,17 +153,26 @@ func TestEngineShardCountInvariance(t *testing.T) {
 	}
 }
 
-// forceKernel returns cost coefficients under which the raw-list chooser
-// picks k wherever it is applicable: every other raw kernel is priced out
-// through its correction factor.
-func forceKernel(k plan.Kernel) *plan.Costs {
-	c := plan.DefaultCosts()
-	for _, other := range []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd} {
+// rawKernels are the kernels the engine runs over raw lists.
+var rawKernels = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd, plan.KernelBitProbe}
+
+// forceKernel returns an engine configuration under which the raw-list
+// chooser picks k wherever it is applicable: Merge, no cost-based
+// candidate, through the heuristic policy; any other kernel by pricing out
+// the rest through their correction factors.
+func forceKernel(k plan.Kernel) Config {
+	cfg := Config{Shards: 4, TraceSample: 1}
+	if k == plan.KernelMerge {
+		cfg.PlanPolicy.Kernels = plan.KernelsHeuristic
+		return cfg
+	}
+	cfg.PlanCosts = plan.DefaultCosts()
+	for _, other := range rawKernels {
 		if other != k {
-			c.Corr[other] = 1e9
+			cfg.PlanCosts.Corr[other] = 1e9
 		}
 	}
-	return c
+	return cfg
 }
 
 // TestEngineEveryKernelAgrees forces each raw-list kernel through the
@@ -172,14 +181,14 @@ func forceKernel(k plan.Kernel) *plan.Costs {
 // to the cheaper of the others — and holds every answer to the reference.
 func TestEngineEveryKernelAgrees(t *testing.T) {
 	const numDocs = 2000
-	for _, k := range []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd} {
-		e := buildTestEngine(t, Config{Shards: 4, TraceSample: 1, PlanCosts: forceKernel(k)}, numDocs)
+	for _, k := range rawKernels {
+		e := buildTestEngine(t, forceKernel(k), numDocs)
 		for _, tq := range testQueries {
 			checkQuery(t, e, numDocs, tq.q, tq.pred)
 		}
 		// Checked on the base-only tier: with segments, the costliest run
-		// names each traced operator, and under these corrections that is
-		// an active list's priced-out Merge or Gallop.
+		// names each traced operator, and under these corrections that may
+		// be an active list's priced-out kernel.
 		if got := e.Stats().KernelExecs; got[k.String()] == 0 {
 			t.Errorf("forced %v, but it never ran (kernel executions %v)", k, got)
 		}

@@ -18,11 +18,13 @@ import (
 // Every operand is a sorted []uint32: a frozen segment's list, an
 // active-segment list or an intermediate result a conjunction intersects
 // with its composite kids. The evaluator intersects them itself with
-// Merge, Gallop or BitsegAnd. Kernel selection is delegated to the plan
-// package: the plan fixes the operand order (built once per query from
-// engine-aggregate statistics), and each segment re-prices the kernel on
-// its actual operand sizes and spans through plan.ChooseStored. No
-// execution path picks a kernel inline.
+// BitsegAnd over all operands at once, or pair by pair with BitProbe,
+// Gallop or Merge. Kernel selection is delegated to the plan package: the
+// plan fixes the operand order (built once per query from engine-aggregate
+// statistics), each segment re-prices the conjunction on its actual
+// operand sizes and spans through plan.ChooseStored, and the pairwise
+// chain re-prices each pair on its own lengths. No execution path picks a
+// kernel inline.
 
 // source is the segment a plan is evaluated against: one frozen segment or
 // the shard's active segment. Exactly one field is set.
@@ -127,9 +129,12 @@ func recTerm(c *execCtx, ti int32, n int) {
 
 // intersect runs the kernel plan.ChooseStored picks for ops on their actual
 // lengths and spans, into a fresh context buffer. ops[0] is the probe
-// side. A traced conjunction (rec non-nil) records the kernel that ran and
-// the price it was chosen at. The kernels run in their own functions,
-// keeping this frame — on every per-shard goroutine's stack — small.
+// side. BitsegAnd runs over every operand at once; any other pick runs
+// pairwise, straight away for a lone pair (a span prices only BitsegAnd,
+// so the pick stands for the pair) and otherwise through the chain. A
+// traced conjunction (rec non-nil) records each kernel that ran and the
+// price it was chosen at. The kernels run in their own functions, keeping
+// this frame — on every per-shard goroutine's stack — small.
 func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []operand) []uint32 {
 	c.ops = c.ops[:0]
 	for _, o := range ops {
@@ -141,36 +146,55 @@ func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []
 	}
 	costs := e.planCosts()
 	k := plan.ChooseStored(costs, pol, c.ops)
-	if rec != nil {
+	if rec != nil && (k == plan.KernelBitsegAnd || len(ops) == 2) {
 		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
 	}
-	if k == plan.KernelBitsegAnd {
+	switch {
+	case k == plan.KernelBitsegAnd:
 		return c.bitsegAnd(ops)
+	case len(ops) == 2:
+		return c.run(k, c.getBuf(), ops[0].docs, ops[1].docs)
 	}
-	return c.chain(k == plan.KernelGallop, ops)
+	return c.chain(costs, pol, rec, ops)
 }
 
-// chain intersects ops pairwise from the probe side with the linear merge
-// or, when gallop, the gallop of the smaller list through the larger,
-// ping-ponging between two context buffers.
-func (c *execCtx) chain(gallop bool, ops []operand) []uint32 {
-	pair := sets.IntersectInto
-	if gallop {
-		pair = sets.IntersectGallopInto
-	}
-	cur := pair(c.getBuf(), ops[0].docs, ops[1].docs)
-	if len(ops) == 2 {
-		return cur
-	}
+// chain intersects ops pairwise from the probe side, ping-ponging between
+// two context buffers. Each pair runs the kernel plan.ChooseStored picks on
+// that pair's actual lengths (span 0: a pair never runs BitsegAnd), so a
+// conjunction's balanced first pair probes and its skewed tail gallops.
+func (c *execCtx) chain(costs *plan.Costs, pol plan.KernelPolicy, rec *opAcc, ops []operand) []uint32 {
+	cur := c.pair(costs, pol, rec, c.getBuf(), ops[0].docs, ops[1].docs)
 	spare := c.getBuf()
 	for _, o := range ops[2:] {
 		if len(cur) == 0 {
 			break
 		}
-		cur, spare = pair(spare, cur, o.docs), cur[:0]
+		cur, spare = c.pair(costs, pol, rec, spare, cur, o.docs), cur[:0]
 	}
 	c.putBuf(spare)
 	return cur
+}
+
+// pair appends a ∩ b to dst with the kernel plan.ChooseStored picks for
+// their lengths, recording it in rec when the conjunction is traced.
+func (c *execCtx) pair(costs *plan.Costs, pol plan.KernelPolicy, rec *opAcc, dst, a, b []uint32) []uint32 {
+	c.ops = append(c.ops[:0], plan.Operand{Len: len(a)}, plan.Operand{Len: len(b)})
+	k := plan.ChooseStored(costs, pol, c.ops)
+	if rec != nil {
+		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
+	}
+	return c.run(k, dst, a, b)
+}
+
+// run appends a ∩ b to dst with pair kernel k: BitProbe, Gallop or Merge.
+func (c *execCtx) run(k plan.Kernel, dst, a, b []uint32) []uint32 {
+	switch k {
+	case plan.KernelBitProbe:
+		return sets.IntersectBitProbeInto(dst, a, b, c.window())
+	case plan.KernelGallop:
+		return sets.IntersectGallopInto(dst, a, b)
+	}
+	return sets.IntersectInto(dst, a, b)
 }
 
 // bitsegAnd runs the k-way word kernel over the operands' bitseg forms,

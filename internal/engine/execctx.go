@@ -6,6 +6,7 @@ import (
 
 	"fastintersect/internal/bitseg"
 	"fastintersect/internal/plan"
+	"fastintersect/internal/sets"
 )
 
 // execCtx is the engine's per-shard-evaluation execution context: it owns
@@ -32,6 +33,12 @@ type execCtx struct {
 	pool []*evalFrame
 	ops  []plan.Operand // scratch for per-segment kernel pricing
 	bits []*bitseg.List // scratch for BitsegAnd's operands; cleared after each run
+
+	// probe is BitProbe's bitmap window (32 KB whatever the docID
+	// universe), allocated on first use. Every kernel run leaves it all
+	// zero; evalShard's panic barrier drops it, since a run it cut short
+	// may not have.
+	probe *sets.BitProbeWindow
 
 	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
 	// rows, inclusive ns) into it — set by executePlan for traced queries,
@@ -129,6 +136,14 @@ func (c *execCtx) putBuf(b []uint32) {
 	if cap(b) > 0 {
 		c.free = append(c.free, b)
 	}
+}
+
+// window returns the context's BitProbe window, allocating it on first use.
+func (c *execCtx) window() *sets.BitProbeWindow {
+	if c.probe == nil {
+		c.probe = new(sets.BitProbeWindow)
+	}
+	return c.probe
 }
 
 // frame returns a cleared evaluation frame from the free list.

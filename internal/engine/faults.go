@@ -24,8 +24,9 @@ import (
 // worker panic into a query error instead of killing the process. The
 // recover barrier runs after evalSegments' own deferred unlocks, so a
 // panicking evaluation releases its shard lock normally; buffers parked in
-// un-released frames are abandoned to the GC (never recycled), so a pooled
-// context can not be corrupted by an abandoned evaluation.
+// un-released frames are abandoned to the GC (never recycled), and so is
+// the BitProbe window, so a pooled context can not be corrupted by an
+// abandoned evaluation.
 
 // ErrInjected is the error produced by FaultPlan.ErrEvery injections.
 var ErrInjected = errors.New("engine: injected fault")
@@ -98,6 +99,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (e *Engine) evalShard(c *execCtx, s *shard, shardIdx int, p *plan.Plan) (docs []uint32, owned bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			c.probe = nil // a kernel run cut short may have left bits set
 			docs, owned = nil, false
 			err = fmt.Errorf("engine: shard %d: panic during evaluation: %v", shardIdx, r)
 		}

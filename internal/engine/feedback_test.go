@@ -247,11 +247,11 @@ func TestTraceAttributionCostliestRun(t *testing.T) {
 	}
 }
 
-// driftDistortion is the factor TestFeedbackDrift under-prices the merge
-// kernel by. It keeps the distorted merge below every truthful candidate
-// at the post-drift shape, so the frozen model keeps picking it, and stays
-// inside the feedback store's 16× correction clamp, so the loop can undo
-// it.
+// driftDistortion is the factor TestFeedbackDrift under-prices the
+// bitmap-probe kernel by. It keeps the distorted BitProbe below every
+// truthful candidate at the post-drift shape, so the frozen model keeps
+// picking it, and stays inside the feedback store's 16× correction clamp,
+// so the loop can undo it.
 const driftDistortion = 12
 
 // driftQueries are TestFeedbackDrift's conjunctions: "sel" against each of
@@ -260,13 +260,16 @@ var driftQueries = []string{"sel AND big0", "sel AND big1", "sel AND big2", "sel
 
 // TestFeedbackDrift is the acceptance check for the adaptive planning loop
 // under cost-model drift. Two engines start from the same anchors with the
-// merge kernel priced driftDistortion× too cheap — the way a model
-// calibrated on tiny cache-resident lists misjudges memory-bound merges —
-// over a corpus where merging is right anyway: four balanced lists and a
-// "sel" list as dense as they are. The frozen engine keeps its anchors; the
-// feedback engine compares estimated with observed nanoseconds and learns
-// corrections. Then "sel" becomes 16× sparser. The frozen engine keeps
-// merging; the corrected one prices the merge truthfully and stops.
+// bitmap-probe kernel priced driftDistortion× too cheap — the way a model
+// calibrated on tiny cache-resident lists misjudges memory-bound linear
+// passes — over a corpus where probing is right anyway: four balanced
+// lists and a "sel" list as dense as they are. The frozen engine keeps its
+// anchors; the feedback engine compares estimated with observed
+// nanoseconds and learns corrections. Then "sel" becomes 64× sparser, so
+// that its lists are 36–64 times the size of "sel" and galloping clearly
+// beats the probe (at 9–16 times, 16× sparser, the two run close and the
+// corrected loop settled on either). The frozen engine keeps probing; the
+// corrected one prices the probe truthfully and gallops instead.
 //
 // Before the drift the loop must cost nothing that matters. The cause is
 // checked exactly: both engines run the same kernel on every sampled
@@ -284,19 +287,19 @@ func TestFeedbackDrift(t *testing.T) {
 		t.Skip("race instrumentation distorts the timings the feedback loop learns from")
 	}
 	miscal := *plan.DefaultCosts()
-	miscal.MergeElem /= driftDistortion
+	miscal.BitProbeElem /= driftDistortion
 	mk := func(feedback bool) *Engine {
 		// Both engines trace 1 in 4 queries, so their timings differ by
 		// planning alone.
 		return New(Config{Shards: 2, PlanFeedback: feedback, TraceSample: 4, PlanCosts: &miscal})
 	}
 	frozen, adaptive := mk(false), mk(true)
-	merge := plan.KernelMerge.String()
+	probe := plan.KernelBitProbe.String()
 
 	installDrift(t, frozen, 512)
 	installDrift(t, adaptive, 512)
-	// The merge correction climbs by at most 4× per re-fit; give the loop
-	// enough re-fits to settle before measuring.
+	// The BitProbe correction climbs by at most 4× per re-fit; give the
+	// loop enough re-fits to settle before measuring.
 	adaptDrift(t, frozen, 0, 256)
 	adaptDrift(t, adaptive, 12, 30_000)
 	preRatio, fPre, aPre := timeDrift(t, frozen, adaptive)
@@ -315,32 +318,32 @@ func TestFeedbackDrift(t *testing.T) {
 	}
 
 	// The drift: both engines replan (the install bumps their stats
-	// epochs), but the frozen anchors still say merging ~23k+2k elements is
-	// cheaper than ~2k probes.
-	installDrift(t, frozen, 16*512)
-	installDrift(t, adaptive, 16*512)
+	// epochs), but the frozen anchors still say streaming ~25k+512
+	// elements through the bitmap is cheaper than 512 gallop probes.
+	installDrift(t, frozen, 64*512)
+	installDrift(t, adaptive, 64*512)
 	adaptDrift(t, frozen, 0, 256)
 	adaptDrift(t, adaptive, 2, 30_000)
 	postRatio, fPost, aPost := timeDrift(t, frozen, adaptive)
 	st := adaptive.Stats()
 	corr := 1.0
-	if c, ok := st.KernelCorrections[merge]; ok {
+	if c, ok := st.KernelCorrections[probe]; ok {
 		corr = c
 	}
-	t.Logf("post-drift feedback/frozen %.3f; kernels frozen %v, feedback %v; merge correction %.2f after %d refits",
+	t.Logf("post-drift feedback/frozen %.3f; kernels frozen %v, feedback %v; BitProbe correction %.2f after %d refits",
 		postRatio, fPost, aPost, corr, st.FeedbackRefits)
 	if st.FeedbackRefits == 0 || st.FeedbackObservations == 0 {
 		t.Fatalf("feedback engine never refit (refits=%d, obs=%d); the loop never engaged", st.FeedbackRefits, st.FeedbackObservations)
 	}
 	if corr <= 1.5 {
-		t.Errorf("merge correction %.2f; want it learned well above 1 (the anchor was under-priced %d×)", corr, driftDistortion)
+		t.Errorf("BitProbe correction %.2f; want it learned well above 1 (the anchor was under-priced %d×)", corr, driftDistortion)
 	}
-	if s := share(fPost, merge); s < 0.5 {
-		t.Errorf("frozen engine ran merges on only %.0f%% of sampled conjunctions post-drift; the mis-calibration scenario is vacuous", 100*s)
+	if s := share(fPost, probe); s < 0.5 {
+		t.Errorf("frozen engine ran BitProbe on only %.0f%% of sampled conjunctions post-drift; the mis-calibration scenario is vacuous", 100*s)
 	}
-	if s := share(aPost, merge); s >= 0.5 {
-		t.Errorf("feedback engine still ran merges on %.0f%% of sampled conjunctions post-drift (frozen: %.0f%%); corrections did not flip the plans",
-			100*s, 100*share(fPost, merge))
+	if s := share(aPost, probe); s >= 0.5 {
+		t.Errorf("feedback engine still ran BitProbe on %.0f%% of sampled conjunctions post-drift (frozen: %.0f%%); corrections did not flip the plans",
+			100*s, 100*share(fPost, probe))
 	}
 	if postRatio >= 1.0 {
 		t.Errorf("post-drift feedback/frozen ratio %.3f; corrected plans must beat the frozen mis-calibration", postRatio)

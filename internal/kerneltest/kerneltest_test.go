@@ -131,7 +131,7 @@ func TestStoredKernelParity(t *testing.T) {
 }
 
 // rawStrategies are the kernels the planner runs over raw lists.
-var rawStrategies = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd}
+var rawStrategies = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd, plan.KernelBitProbe}
 
 // rawOperands returns each set as a stored EncRaw list.
 func rawOperands(t *testing.T, c Case) []*compress.Stored {
@@ -147,9 +147,9 @@ func rawOperands(t *testing.T, c Case) []*compress.Stored {
 	return raw
 }
 
-// TestRawKernelParity forces Merge, Gallop and BitsegAnd over EncRaw lists
-// for every corpus case — pairs and k ≥ 3 alike — and holds each to the
-// scalar reference.
+// TestRawKernelParity forces Merge, Gallop, BitsegAnd and BitProbe over
+// EncRaw lists for every corpus case — pairs and k ≥ 3 alike — and holds
+// each to the scalar reference.
 func TestRawKernelParity(t *testing.T) {
 	widths := map[bool]bool{}
 	for _, c := range Cases(corpusSeed) {

@@ -12,13 +12,17 @@ import (
 
 // Costs are the calibrated coefficients of the cost model, in nanoseconds.
 //
-// The four kernel anchors are measured against the REAL kernels at a
-// reference shape (4096-element lists, reference skew ratio 16), so machine
+// The kernel anchors are measured against the REAL kernels, so machine
 // idiosyncrasies — a vectorized merge, cache behavior — move the crossovers
-// exactly as they move the kernels. The physical planner scales them with
-// the paper's complexity bounds:
+// exactly as they move the kernels. The four raw-list anchors (MergeElem,
+// GallopProbe, BitProbeElem, BitsegWord) are timed at serving size, on
+// lists too large for the L1 cache and a gallop probe side the branch
+// predictor cannot learn; GroupElem at a cache-resident reference shape
+// (4096-element lists). The physical planner scales them with the paper's
+// complexity bounds (reference skew ratio 16):
 //
 //	Merge          MergeElem · Σnᵢ
+//	BitProbe       BitProbeElem · Σnᵢ
 //	Gallop (SvS)   GallopProbe · n₀ · Σ max(1, log₂(2+nᵢ/n₀)/refDepth)
 //	RGSPair §3.3   GroupElem · Σnᵢ + Probe · n₀
 //	BitsegAnd      BitsegWord · 64 words · E[aligned chunks] · (k−1) + Scan · E[|out|]
@@ -32,6 +36,10 @@ type Costs struct {
 	// GallopProbe is the ns per probe of SvS galloping at the reference
 	// skew ratio.
 	GallopProbe float64
+	// BitProbeElem is the ns per input element of the bitmap-probe pair
+	// kernel (sets.IntersectBitProbeInto): setting, probing and clearing
+	// the smaller list's bits.
+	BitProbeElem float64
 	// GroupElem is the ns per element of RanGroupScan on balanced lists.
 	GroupElem float64
 	// BitsegWord is the ns per 64-bit word ANDed by the bitseg kernel at
@@ -74,7 +82,7 @@ func (c *Costs) corr(k Kernel) float64 {
 // the sanity floor/ceiling for implausible calibration readings.
 func DefaultCosts() *Costs {
 	return &Costs{
-		MergeElem: 4.0, GallopProbe: 15.0, GroupElem: 1.5,
+		MergeElem: 4.0, GallopProbe: 15.0, BitProbeElem: 1.5, GroupElem: 1.5,
 		BitsegWord: 4.0,
 		Scan:       0.6, Probe: 2.0, Hash: 2.0, Filter: 0.8, GapDecode: 2.5,
 	}
@@ -87,74 +95,66 @@ const sqrtW = 8
 // the γ/δ probe cost decodes at most one B-sized bucket per probe.
 const storedBucket = 32
 
-// Calibration reference shape: two calibSize-element lists, and a probe
-// side of calibSize/calibRatio for the skewed kernels. refDepth is the
-// search depth log₂(2+calibRatio) the per-probe anchors embed.
+// Calibration reference shapes. The primitive coefficients and GroupElem
+// are timed on two calibSize-element lists, which stay in the L1 cache. The
+// four raw-list anchors are timed at serving size, on anchorSize-element
+// lists (512 KB each): the serving path reads its posting lists from
+// memory, and on cache-resident lists Gallop and BitsegAnd cost about a
+// third of what they cost there. Gallop's probe side is
+// anchorSize/calibRatio elements drawn independently over the searched
+// list's range, so the branch predictor cannot learn where the probes
+// land, as it learns every calibRatio-th element of the searched list.
+// refDepth is the search depth log₂(2+calibRatio) the per-probe anchors
+// embed.
+//
+// Each coefficient is the fastest of calibReps timed runs, the merge and
+// bitmap-probe anchors of anchorReps: a run of theirs over 2¹⁸ elements
+// takes a millisecond or more, and three keep Calibrate near 16 ms.
 const (
 	calibSize  = 1 << 12
+	anchorSize = 1 << 17
 	calibRatio = 16
+	calibReps  = 5
+	anchorReps = 3
 )
 
 var refDepth = math.Log2(2 + calibRatio)
 
-// Calibrate measures the cost coefficients by timing the actual core
-// kernels (Merge, SvS galloping, RanGroupScan, bitseg AND) at the reference
-// shape, plus internal/core's primitive hooks for the compressed tier — a
-// few milliseconds, once per process. Readings that come out implausible
-// (a preempted loop, structure build failure, a coarse clock) fall back to
-// DefaultCosts values.
+// Calibrate measures the cost coefficients by timing the actual kernels —
+// Merge, SvS galloping, the bitmap probe and bitseg AND at serving size,
+// RanGroupScan at the cache-resident reference shape — plus internal/core's
+// primitive hooks for the compressed tier: about 16 ms, once per process.
+// Readings that come out implausible (a preempted loop, structure build
+// failure, a coarse clock) fall back to DefaultCosts values.
 func Calibrate() *Costs {
 	a := core.CalibrationSet(calibSize)
 	b := core.CalibrationSetSeeded(0xCA11_DA7B, calibSize)
-	small := make([]uint32, 0, calibSize/calibRatio)
-	for i := 0; i < len(b); i += calibRatio {
-		small = append(small, b[i])
-	}
 	needles := core.CalibrationSet(1 << 10)
 	fam := core.NewFamily(0xCA11_B8A7E, 4) // the library's default m = 4
 	img := core.CalibrationImage(fam, a)
 
 	def := DefaultCosts()
 	c := &Costs{
-		Scan:      timePerOp(func() { calibrationSink += uint64(core.ScanStep(a)) }, len(a)),
-		Probe:     timePerOp(func() { calibrationSink += uint64(core.ProbeStep(a, needles)) }, len(needles)*12), // log₂(4k) = 12 halvings per search
-		Hash:      timePerOp(func() { calibrationSink += uint64(fam.HashStep(a)) }, len(a)),
-		Filter:    timePerOp(func() { calibrationSink += uint64(fam.FilterStep(img, a)) }, len(a)),
-		GapDecode: timePerOp(func() { calibrationSink += uint64(core.GapStep(a)) }, len(a)),
+		Scan:      timePerOp(func() { calibrationSink += uint64(core.ScanStep(a)) }, len(a), calibReps),
+		Probe:     timePerOp(func() { calibrationSink += uint64(core.ProbeStep(a, needles)) }, len(needles)*12, calibReps), // log₂(4k) = 12 halvings per search
+		Hash:      timePerOp(func() { calibrationSink += uint64(fam.HashStep(a)) }, len(a), calibReps),
+		Filter:    timePerOp(func() { calibrationSink += uint64(fam.FilterStep(img, a)) }, len(a), calibReps),
+		GapDecode: timePerOp(func() { calibrationSink += uint64(core.GapStep(a)) }, len(a), calibReps),
 	}
-	buf := make([]uint32, 0, calibSize)
-	c.MergeElem = timePerOp(func() {
-		buf = sets.IntersectInto(buf[:0], a, b)
-		calibrationSink += uint64(len(buf))
-	}, 2*calibSize)
-	c.GallopProbe = timePerOp(func() {
-		buf = sets.IntersectGallopInto(buf[:0], small, b)
-		calibrationSink += uint64(len(buf))
-	}, len(small))
+	buf := make([]uint32, 0, anchorSize)
 	var sc core.Scratch
 	if rgsA, err1 := core.NewRanGroupScanList(fam, a, 4); err1 == nil {
 		if rgsB, err2 := core.NewRanGroupScanList(fam, b, 4); err2 == nil {
 			c.GroupElem = timePerOp(func() {
 				buf = core.IntersectRanGroupScanInto(buf[:0], &sc, rgsA, rgsB)
 				calibrationSink += uint64(len(buf))
-			}, 2*calibSize)
+			}, 2*calibSize, calibReps)
 		}
 	}
-	if bsA, err1 := bitseg.FromSorted(a); err1 == nil {
-		if bsB, err2 := bitseg.FromSorted(b); err2 == nil {
-			words := bsA.Chunks()
-			if bsB.Chunks() < words {
-				words = bsB.Chunks()
-			}
-			words *= bitseg.ChunkWords
-			c.BitsegWord = timePerOp(func() {
-				buf = bitseg.IntersectInto(buf[:0], bsA, bsB)
-				calibrationSink += uint64(len(buf))
-			}, words)
-		}
-	}
+	calibrateRaw(c, buf)
 	sanitize(&c.MergeElem, def.MergeElem)
 	sanitize(&c.GallopProbe, def.GallopProbe)
+	sanitize(&c.BitProbeElem, def.BitProbeElem)
 	sanitize(&c.GroupElem, def.GroupElem)
 	sanitize(&c.BitsegWord, def.BitsegWord)
 	sanitize(&c.Scan, def.Scan)
@@ -163,6 +163,37 @@ func Calibrate() *Costs {
 	sanitize(&c.Filter, def.Filter)
 	sanitize(&c.GapDecode, def.GapDecode)
 	return c
+}
+
+// calibrateRaw times the four raw-list anchors on two anchorSize-element
+// lists (gaps of 1–16) and a probe side whose gaps are calibRatio times as
+// wide on average, into buf's capacity.
+func calibrateRaw(c *Costs, buf []uint32) {
+	a := core.CalibrationSetSeeded(0xCA11_DA7C, anchorSize)
+	b := core.CalibrationSetSeeded(0xCA11_DA7D, anchorSize)
+	small := core.CalibrationSetGaps(0xCA11_DA7E, anchorSize/calibRatio, 17*calibRatio-1)
+	c.MergeElem = timePerOp(func() {
+		buf = sets.IntersectInto(buf[:0], a, b)
+		calibrationSink += uint64(len(buf))
+	}, 2*anchorSize, anchorReps)
+	c.GallopProbe = timePerOp(func() {
+		buf = sets.IntersectGallopInto(buf[:0], small, b)
+		calibrationSink += uint64(len(buf))
+	}, len(small), calibReps)
+	w := new(sets.BitProbeWindow)
+	c.BitProbeElem = timePerOp(func() {
+		buf = sets.IntersectBitProbeInto(buf[:0], a, b, w)
+		calibrationSink += uint64(len(buf))
+	}, 2*anchorSize, anchorReps)
+	if bsA, err1 := bitseg.FromSorted(a); err1 == nil {
+		if bsB, err2 := bitseg.FromSorted(b); err2 == nil {
+			words := min(bsA.Chunks(), bsB.Chunks()) * bitseg.ChunkWords
+			c.BitsegWord = timePerOp(func() {
+				buf = bitseg.IntersectInto(buf[:0], bsA, bsB)
+				calibrationSink += uint64(len(buf))
+			}, words, calibReps)
+		}
+	}
 }
 
 // calibrationSink keeps the timed loops observable so the compiler cannot
@@ -178,10 +209,10 @@ func sanitize(v *float64, def float64) {
 }
 
 // timePerOp times f (which performs ops primitive operations per call) and
-// returns the minimum observed ns per operation across a handful of runs.
-func timePerOp(f func(), ops int) float64 {
+// returns the minimum observed ns per operation across reps runs.
+func timePerOp(f func(), ops, reps int) float64 {
 	best := math.Inf(1)
-	for rep := 0; rep < 5; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		start := time.Now()
 		f()
 		if d := float64(time.Since(start).Nanoseconds()) / float64(ops); d < best {
@@ -203,14 +234,16 @@ func Calibrated() *Costs {
 	return calibrated
 }
 
-// Kernel identifies the physical operator chosen for an intersection. Merge,
-// Gallop and BitsegAnd run over raw lists (the engine's sorted []uint32
-// lists and intermediate results, and EncRaw in internal/compress);
-// BitsegAnd, RGSPair, LookupProbe, FilterChain and DecodeAll over the
-// compressed encodings. HashBin and GroupScan name the paper's §3.4 and
-// Algorithm 5 list kernels: they remain public through fastintersect, and
-// their values keep the per-kernel metric series stable, but no serving
-// path chooses them.
+// Kernel identifies the physical operator chosen for an intersection.
+// BitProbe, Gallop, BitsegAnd and Merge run over raw lists (the engine's
+// sorted []uint32 lists and intermediate results, and EncRaw in
+// internal/compress); BitsegAnd, RGSPair, LookupProbe, FilterChain and
+// DecodeAll over the compressed encodings. Merge is the KernelsHeuristic
+// kernel, and the cost-based chooser picks it only for an empty operand.
+// HashBin and GroupScan name the paper's §3.4 and Algorithm 5 list kernels:
+// they remain public through fastintersect, and their values keep the
+// per-kernel metric series stable, but no serving path chooses them. New
+// kernels are appended, so that every value and series stays.
 type Kernel uint8
 
 const (
@@ -241,11 +274,16 @@ const (
 	// KernelDecodeAll decodes every stored list and merges the sorted
 	// results — cheapest when the lists are small and probing is expensive.
 	KernelDecodeAll
+	// KernelBitProbe intersects raw lists pairwise from the probe side,
+	// each pair by setting the smaller list's bits in a bitmap window and
+	// streaming the larger through it (sets.IntersectBitProbeInto): §3.1's
+	// word image under the identity hash, for balanced pairs.
+	KernelBitProbe
 )
 
 var kernelNames = [...]string{
 	"None", "Merge", "Gallop", "HashBin", "GroupScan", "BitsegAnd",
-	"RGSPair", "LookupProbe", "FilterChain", "DecodeAll",
+	"RGSPair", "LookupProbe", "FilterChain", "DecodeAll", "BitProbe",
 }
 
 // KernelCount is the number of kernel values, for per-kernel metric arrays.
@@ -334,21 +372,20 @@ func bitsegCost(c *Costs, ops []Operand, span int) float64 {
 	return words + c.Scan*out
 }
 
-// rawCost prices one raw-list kernel — Merge, Gallop or BitsegAnd — over
-// ops with the paper's bounds (see Costs), before corrections; span
-// (universe extent) feeds only BitsegAnd.
+// rawCost prices one raw-list kernel — Merge, BitProbe, Gallop or
+// BitsegAnd — over ops with the paper's bounds (see Costs), before
+// corrections; span (universe extent) feeds only BitsegAnd.
 func rawCost(c *Costs, k Kernel, ops []Operand, span int) float64 {
-	n0 := ops[0].Len
+	n0, total := ops[0].Len, 0
 	for _, op := range ops {
 		n0 = min(n0, op.Len)
+		total += op.Len
 	}
 	switch k {
 	case KernelMerge:
-		total := 0
-		for _, op := range ops {
-			total += op.Len
-		}
 		return c.MergeElem * float64(total)
+	case KernelBitProbe:
+		return c.BitProbeElem * float64(total)
 	case KernelGallop:
 		cost := 0.0
 		probeSide := true // the smallest list probes; every other list is a partner
@@ -447,10 +484,10 @@ func probeCost(c *Costs, op Operand, p int) float64 {
 
 // ChooseStored is the one kernel chooser: it picks the intersection
 // strategy for k ≥ 2 operands given in ascending length order (ops[0] is
-// the probe side). All-raw operands choose among Merge, Gallop and — when
-// every span is known — BitsegAnd; any compressed operand brings in the
-// compressed-tier strategies. Under KernelsHeuristic raw operands always
-// merge and compressed ones follow the pre-planner shape dispatch.
+// the probe side). All-raw operands choose among BitProbe, Gallop and —
+// when every span is known — BitsegAnd; any compressed operand brings in
+// the compressed-tier strategies. Under KernelsHeuristic raw operands
+// always merge and compressed ones follow the pre-planner shape dispatch.
 func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 	allRaw, allLookup, allBitseg, spans := true, true, true, true
 	span := 0
@@ -521,8 +558,10 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 	return k
 }
 
-// chooseRaw picks Merge, Gallop or (span > 0) BitsegAnd for raw operands:
-// the cheapest under the corrected list formulas, Merge on ties.
+// chooseRaw picks BitProbe, Gallop or (span > 0) BitsegAnd for raw
+// operands: the cheapest under the corrected list formulas, BitProbe on
+// ties. Merge is no cost-based candidate: BitProbe does the same linear
+// pass without a mispredicted comparison per element.
 func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int) Kernel {
 	if pol == KernelsHeuristic {
 		return KernelMerge
@@ -532,7 +571,7 @@ func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int) Kernel {
 			return KernelMerge // trivially empty; avoid building structures
 		}
 	}
-	best, k := rawCost(c, KernelMerge, ops, span)*c.corr(KernelMerge), KernelMerge
+	best, k := rawCost(c, KernelBitProbe, ops, span)*c.corr(KernelBitProbe), KernelBitProbe
 	if g := rawCost(c, KernelGallop, ops, span) * c.corr(KernelGallop); g < best {
 		best, k = g, KernelGallop
 	}
@@ -555,7 +594,7 @@ func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
 	}
 	n0 := ops[0].Len
 	switch k {
-	case KernelMerge, KernelGallop:
+	case KernelMerge, KernelGallop, KernelBitProbe:
 		return rawCost(c, k, ops, 0) * c.corr(k)
 	case KernelRGSPair:
 		total := float64(ops[0].Len + ops[1].Len)

@@ -110,14 +110,14 @@ func TestFeedbackCorrectionFlipsChoosers(t *testing.T) {
 		{{Len: 1024, Shape: ShapeRaw, Span: 1 << 20}, {Len: 65536, Shape: ShapeRaw, Span: 1 << 20}},
 	} {
 		base := DefaultCosts()
-		if got := ChooseStored(base, KernelsCost, ops); got == KernelMerge {
-			t.Fatalf("%v: baseline already merges; pick a different shape", ops)
+		if got := ChooseStored(base, KernelsCost, ops); got == KernelBitProbe {
+			t.Fatalf("%v: baseline already probes; pick a different shape", ops)
 		}
 		skew := DefaultCosts()
 		skew.Corr[KernelGallop] = 16
 		skew.Corr[KernelBitsegAnd] = 16
-		if got := ChooseStored(skew, KernelsCost, ops); got != KernelMerge {
-			t.Fatalf("%v: corrected = %v, want Merge", ops, got)
+		if got := ChooseStored(skew, KernelsCost, ops); got != KernelBitProbe {
+			t.Fatalf("%v: corrected = %v, want BitProbe", ops, got)
 		}
 		// Heuristic policy must ignore corrections entirely.
 		if got := ChooseStored(skew, KernelsHeuristic, ops); got != ChooseStored(base, KernelsHeuristic, ops) {

@@ -4,7 +4,7 @@
 // physical planner that lowers a normalized tree to explicit operators —
 // kernel choice and operand order. One chooser, ChooseStored, prices every
 // conjunction: the engine's raw lists (and its intermediate results) among
-// Merge, Gallop and BitsegAnd, and internal/compress's compressed lists
+// BitProbe, Gallop and BitsegAnd, and internal/compress's compressed lists
 // among the stored-tier strategies.
 //
 // The package is deliberately a leaf: it knows set sizes and storage shapes

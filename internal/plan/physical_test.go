@@ -55,39 +55,71 @@ func checkRawChoices(t *testing.T, cases []rawChoice) {
 	}
 }
 
-// TestChooseListKernel pins the raw-list rules of the one chooser: Merge,
+// TestChooseListKernel pins the raw-list rules of the one chooser: BitProbe,
 // Gallop or BitsegAnd under the list formulas, never BitsegAnd when an
-// operand has span 0.
+// operand has span 0, and Merge only for an empty operand.
 func TestChooseListKernel(t *testing.T) {
 	checkRawChoices(t, []rawChoice{
-		{"balanced", rawOps(0, 50_000, 60_000), KernelMerge},
+		{"balanced", rawOps(0, 50_000, 60_000), KernelBitProbe},
 		{"heavy-skew", rawOps(0, 10, 100_000), KernelGallop},
 		{"empty-operand", rawOps(0, 0, 5_000), KernelMerge},
 		// Dense over a known universe: the word-parallel tier wins.
 		{"dense-span", rawOps(100_000, 50_000, 60_000), KernelBitsegAnd},
-		// Sparse lists over the same universe pay full chunk ANDs, yet the
-		// bitmap walk still undercuts the linear merge (GroupScan, which
-		// was cheaper here, is no longer a planner candidate).
-		{"sparse-span", rawOps(100_000, 1_000, 1_200), KernelBitsegAnd},
+		// Sparse lists over the same universe pay full chunk ANDs: the
+		// bitmap walk undercuts the linear merge, but not the bitmap probe,
+		// which pays per element, not per chunk word (GroupScan, which was
+		// cheaper here, is no longer a planner candidate).
+		{"sparse-span", rawOps(100_000, 1_000, 1_200), KernelBitProbe},
 		// Heavy skew: galloping beats even the bitmap walk.
 		{"skew-span", rawOps(100_000, 10, 100_000), KernelGallop},
 		{"skew-3way", rawOps(0, 10, 50_000, 100_000), KernelGallop},
 		// Span 0 marks a list whose bitmaps would be rebuilt on every query
 		// (an active-segment list, an intermediate result): never BitsegAnd,
 		// even beside a list with a span.
-		{"dense-no-span", rawOps(0, 50_000, 60_000), KernelMerge},
-		{"dense-span-and-no-span", append(rawOps(100_000, 50_000), rawOps(0, 60_000)...), KernelMerge},
+		{"dense-no-span", rawOps(0, 50_000, 60_000), KernelBitProbe},
+		{"dense-span-and-no-span", append(rawOps(100_000, 50_000), rawOps(0, 60_000)...), KernelBitProbe},
 	})
 }
 
 // TestChoosePair pins pairwise composite intersections (two intermediate
 // results, span 0): galloping wins once the size ratio covers its
-// per-probe overhead.
+// per-probe overhead, the bitmap probe below that.
 func TestChoosePair(t *testing.T) {
 	checkRawChoices(t, []rawChoice{
 		{"pair-skew", rawOps(0, 5, 1_000_000), KernelGallop},
-		{"pair-balanced", rawOps(0, 40_000, 50_000), KernelMerge},
+		{"pair-balanced", rawOps(0, 40_000, 50_000), KernelBitProbe},
 	})
+}
+
+// TestChooseBitProbeGallopCrossover walks the size ratios
+// BenchmarkIntersectBitProbeCrossover (internal/sets) times, 1 to 64 over a
+// 600-element smaller list, under serving-size anchors: the pair chooser
+// must pick BitProbe on balanced pairs, Gallop on the most skewed, and
+// switch exactly once in between, so the crossover it computes lies inside
+// the band the benchmark measures.
+func TestChooseBitProbeGallopCrossover(t *testing.T) {
+	// Raw-list anchors inside the ranges Calibrate reads at serving size on
+	// a 2-vCPU x86-64 VM: MergeElem 5.3–7.1, GallopProbe 37–48,
+	// BitProbeElem 1.7–3.1 and BitsegWord 7–10 ns over six fresh processes.
+	c := DefaultCosts()
+	c.MergeElem, c.GallopProbe, c.BitProbeElem, c.BitsegWord = 6, 40, 2, 9
+	const small = 600
+	cross := 0
+	for r := 1; r <= 64; r++ {
+		got := ChooseStored(c, KernelsCost, rawOps(0, small, small*r))
+		switch {
+		case got != KernelBitProbe && got != KernelGallop:
+			t.Fatalf("ratio %d: chose %v, want BitProbe or Gallop", r, got)
+		case got == KernelGallop && cross == 0:
+			cross = r
+		case got == KernelBitProbe && cross != 0:
+			t.Fatalf("ratio %d: BitProbe again after Gallop from ratio %d", r, cross)
+		}
+	}
+	if cross == 0 || cross == 1 {
+		t.Fatalf("Gallop from ratio %d (0: never); want BitProbe on balanced pairs and Gallop past a crossover inside 1–64", cross)
+	}
+	t.Logf("BitProbe below ratio %d, Gallop from there", cross)
 }
 
 func TestChooseStored(t *testing.T) {

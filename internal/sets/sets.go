@@ -146,43 +146,44 @@ func IntersectInto(dst, a, b []uint32) []uint32 {
 // IntersectGallopInto appends the intersection of two sorted sets to dst,
 // galloping the smaller set through the larger (exponential probe followed
 // by a binary search, resuming where the last match left off). The planner
-// picks it over the linear merge of IntersectInto when the size ratio
-// covers the per-probe overhead. Neither input may alias dst.
+// picks it over the bitmap probe of IntersectBitProbeInto when the size
+// ratio covers the per-probe overhead. Neither input may alias dst.
 func IntersectGallopInto(dst, a, b []uint32) []uint32 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	lo := 0
+	j := 0
 	for _, x := range a {
-		// Exponential search for the first b[j] >= x, starting at lo.
-		step := 1
-		hi := lo
-		for hi < len(b) && b[hi] < x {
-			lo = hi + 1
-			hi += step
-			step <<= 1
-		}
-		if hi > len(b) {
-			hi = len(b)
-		}
-		// Binary search within (lo-1, hi].
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if b[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= len(b) {
+		if j = searchFrom(b, j, x); j == len(b) {
 			break
 		}
-		if b[lo] == x {
+		if b[j] == x {
 			dst = append(dst, x)
-			lo++
+			j++
 		}
 	}
 	return dst
+}
+
+// searchFrom returns the smallest index ≥ j whose element of s is ≥ x, or
+// len(s): an exponential probe from j, then a binary search.
+func searchFrom(s []uint32, j int, x uint32) int {
+	lo, hi, step := j, j, 1
+	for hi < len(s) && s[hi] < x {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(s))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Union returns the sorted union of two sorted sets as a fresh slice.
