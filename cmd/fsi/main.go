@@ -9,9 +9,9 @@
 //	seq 1 2 100 > odd.txt; seq 0 5 100 > five.txt; fsi odd.txt five.txt
 //
 // With -algo Auto (the default) the kernel is chosen by the query
-// planner's calibrated cost model over the operand sizes; -explain prints
-// the decision (kernel, cost-ordered operands, and the calibrated
-// coefficients that price it) to stderr before intersecting.
+// planner's cost model over the operand sizes; -explain prints the
+// decision (kernel, cost-ordered operands, and the committed coefficients
+// that price it) to stderr before intersecting.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	var (
 		algoName = flag.String("algo", "Auto", "algorithm: Auto, RanGroupScan, RanGroup, IntGroup, HashBin, Merge, Hash, SkipList, SvS, Adaptive, BaezaYates, SmallAdaptive, Lookup, BPP")
 		timing   = flag.Bool("time", false, "print preprocessing and intersection times")
-		explain  = flag.Bool("explain", false, "print the physical plan (chosen kernel, operand order, calibrated cost estimate) to stderr before intersecting")
+		explain  = flag.Bool("explain", false, "print the physical plan (chosen kernel, operand order, cost coefficients) to stderr before intersecting")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -60,8 +60,8 @@ func main() {
 		}
 	}
 	prep := time.Since(prepStart)
-	// Cost-order the operands and, for Auto, let the calibrated cost model
-	// pick the kernel — the same planner the query engine runs on.
+	// Cost-order the operands and, for Auto, let the cost model pick the
+	// kernel — the same planner the query engine runs on.
 	type operand struct {
 		list *fastintersect.List
 		path string
@@ -75,15 +75,13 @@ func main() {
 		lists[i], paths[i] = op.list, op.path
 	}
 	if algo == fastintersect.Auto || *explain {
-		// Only now pay the one-time micro-calibration: an explicit -algo
-		// without -explain never consults the cost model.
-		costs := plan.Calibrated()
+		costs := plan.DefaultCosts()
 		if algo == fastintersect.Auto && len(lists) >= 2 {
 			ops := make([]plan.Operand, len(lists))
 			for i, l := range lists {
 				ops[i] = plan.Operand{Len: l.Len(), Shape: plan.ShapeRaw, Span: l.Span()}
 			}
-			algo = fastintersect.KernelAlgorithm(plan.ChooseStored(costs, plan.KernelsCost, ops))
+			algo = fastintersect.KernelAlgorithm(plan.ChooseStored(costs, ops))
 		}
 		if *explain {
 			var parts []string

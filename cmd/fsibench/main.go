@@ -8,7 +8,6 @@
 //	fsibench -list
 //	fsibench -exp fig4                 # one experiment, small scale
 //	fsibench -exp all -scale full      # the whole evaluation, paper scale
-//	fsibench -plan-json BENCH_plan.json # machine-readable plan-quality experiment
 //	fsibench -overload-json BENCH_overload.json # machine-readable saturation sweep (shedding vs unbounded queue)
 //
 // The engine itself — throughput, latency, allocations, segment lifecycle
@@ -36,7 +35,6 @@ func main() {
 		seed    = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		algos   = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
-		planOut = flag.String("plan-json", "", "run the plan-quality experiment (cost-based plans vs df-ordered baseline vs worst-order) and write it as JSON to this file (ns/op per workload shape × policy), then exit")
 		overOut = flag.String("overload-json", "", "run the saturation experiment (open-loop offered load at multiples of capacity, shedding vs unbounded queue) and write it as JSON to this file (accepted p50/p99 and goodput per point), then exit")
 	)
 	flag.Parse()
@@ -72,12 +70,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fsibench: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *planOut != "" {
-		rep := harness.PlanBench(cfg)
-		writeJSON(*planOut, rep)
-		fmt.Printf("wrote %s (%d scenarios)\n", *planOut, len(rep.Scenarios))
-		return
 	}
 	if *overOut != "" {
 		rep := harness.OverloadBench(cfg)

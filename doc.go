@@ -48,10 +48,10 @@
 // served by cmd/fsiserve): an inverted index hash-partitioned across
 // shards, a cost-based query planner (internal/plan) that lowers a small
 // AND/OR/NOT language to physical plans — kernel choice and operand order
-// priced by coefficients calibrated against the real kernels at startup,
-// inspectable via Engine.Explain / the HTTP explain=1 parameter — an LRU
-// result cache keyed by the normalized (canonical) query, batch execution
-// (Engine.QueryBatch) that plans once per canonical form and shares
+// priced by a committed table of coefficients measured against the real
+// kernels, inspectable via Engine.Explain / the HTTP explain=1 parameter —
+// an LRU result cache keyed by the normalized (canonical) query, batch
+// execution (Engine.QueryBatch) that plans once per canonical form and shares
 // execution contexts across a batch, and an HTTP JSON API with a
 // built-in load generator — the search-engine setting that motivates the
 // paper, end to end. The corpus stays live: each shard is a tier of frozen

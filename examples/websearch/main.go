@@ -1,9 +1,9 @@
 // Websearch: conjunctive keyword queries over an inverted index — the
 // paper's motivating application. A synthetic corpus of documents is
 // indexed by the query engine; multi-keyword queries are answered by
-// intersecting posting lists with the kernel the calibrated cost model
-// picks for their sizes (a linear merge for balanced lists, galloping once
-// they are skewed). The paper's full algorithm set stays available through
+// intersecting posting lists with the kernel the cost model picks for
+// their sizes (a bitmap probe for balanced lists, galloping once they are
+// skewed). The paper's full algorithm set stays available through
 // the public fastintersect API, shown at the end.
 //
 //	go run ./examples/websearch

@@ -15,9 +15,12 @@
 // from the gaps, with a bounded space allowance that buys Lowbits'
 // concatenation decode for long lists), and IntersectStoredStrategy runs
 // whichever kernel the planner's one chooser (plan.ChooseStored) picked,
-// directly over the stored representations. This is the library tier the
-// paper's Figure 8 and Figure 11 experiments measure; the engine serves
-// plain sorted lists (internal/segment) and does not link this package.
+// directly over the stored representations; IntersectStoredInto asks that
+// chooser itself, pricing with the planner's committed table
+// (plan.DefaultCosts), so its choice never depends on the host. This is
+// the library tier the paper's Figure 8 and Figure 11 experiments measure;
+// the engine serves plain sorted lists (internal/segment) and does not
+// link this package.
 //
 // Bit streams are LSB-first within 64-bit words, so unary runs are scanned
 // with a single TrailingZeros instruction.

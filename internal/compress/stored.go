@@ -180,8 +180,8 @@ func (s *Stored) Shape() plan.Shape {
 
 // IntersectStored intersects k ≥ 1 stored lists directly over their
 // representations, returning ascending document IDs. Operands are
-// cost-ordered by length and the kernel is chosen by the planner's
-// calibrated cost model (plan.ChooseStored) over the shapes at hand:
+// cost-ordered by length and the kernel is chosen by the planner's cost
+// model (plan.ChooseStored over plan.DefaultCosts) for the shapes at hand:
 // BitProbe, Gallop or BitsegAnd over raw lists, Algorithm 5 over a Lowbits
 // pair, bucket-directory probes for γ/δ, decode-and-filter chains or full
 // decode-and-merge for mixed shapes (see the Kernel docs in internal/plan).
@@ -220,9 +220,13 @@ func IntersectStoredInto(dst []uint32, ss ...*Stored) []uint32 {
 	for _, s := range ord {
 		sc.ops = append(sc.ops, s.Operand())
 	}
-	strat := plan.ChooseStored(plan.Calibrated(), plan.KernelsCost, sc.ops)
+	strat := plan.ChooseStored(storedCosts, sc.ops)
 	return execStored(dst, sc, strat, ord)
 }
+
+// storedCosts is the planner's committed table, read by every
+// IntersectStoredInto call without copying it.
+var storedCosts = plan.DefaultCosts()
 
 // Operand describes the list to the planner's chooser.
 func (s *Stored) Operand() plan.Operand {

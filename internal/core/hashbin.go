@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"fastintersect/internal/sets"
 	"fastintersect/internal/xhash"
@@ -48,28 +47,47 @@ func (l *HashBinList) Family() *Family { return l.fam }
 // SizeWords returns the structure's footprint in 64-bit machine words.
 func (l *HashBinList) SizeWords() int { return len(l.elems)/2 + len(l.gvals)/2 }
 
-// bucketBounds returns the index range [lo, hi) of the prefix bucket z at
-// resolution t, by binary search on the g values.
-func (l *HashBinList) bucketBounds(z uint32, t uint) (lo, hi int) {
+// bucketFrom returns the index range [lo, hi) of the prefix bucket z at
+// resolution t, galloping forward from index from, which must not lie past
+// the bucket's start. Buckets are visited in ascending z, so each search
+// resumes where the previous bucket ended, and a list of n₂ elements pays
+// O(log(n₂/n₁)) per bucket of the n₁-element list rather than O(log n₂).
+func (l *HashBinList) bucketFrom(from int, z uint32, t uint) (lo, hi int) {
 	if t == 0 {
-		return 0, len(l.gvals)
+		return from, len(l.gvals)
 	}
-	loKey := z << (32 - t)
-	lo = sort.Search(len(l.gvals), func(i int) bool { return l.gvals[i] >= loKey })
+	lo = gallopG(l.gvals, from, z<<(32-t))
 	if z == 1<<t-1 {
 		return lo, len(l.gvals)
 	}
-	hiKey := (z + 1) << (32 - t)
-	hi = lo + sort.Search(len(l.gvals)-lo, func(i int) bool { return l.gvals[lo+i] >= hiKey })
-	return lo, hi
+	return lo, gallopG(l.gvals, lo, (z+1)<<(32-t))
 }
 
-// searchG reports whether gv occurs in gvals[lo:hi], by binary search.
-// Elements in a bucket are ordered by g, and g is injective, so finding
-// g(x) is equivalent to finding x (§A.6.1).
-func (l *HashBinList) searchG(gv uint32, lo, hi int) bool {
-	i := lo + sort.Search(hi-lo, func(i int) bool { return l.gvals[lo+i] >= gv })
-	return i < hi && l.gvals[i] == gv
+// gallopG returns the first index i ≥ from with g[i] ≥ key (len(g) if
+// none): an exponential search from from, then a binary search over the
+// last step, so the cost is logarithmic in the distance covered.
+func gallopG(g []uint32, from int, key uint32) int {
+	lo, hi, step := from, from, 1
+	for hi < len(g) && g[hi] < key {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	return lowerBoundG(g, lo, min(hi, len(g)), key)
+}
+
+// lowerBoundG returns the first index i in [lo, hi) with g[i] ≥ key (hi if
+// none), by binary search.
+func lowerBoundG(g []uint32, lo, hi int, key uint32) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // IntersectHashBin computes the intersection of k ≥ 1 lists with HashBin:
@@ -118,14 +136,18 @@ func IntersectHashBinInto(dst []uint32, sc *Scratch, lists ...*HashBinList) []ui
 	sc.los = scratchSlice(sc.los, k)
 	sc.his = scratchSlice(sc.his, k)
 	los, his := sc.los, sc.his
+	clear(his) // each list's search starts at its front
 	i := 0
 	for i < len(small.gvals) {
+		// The small list's bucket starts at i: every earlier element lies
+		// in a lower bucket.
 		z := xhash.PrefixOf(small.gvals[i], t)
-		lo1, hi1 := small.bucketBounds(z, t)
-		// Locate the matching bucket in every other list once per bucket.
+		lo1, hi1 := small.bucketFrom(i, z, t)
+		// Locate the matching bucket in every other list once per bucket,
+		// resuming after the last bucket located there.
 		live := true
 		for s := 1; s < k; s++ {
-			los[s], his[s] = ordered[s].bucketBounds(z, t)
+			los[s], his[s] = ordered[s].bucketFrom(his[s], z, t)
 			if los[s] == his[s] {
 				live = false
 				break
@@ -133,10 +155,13 @@ func IntersectHashBinInto(dst []uint32, sc *Scratch, lists ...*HashBinList) []ui
 		}
 		if live {
 			for j := lo1; j < hi1; j++ {
+				// Elements in a bucket are ordered by g, and g is
+				// injective, so finding g(x) is finding x (§A.6.1).
 				gv := small.gvals[j]
 				ok := true
 				for s := 1; s < k; s++ {
-					if !ordered[s].searchG(gv, los[s], his[s]) {
+					g := ordered[s].gvals
+					if p := lowerBoundG(g, los[s], his[s], gv); p == his[s] || g[p] != gv {
 						ok = false
 						break
 					}

@@ -147,7 +147,7 @@ func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batch
 			u.pc.stats.fill(shards)
 			stats = &u.pc.stats
 		}
-		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts(), e.cfg.PlanPolicy)
+		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts())
 	}
 
 	nS := len(shards)

@@ -24,12 +24,15 @@
 // to one physical plan against engine-aggregate statistics and fanned out
 // to every shard through a bounded worker pool; each shard executes the
 // plan (see exec.go), re-pricing kernels on its actual operand sizes
-// through the planner's calibrated cost model, and the per-shard sorted
-// results are merged. Cache entries are stamped with the engine's index
-// generation — every mutation and rebuild bumps it — so a cached result
-// can never resurrect a deleted document. Explain returns the executed
-// plan; QueryBatch amortizes planning and shard fan-out across many
-// queries.
+// through the planner's cost model, and the per-shard sorted results are
+// merged. The cost model prices with the planner's committed table
+// (plan.DefaultCosts, or Config.PlanCosts), corrected at run time only by
+// the opt-in feedback loop (Config.PlanFeedback), so a plan depends on the
+// query and the index, never on the host the process started on. Cache
+// entries are stamped with the engine's index generation — every mutation
+// and rebuild bumps it — so a cached result can never resurrect a deleted
+// document. Explain returns the executed plan; QueryBatch amortizes
+// planning and shard fan-out across many queries.
 //
 // Every frozen posting list is a segment.List: an exact-size sorted
 // []uint32 with its span and its lazily attached bitseg form, whichever
@@ -78,16 +81,12 @@ type Config struct {
 	// larger values favor write amplification.
 	MaxSegments int
 	// PlanCosts overrides the cost-model coefficients the query planner
-	// prices kernels with. Nil runs the startup micro-calibration
-	// (plan.Calibrated) once per process.
+	// prices kernels with, for tests that pin or distort a choice. Nil
+	// prices with the committed table, plan.DefaultCosts.
 	PlanCosts *plan.Costs
-	// PlanPolicy tunes the physical planner's operand ordering and kernel
-	// choice. The zero value is the cost-based default; the other
-	// combinations exist for the harness's plan-quality experiment.
-	PlanPolicy plan.Policy
 	// PlanFeedback turns on the adaptive planning loop: sampled per-operator
 	// actuals are harvested into a plan.Feedback store whose periodic re-fit
-	// derives per-kernel correction factors on top of the calibrated
+	// derives per-kernel correction factors on top of the base
 	// coefficients, re-pricing future plans (and invalidating cached ones
 	// through the feedback epoch). Purely a performance feature — kernel
 	// choice never changes results — and off by default.
@@ -116,7 +115,7 @@ type Config struct {
 // compaction swaps a shard's segments.
 type Engine struct {
 	cfg     Config
-	costs   *plan.Costs    // cost-model coefficients (configured or calibrated)
+	costs   *plan.Costs    // cost-model coefficients (configured or the committed table)
 	fb      *plan.Feedback // adaptive-planning store, nil unless Config.PlanFeedback
 	workers chan struct{}
 	cache   *cache
@@ -166,7 +165,7 @@ func New(cfg Config) *Engine {
 	}
 	costs := cfg.PlanCosts
 	if costs == nil {
-		costs = plan.Calibrated()
+		costs = plan.DefaultCosts()
 	}
 	e := &Engine{
 		cfg:     cfg,
@@ -184,7 +183,7 @@ func New(cfg Config) *Engine {
 
 // planCosts returns the coefficients queries price kernels with: the
 // feedback store's corrected snapshot when the adaptive loop is on, the
-// configured/calibrated base otherwise. The snapshot is immutable; both
+// configured or committed base otherwise. The snapshot is immutable; both
 // plan building and per-shard re-pricing read through here so a published
 // correction reaches every chooser.
 func (e *Engine) planCosts() *plan.Costs {
@@ -570,10 +569,10 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 			// queries); Explain/Analyze rebuild into the pooled arena so
 			// their rendering always reflects current statistics.
 			e.met.planMisses.Inc()
-			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy)
+			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts())
 			e.plans.put(key, pp, epoch)
 		} else {
-			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts(), e.cfg.PlanPolicy)
+			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts())
 		}
 	}
 	stamp(tr, obs.StagePlan, &t0)

@@ -153,19 +153,15 @@ func TestEngineShardCountInvariance(t *testing.T) {
 	}
 }
 
-// rawKernels are the kernels the engine runs over raw lists.
-var rawKernels = []plan.Kernel{plan.KernelMerge, plan.KernelGallop, plan.KernelBitsegAnd, plan.KernelBitProbe}
+// rawKernels are the kernels the engine's chooser picks among over raw
+// (non-empty) lists.
+var rawKernels = []plan.Kernel{plan.KernelGallop, plan.KernelBitsegAnd, plan.KernelBitProbe}
 
 // forceKernel returns an engine configuration under which the raw-list
-// chooser picks k wherever it is applicable: Merge, no cost-based
-// candidate, through the heuristic policy; any other kernel by pricing out
-// the rest through their correction factors.
+// chooser picks k wherever it is applicable, by pricing out the rest
+// through their correction factors.
 func forceKernel(k plan.Kernel) Config {
 	cfg := Config{Shards: 4, TraceSample: 1}
-	if k == plan.KernelMerge {
-		cfg.PlanPolicy.Kernels = plan.KernelsHeuristic
-		return cfg
-	}
 	cfg.PlanCosts = plan.DefaultCosts()
 	for _, other := range rawKernels {
 		if other != k {

@@ -135,7 +135,7 @@ func recTerm(c *execCtx, ti int32, n int) {
 // traced conjunction (rec non-nil) records each kernel that ran and the
 // price it was chosen at. The kernels run in their own functions, keeping
 // this frame — on every per-shard goroutine's stack — small.
-func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []operand) []uint32 {
+func (e *Engine) intersect(c *execCtx, rec *opAcc, ops []operand) []uint32 {
 	c.ops = c.ops[:0]
 	for _, o := range ops {
 		span := 0
@@ -145,7 +145,7 @@ func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []
 		c.ops = append(c.ops, plan.Operand{Len: len(o.docs), Span: span})
 	}
 	costs := e.planCosts()
-	k := plan.ChooseStored(costs, pol, c.ops)
+	k := plan.ChooseStored(costs, c.ops)
 	if rec != nil && (k == plan.KernelBitsegAnd || len(ops) == 2) {
 		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
 	}
@@ -155,21 +155,21 @@ func (e *Engine) intersect(c *execCtx, pol plan.KernelPolicy, rec *opAcc, ops []
 	case len(ops) == 2:
 		return c.run(k, c.getBuf(), ops[0].docs, ops[1].docs)
 	}
-	return c.chain(costs, pol, rec, ops)
+	return c.chain(costs, rec, ops)
 }
 
 // chain intersects ops pairwise from the probe side, ping-ponging between
 // two context buffers. Each pair runs the kernel plan.ChooseStored picks on
 // that pair's actual lengths (span 0: a pair never runs BitsegAnd), so a
 // conjunction's balanced first pair probes and its skewed tail gallops.
-func (c *execCtx) chain(costs *plan.Costs, pol plan.KernelPolicy, rec *opAcc, ops []operand) []uint32 {
-	cur := c.pair(costs, pol, rec, c.getBuf(), ops[0].docs, ops[1].docs)
+func (c *execCtx) chain(costs *plan.Costs, rec *opAcc, ops []operand) []uint32 {
+	cur := c.pair(costs, rec, c.getBuf(), ops[0].docs, ops[1].docs)
 	spare := c.getBuf()
 	for _, o := range ops[2:] {
 		if len(cur) == 0 {
 			break
 		}
-		cur, spare = c.pair(costs, pol, rec, spare, cur, o.docs), cur[:0]
+		cur, spare = c.pair(costs, rec, spare, cur, o.docs), cur[:0]
 	}
 	c.putBuf(spare)
 	return cur
@@ -177,9 +177,9 @@ func (c *execCtx) chain(costs *plan.Costs, pol plan.KernelPolicy, rec *opAcc, op
 
 // pair appends a ∩ b to dst with the kernel plan.ChooseStored picks for
 // their lengths, recording it in rec when the conjunction is traced.
-func (c *execCtx) pair(costs *plan.Costs, pol plan.KernelPolicy, rec *opAcc, dst, a, b []uint32) []uint32 {
+func (c *execCtx) pair(costs *plan.Costs, rec *opAcc, dst, a, b []uint32) []uint32 {
 	c.ops = append(c.ops[:0], plan.Operand{Len: len(a)}, plan.Operand{Len: len(b)})
-	k := plan.ChooseStored(costs, pol, c.ops)
+	k := plan.ChooseStored(costs, c.ops)
 	if rec != nil {
 		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
 	}
@@ -241,7 +241,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 		if c.rec != nil {
 			rec = &c.rec.ops[i]
 		}
-		cur = e.intersect(c, p.Policy.Kernels, rec, f.ops)
+		cur = e.intersect(c, rec, f.ops)
 		curOwned = true
 		haveBase = true
 	case len(f.ops) == 1:
@@ -284,7 +284,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 		// chooser, both sides without a list (the pair kernels are
 		// symmetric).
 		f.pair[0], f.pair[1] = operand{docs: cur}, operand{docs: s}
-		out := e.intersect(c, p.Policy.Kernels, nil, f.pair[:])
+		out := e.intersect(c, nil, f.pair[:])
 		if curOwned {
 			c.putBuf(cur)
 		}

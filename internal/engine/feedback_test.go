@@ -13,10 +13,10 @@ import (
 	"fastintersect/internal/sets"
 )
 
-// feedbackTestCosts returns a deliberately mis-calibrated base: the
-// gallop probe priced far too cheap, the way a stale startup
-// calibration looks after the index drifts. The feedback loop must learn
-// corrections on top of it without ever changing results.
+// feedbackTestCosts returns a deliberately mis-priced base: the gallop
+// probe priced far too cheap, the way a stale cost table looks after the
+// index drifts. The feedback loop must learn corrections on top of it
+// without ever changing results.
 func feedbackTestCosts() *plan.Costs {
 	c := plan.DefaultCosts()
 	c.GallopProbe /= 16

@@ -118,7 +118,7 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 		for k := 1; k < plan.KernelCount; k++ {
 			k := plan.Kernel(k)
 			r.GaugeFunc(`fsi_plan_kernel_correction{kernel="`+k.String()+`"}`,
-				"Live multiplicative cost correction for the kernel (1 = calibration trusted as-is).",
+				"Live multiplicative cost correction for the kernel (1 = the cost table trusted as-is).",
 				func() float64 { return fb.Correction(k) })
 		}
 	}

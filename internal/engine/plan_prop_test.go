@@ -169,11 +169,6 @@ func (c *propCorpus) churn(t *testing.T, rng *rand.Rand, e *Engine) {
 }
 
 func TestPlanPropertyRandomTrees(t *testing.T) {
-	policies := []plan.Policy{
-		{}, // cost-based default
-		{Order: plan.OrderDF, Kernels: plan.KernelsHeuristic},
-		{Order: plan.OrderWorst, Kernels: plan.KernelsHeuristic},
-	}
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		corpus := genPropCorpus(rng, 1500+uint32(rng.Intn(1500)), 12)
@@ -182,26 +177,24 @@ func TestPlanPropertyRandomTrees(t *testing.T) {
 			queries[i] = genTree(rng, corpus, 3)
 		}
 		for _, shards := range []int{1, 3} {
-			for pi, pol := range policies {
-				for _, withDelta := range []bool{false, true} {
-					// The oracle mutates with the engine, so each
-					// (engine, delta) pair gets its own corpus copy.
-					cc := corpus.clone()
-					e := cc.install(t, Config{Shards: shards, PlanPolicy: pol})
-					if withDelta {
-						cc.churn(t, rng, e)
+			for _, withDelta := range []bool{false, true} {
+				// The oracle mutates with the engine, so each
+				// (engine, delta) pair gets its own corpus copy.
+				cc := corpus.clone()
+				e := cc.install(t, Config{Shards: shards})
+				if withDelta {
+					cc.churn(t, rng, e)
+				}
+				for _, q := range queries {
+					want := cc.refQuery(t, q)
+					res, err := e.Query(q)
+					if err != nil {
+						t.Fatalf("trial=%d shards=%d delta=%v: Query(%q): %v",
+							trial, shards, withDelta, q, err)
 					}
-					for _, q := range queries {
-						want := cc.refQuery(t, q)
-						res, err := e.Query(q)
-						if err != nil {
-							t.Fatalf("trial=%d shards=%d policy=%d delta=%v: Query(%q): %v",
-								trial, shards, pi, withDelta, q, err)
-						}
-						if !sets.Equal(res.Docs, want) {
-							t.Fatalf("trial=%d shards=%d policy=%d delta=%v: Query(%q) = %d docs, want %d",
-								trial, shards, pi, withDelta, q, len(res.Docs), len(want))
-						}
+					if !sets.Equal(res.Docs, want) {
+						t.Fatalf("trial=%d shards=%d delta=%v: Query(%q) = %d docs, want %d",
+							trial, shards, withDelta, q, len(res.Docs), len(want))
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fastintersect"
@@ -199,12 +200,14 @@ func runRatio(cfg Config) []*Table {
 		Title:   fmt.Sprintf("Intersection time (ms), |L2| = %d, varying sr = |L2|/|L1|, r = 1%%·|L1|", n2),
 		Columns: append([]string{"sr", "|L1|"}, algoNames(algos)...),
 		Notes: []string{
-			"paper shape: RanGroupScan best for sr < 32; Hash/Lookup best for sr ≥ 100; HashBin and RanGroupScan close to the best everywhere",
+			"paper shape: RanGroupScan best for sr < 32; Hash/Lookup best for sr ≥ 100; RanGroupScan close to the best everywhere",
 		},
 	}
 	t.NoteEmptyFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed + 7)
-	for _, sr := range []int{1, 4, 16, 32, 64, 128, 256, 625} {
+	srs := []int{1, 4, 16, 32, 64, 128, 256, 625}
+	times := make([][]time.Duration, len(srs))
+	for r, sr := range srs {
 		n1 := n2 / sr
 		if n1 < 16 {
 			n1 = 16
@@ -213,11 +216,48 @@ func runRatio(cfg Config) []*Table {
 		lists := prepLists(cfg, 4, a, b)
 		row := []string{fmt.Sprintf("%d", sr), fmt.Sprintf("%d", n1)}
 		for _, algo := range algos {
-			row = append(row, ms(timeAlgo(cfg, algo, lists)))
+			d := timeAlgo(cfg, algo, lists)
+			times[r] = append(times[r], d)
+			row = append(row, ms(d))
 		}
 		t.AddRow(row...)
 	}
+	if note := ratioHashBinNote(algos, srs, times); note != "" {
+		t.Notes = append(t.Notes, note)
+	}
 	return []*Table{t}
+}
+
+// hashBinCloseRatio is the most times the fastest algorithm's time HashBin
+// may take on a row for the ratio note to call it close to the best.
+const hashBinCloseRatio = 2
+
+// ratioHashBinNote reads HashBin's worst ratio to the fastest algorithm of
+// any row from times (times[r][c] timed algos[c] at size ratio srs[r]) and
+// says whether HashBin stays close to the best everywhere, as the paper
+// reports. It is empty when HashBin is not among algos.
+func ratioHashBinNote(algos []fastintersect.Algorithm, srs []int, times [][]time.Duration) string {
+	hb := slices.Index(algos, fastintersect.HashBin)
+	if hb < 0 || len(times) == 0 {
+		return ""
+	}
+	worst, wr, wb := 0.0, 0, 0
+	for r, row := range times {
+		best := 0
+		for c, d := range row {
+			if d < row[best] {
+				best = c
+			}
+		}
+		if x := float64(row[hb]) / float64(max(row[best], 1)); x > worst {
+			worst, wr, wb = x, r, best
+		}
+	}
+	verdict := "HashBin is close to the best everywhere, as in the paper"
+	if worst > hashBinCloseRatio {
+		verdict = "HashBin is not close to the best everywhere here, unlike the paper"
+	}
+	return fmt.Sprintf("HashBin's worst row is sr = %d, at %.2f× %v's time: %s", srs[wr], worst, algos[wb], verdict)
 }
 
 func runSizes(cfg Config) []*Table {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fastintersect"
 )
 
 // tinyConfig runs experiments at the small scale with single repetitions;
@@ -115,6 +117,34 @@ func TestExperimentSmokes(t *testing.T) {
 				t.Fatalf("%s: print missing ID", id)
 			}
 		}
+	}
+}
+
+// TestRatioHashBinNote checks that the ratio experiment's HashBin note
+// follows the table it annotates, on one synthetic table each way.
+func TestRatioHashBinNote(t *testing.T) {
+	algos := []fastintersect.Algorithm{fastintersect.Merge, fastintersect.Hash, fastintersect.HashBin}
+	srs := []int{1, 625}
+	msec := func(x float64) time.Duration { return time.Duration(x * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		times [][]time.Duration
+		want  string
+	}{
+		{
+			[][]time.Duration{{msec(16), msec(30), msec(20)}, {msec(2.7), msec(0.02), msec(0.03)}},
+			"HashBin's worst row is sr = 625, at 1.50× Hash's time: HashBin is close to the best everywhere, as in the paper",
+		},
+		{
+			[][]time.Duration{{msec(16), msec(30), msec(202)}, {msec(2.7), msec(0.02), msec(0.65)}},
+			"HashBin's worst row is sr = 625, at 32.50× Hash's time: HashBin is not close to the best everywhere here, unlike the paper",
+		},
+	} {
+		if got := ratioHashBinNote(algos, srs, tc.times); got != tc.want {
+			t.Errorf("times %v: note %q, want %q", tc.times, got, tc.want)
+		}
+	}
+	if got := ratioHashBinNote(algos[:2], srs, [][]time.Duration{{1, 2}, {3, 4}}); got != "" {
+		t.Errorf("HashBin filtered out: note %q, want none", got)
 	}
 }
 

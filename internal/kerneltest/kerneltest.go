@@ -3,7 +3,7 @@
 // checked against the scalar reference on — the public fastintersect
 // algorithms, the compressed stored strategies (including forced,
 // shape-mismatched ones, which must downgrade rather than miscompute), and
-// the engine's planned execution under both kernel policies.
+// the engine's planned execution.
 //
 // Per-kernel parity tests used to be scattered across the packages they
 // tested (fastintersect, compress, plan), each with its own small workload;

@@ -18,7 +18,7 @@ import (
 const corpusSeed = 0x517E57
 
 // TestListKernelParity runs every public algorithm — including Auto, whose
-// pick rides the calibrated cost model — over the whole corpus against the
+// pick rides the planner's cost model — over the whole corpus against the
 // scalar reference. Algorithms with a set-count limit must reject wider
 // inputs rather than miscompute.
 func TestListKernelParity(t *testing.T) {
@@ -200,47 +200,36 @@ func TestRawBitsegLazyAttach(t *testing.T) {
 
 // TestEngineParity drives the corpus through the full serving path: each
 // case's sets become posting lists, the conjunction of all terms is planned
-// and executed across two shards, and the merged result must equal the
-// reference — under both kernel policies, so the cost-based plans (which
-// may pick the bitmap kernels) and the heuristic baseline (which never
-// does) are held to the same answers.
+// and executed across two shards with the kernels the cost model picks,
+// and the merged result must equal the reference.
 func TestEngineParity(t *testing.T) {
-	policies := []struct {
-		name string
-		pol  plan.Policy
-	}{
-		{"cost", plan.Policy{}},
-		{"heuristic", plan.Policy{Order: plan.OrderDF, Kernels: plan.KernelsHeuristic}},
-	}
-	for _, pc := range policies {
-		t.Run("raw-"+pc.name, func(t *testing.T) {
-			for _, c := range Cases(corpusSeed) {
-				e := engine.New(engine.Config{Shards: 2, PlanPolicy: pc.pol, NoMetrics: true})
-				b := e.NewBuilder()
-				terms := make([]string, len(c.Sets))
-				for i, set := range c.Sets {
-					terms[i] = fmt.Sprintf("t%d", i)
-					if len(set) == 0 {
-						continue
-					}
-					if err := b.AddPosting(terms[i], set); err != nil {
-						t.Fatalf("%s: %v", c.Name, err)
-					}
+	t.Run("raw-cost", func(t *testing.T) {
+		for _, c := range Cases(corpusSeed) {
+			e := engine.New(engine.Config{Shards: 2, NoMetrics: true})
+			b := e.NewBuilder()
+			terms := make([]string, len(c.Sets))
+			for i, set := range c.Sets {
+				terms[i] = fmt.Sprintf("t%d", i)
+				if len(set) == 0 {
+					continue
 				}
-				if err := e.Install(b); err != nil {
+				if err := b.AddPosting(terms[i], set); err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
-				}
-				res, err := e.Query(strings.Join(terms, " AND "))
-				if err != nil {
-					t.Fatalf("%s: %v", c.Name, err)
-				}
-				want := sets.IntersectReference(c.Sets...)
-				if !sets.Equal(res.Docs, want) {
-					t.Errorf("%s: %d results, want %d", c.Name, len(res.Docs), len(want))
 				}
 			}
-		})
-	}
+			if err := e.Install(b); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			res, err := e.Query(strings.Join(terms, " AND "))
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			want := sets.IntersectReference(c.Sets...)
+			if !sets.Equal(res.Docs, want) {
+				t.Errorf("%s: %d results, want %d", c.Name, len(res.Docs), len(want))
+			}
+		}
+	})
 }
 
 // TestCorpusWellFormed pins the generator's contract: stable under a seed,
@@ -294,108 +283,99 @@ func TestCorpusWellFormed(t *testing.T) {
 // snapshot of the tier — the serialize→restart→parity round trip over the
 // whole corpus. Runs under -race in CI's multi-segment gate.
 func TestEngineParityMultiSegment(t *testing.T) {
-	policies := []struct {
-		name string
-		pol  plan.Policy
-	}{
-		{"cost", plan.Policy{}},
-		{"heuristic", plan.Policy{Order: plan.OrderDF, Kernels: plan.KernelsHeuristic}},
-	}
-	for _, pc := range policies {
-		t.Run("raw-"+pc.name, func(t *testing.T) {
-			snapRoot := t.TempDir()
-			totalFrozen := 0
-			for ci, c := range Cases(corpusSeed) {
-				// Invert term → postings into doc → terms.
-				docTerms := map[uint32][]string{}
-				terms := make([]string, len(c.Sets))
-				for i, set := range c.Sets {
-					terms[i] = fmt.Sprintf("t%d", i)
-					for _, d := range set {
-						docTerms[d] = append(docTerms[d], terms[i])
+	t.Run("raw-cost", func(t *testing.T) {
+		snapRoot := t.TempDir()
+		totalFrozen := 0
+		for ci, c := range Cases(corpusSeed) {
+			// Invert term → postings into doc → terms.
+			docTerms := map[uint32][]string{}
+			terms := make([]string, len(c.Sets))
+			for i, set := range c.Sets {
+				terms[i] = fmt.Sprintf("t%d", i)
+				for _, d := range set {
+					docTerms[d] = append(docTerms[d], terms[i])
+				}
+			}
+			docs := make([]uint32, 0, len(docTerms))
+			for d := range docTerms {
+				docs = append(docs, d)
+			}
+			sets.SortU32(docs)
+			// Every 7th document (capped) arrives late, in three
+			// frozen batches; the rest are the installed base.
+			var late []uint32
+			for i := 0; i < len(docs) && len(late) < 600; i += 7 {
+				late = append(late, docs[i])
+			}
+			isLate := map[uint32]bool{}
+			for _, d := range late {
+				isLate[d] = true
+			}
+			cfg := engine.Config{Shards: 2,
+				MaxSegments: 2, NoMetrics: true}
+			e := engine.New(cfg)
+			b := e.NewBuilder()
+			for _, d := range docs {
+				if !isLate[d] {
+					if err := b.Add(d, docTerms[d]); err != nil {
+						t.Fatalf("%s: %v", c.Name, err)
 					}
 				}
-				docs := make([]uint32, 0, len(docTerms))
-				for d := range docTerms {
-					docs = append(docs, d)
-				}
-				sets.SortU32(docs)
-				// Every 7th document (capped) arrives late, in three
-				// frozen batches; the rest are the installed base.
-				var late []uint32
-				for i := 0; i < len(docs) && len(late) < 600; i += 7 {
-					late = append(late, docs[i])
-				}
-				isLate := map[uint32]bool{}
-				for _, d := range late {
-					isLate[d] = true
-				}
-				cfg := engine.Config{Shards: 2, PlanPolicy: pc.pol,
-					MaxSegments: 2, NoMetrics: true}
-				e := engine.New(cfg)
-				b := e.NewBuilder()
-				for _, d := range docs {
-					if !isLate[d] {
-						if err := b.Add(d, docTerms[d]); err != nil {
-							t.Fatalf("%s: %v", c.Name, err)
-						}
+			}
+			if err := e.Install(b); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			for bi := 0; bi < 3; bi++ {
+				for j := bi; j < len(late); j += 3 {
+					if err := e.AddDocument(late[j], docTerms[late[j]]); err != nil {
+						t.Fatalf("%s: %v", c.Name, err)
 					}
 				}
-				if err := e.Install(b); err != nil {
+				if err := e.FreezeActive(); err != nil {
 					t.Fatalf("%s: %v", c.Name, err)
 				}
-				for bi := 0; bi < 3; bi++ {
-					for j := bi; j < len(late); j += 3 {
-						if err := e.AddDocument(late[j], docTerms[late[j]]); err != nil {
-							t.Fatalf("%s: %v", c.Name, err)
-						}
-					}
-					if err := e.FreezeActive(); err != nil {
-						t.Fatalf("%s: %v", c.Name, err)
-					}
-				}
-				// Delete and re-add every 8th document (capped): base and
-				// frozen tombstone filters go non-empty, the re-added copy
-				// lands in the active segment, and the visible corpus ends
-				// exactly where it started.
-				for i, n := 0, 0; i < len(docs) && n < 400; i, n = i+8, n+1 {
-					if _, err := e.DeleteDocument(docs[i]); err != nil {
-						t.Fatalf("%s: %v", c.Name, err)
-					}
-					if err := e.AddDocument(docs[i], docTerms[docs[i]]); err != nil {
-						t.Fatalf("%s: %v", c.Name, err)
-					}
-				}
-				totalFrozen += e.Stats().Delta.Segments
-				want := sets.IntersectReference(c.Sets...)
-				check := func(tag string, eng *engine.Engine) {
-					t.Helper()
-					res, err := eng.Query(strings.Join(terms, " AND "))
-					if err != nil {
-						t.Fatalf("%s/%s: %v", c.Name, tag, err)
-					}
-					if !sets.Equal(res.Docs, want) {
-						t.Errorf("%s/%s: %d results, want %d", c.Name, tag, len(res.Docs), len(want))
-					}
-				}
-				check("tiered", e)
-				if err := e.MergeSegments(); err != nil {
-					t.Fatalf("%s: merge: %v", c.Name, err)
-				}
-				check("merged", e)
-				dir := filepath.Join(snapRoot, fmt.Sprintf("c%d", ci))
-				if err := e.SaveSnapshot(dir); err != nil {
-					t.Fatalf("%s: save: %v", c.Name, err)
-				}
-				restored := engine.New(cfg)
-				if err := restored.LoadSnapshot(dir); err != nil {
-					t.Fatalf("%s: load: %v", c.Name, err)
-				}
-				check("restored", restored)
 			}
-			if totalFrozen == 0 {
-				t.Fatal("no case produced a frozen segment; the tier was never multi-segment")
+			// Delete and re-add every 8th document (capped): base and
+			// frozen tombstone filters go non-empty, the re-added copy
+			// lands in the active segment, and the visible corpus ends
+			// exactly where it started.
+			for i, n := 0, 0; i < len(docs) && n < 400; i, n = i+8, n+1 {
+				if _, err := e.DeleteDocument(docs[i]); err != nil {
+					t.Fatalf("%s: %v", c.Name, err)
+				}
+				if err := e.AddDocument(docs[i], docTerms[docs[i]]); err != nil {
+					t.Fatalf("%s: %v", c.Name, err)
+				}
 			}
-		})
-	}
+			totalFrozen += e.Stats().Delta.Segments
+			want := sets.IntersectReference(c.Sets...)
+			check := func(tag string, eng *engine.Engine) {
+				t.Helper()
+				res, err := eng.Query(strings.Join(terms, " AND "))
+				if err != nil {
+					t.Fatalf("%s/%s: %v", c.Name, tag, err)
+				}
+				if !sets.Equal(res.Docs, want) {
+					t.Errorf("%s/%s: %d results, want %d", c.Name, tag, len(res.Docs), len(want))
+				}
+			}
+			check("tiered", e)
+			if err := e.MergeSegments(); err != nil {
+				t.Fatalf("%s: merge: %v", c.Name, err)
+			}
+			check("merged", e)
+			dir := filepath.Join(snapRoot, fmt.Sprintf("c%d", ci))
+			if err := e.SaveSnapshot(dir); err != nil {
+				t.Fatalf("%s: save: %v", c.Name, err)
+			}
+			restored := engine.New(cfg)
+			if err := restored.LoadSnapshot(dir); err != nil {
+				t.Fatalf("%s: load: %v", c.Name, err)
+			}
+			check("restored", restored)
+		}
+		if totalFrozen == 0 {
+			t.Fatal("no case produced a frozen segment; the tier was never multi-segment")
+		}
+	})
 }

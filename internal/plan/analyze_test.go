@@ -8,7 +8,7 @@ import (
 func TestExplainAnalyze(t *testing.T) {
 	st := &fakeStats{docs: 10_000, lens: map[string]int{"a": 100, "b": 2_000, "c": 500}}
 	var p Plan
-	Build(&p, mustParse(t, "a AND b OR c"), "(a & b) | c", st, DefaultCosts(), Policy{})
+	Build(&p, mustParse(t, "a AND b OR c"), "(a & b) | c", st, DefaultCosts())
 
 	actuals := make([]OpActual, len(p.Ops))
 	for i := range p.Ops {
@@ -52,7 +52,7 @@ func TestExplainAnalyze(t *testing.T) {
 func TestExplainAnalyzeNotExecuted(t *testing.T) {
 	st := &fakeStats{docs: 10_000, lens: map[string]int{"a": 100, "b": 200}}
 	var p Plan
-	Build(&p, mustParse(t, "a AND b"), "a & b", st, DefaultCosts(), Policy{})
+	Build(&p, mustParse(t, "a AND b"), "a & b", st, DefaultCosts())
 	actuals := make([]OpActual, len(p.Ops)) // all zero: nothing ran
 	out := p.ExplainAnalyze(actuals)
 	if n := strings.Count(out, "(not executed)"); n != len(p.Ops) {
@@ -63,7 +63,7 @@ func TestExplainAnalyzeNotExecuted(t *testing.T) {
 func TestExplainAnalyzeMultiExec(t *testing.T) {
 	st := &fakeStats{docs: 10_000, lens: map[string]int{"a": 100, "b": 200}}
 	var p Plan
-	Build(&p, mustParse(t, "a AND b"), "a & b", st, DefaultCosts(), Policy{})
+	Build(&p, mustParse(t, "a AND b"), "a & b", st, DefaultCosts())
 	actuals := make([]OpActual, len(p.Ops))
 	for i := range actuals {
 		actuals[i] = OpActual{Execs: 4, Rows: 80, Ns: 8_000}

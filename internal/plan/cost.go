@@ -2,20 +2,16 @@ package plan
 
 import (
 	"math"
-	"sync"
-	"time"
 
 	"fastintersect/internal/bitseg"
-	"fastintersect/internal/core"
-	"fastintersect/internal/sets"
 )
 
-// Costs are the calibrated coefficients of the cost model, in nanoseconds.
+// Costs are the coefficients of the cost model, in nanoseconds.
 //
-// The kernel anchors are measured against the REAL kernels, so machine
+// The kernel anchors were measured against the REAL kernels, so machine
 // idiosyncrasies — a vectorized merge, cache behavior — move the crossovers
 // exactly as they move the kernels. The four raw-list anchors (MergeElem,
-// GallopProbe, BitProbeElem, BitsegWord) are timed at serving size, on
+// GallopProbe, BitProbeElem, BitsegWord) were timed at serving size, on
 // lists too large for the L1 cache and a gallop probe side the branch
 // predictor cannot learn; GroupElem at a cache-resident reference shape
 // (4096-element lists). The physical planner scales them with the paper's
@@ -28,8 +24,9 @@ import (
 //	BitsegAnd      BitsegWord · 64 words · E[aligned chunks] · (k−1) + Scan · E[|out|]
 //
 // The primitive coefficients price the compressed tier's decode-vs-probe
-// decisions (see PriceStored). All coefficients are measured once per
-// process by Calibrate; Config.PlanCosts overrides them.
+// decisions (see PriceStored). Every planner reads the committed table
+// DefaultCosts; Config.PlanCosts overrides it, and the feedback loop
+// (feedback.go) is the only runtime correction.
 type Costs struct {
 	// MergeElem is the ns per element of a two-pointer linear merge.
 	MergeElem float64
@@ -63,8 +60,8 @@ type Costs struct {
 	// runtime feedback (see feedback.go): the priced cost of kernel k is
 	// scaled by Corr[k] wherever the choosers compare candidates. A zero
 	// entry means "no correction" (factor 1), so the zero value of Costs —
-	// and every calibrated/default instance — prices exactly as before the
-	// feedback loop existed. Corrections never change results, only which
+	// and DefaultCosts — prices exactly as before the feedback loop
+	// existed. Corrections never change results, only which
 	// (parity-identical) kernel wins a comparison.
 	Corr [KernelCount]float64
 }
@@ -77,169 +74,46 @@ func (c *Costs) corr(k Kernel) float64 {
 	return 1
 }
 
-// DefaultCosts returns hand-set coefficients in the measured ballpark of a
-// modern x86-64/arm64 core — the fallback when calibration is skipped and
-// the sanity floor/ceiling for implausible calibration readings.
+// DefaultCosts returns the committed coefficient table, a fresh copy per
+// call so callers may adjust it. Plans depend only on the query, the index
+// and this table, never on the host at start-up.
+//
+// Each value is the median, to four significant figures, of 12
+// fresh-process runs of the start-up calibration the planner used to
+// repeat in every process, on a 2-vCPU x86-64 VM (Intel Xeon, Go 1.24).
+// It timed the real kernels: Merge, BitProbe and bitseg's AND over two
+// 2¹⁷-element lists with gaps of 1–16 (512 KB each, past L1), Gallop from
+// an independent 2¹³-element probe side with gaps of 1–271; RanGroupScan
+// (m = 4) and the primitives (a scan, 12-halving binary searches, the
+// permutation plus one image hash, Algorithm 5's word-image test, a gap
+// decode step) on 4096-element lists. Over the 12 runs MergeElem read
+// 6.1–12.0, GallopProbe 40–87, BitProbeElem 2.7–3.9 and BitsegWord
+// 9.1–12.0 ns. For a 600-element pair the table puts the BitProbe/Gallop
+// crossover at a size ratio of 13, inside the 8–32 band
+// BenchmarkIntersectBitProbeCrossover (internal/sets) measures.
 func DefaultCosts() *Costs {
 	return &Costs{
-		MergeElem: 4.0, GallopProbe: 15.0, BitProbeElem: 1.5, GroupElem: 1.5,
-		BitsegWord: 4.0,
-		Scan:       0.6, Probe: 2.0, Hash: 2.0, Filter: 0.8, GapDecode: 2.5,
+		MergeElem: 7.223, GallopProbe: 44.44, BitProbeElem: 3.258, GroupElem: 5.944,
+		BitsegWord: 10.44,
+		Scan:       0.655, Probe: 5.550, Hash: 16.08, Filter: 1.950, GapDecode: 1.622,
 	}
 }
-
-// sqrtW mirrors bitword.SqrtW for the grouped kernels' 1/√w factor.
-const sqrtW = 8
 
 // storedBucket mirrors compress.DefaultStoredBucket (the paper's B = 32):
 // the γ/δ probe cost decodes at most one B-sized bucket per probe.
 const storedBucket = 32
 
-// Calibration reference shapes. The primitive coefficients and GroupElem
-// are timed on two calibSize-element lists, which stay in the L1 cache. The
-// four raw-list anchors are timed at serving size, on anchorSize-element
-// lists (512 KB each): the serving path reads its posting lists from
-// memory, and on cache-resident lists Gallop and BitsegAnd cost about a
-// third of what they cost there. Gallop's probe side is
-// anchorSize/calibRatio elements drawn independently over the searched
-// list's range, so the branch predictor cannot learn where the probes
-// land, as it learns every calibRatio-th element of the searched list.
-// refDepth is the search depth log₂(2+calibRatio) the per-probe anchors
-// embed.
-//
-// Each coefficient is the fastest of calibReps timed runs, the merge and
-// bitmap-probe anchors of anchorReps: a run of theirs over 2¹⁸ elements
-// takes a millisecond or more, and three keep Calibrate near 16 ms.
-const (
-	calibSize  = 1 << 12
-	anchorSize = 1 << 17
-	calibRatio = 16
-	calibReps  = 5
-	anchorReps = 3
-)
-
-var refDepth = math.Log2(2 + calibRatio)
-
-// Calibrate measures the cost coefficients by timing the actual kernels —
-// Merge, SvS galloping, the bitmap probe and bitseg AND at serving size,
-// RanGroupScan at the cache-resident reference shape — plus internal/core's
-// primitive hooks for the compressed tier: about 16 ms, once per process.
-// Readings that come out implausible (a preempted loop, structure build
-// failure, a coarse clock) fall back to DefaultCosts values.
-func Calibrate() *Costs {
-	a := core.CalibrationSet(calibSize)
-	b := core.CalibrationSetSeeded(0xCA11_DA7B, calibSize)
-	needles := core.CalibrationSet(1 << 10)
-	fam := core.NewFamily(0xCA11_B8A7E, 4) // the library's default m = 4
-	img := core.CalibrationImage(fam, a)
-
-	def := DefaultCosts()
-	c := &Costs{
-		Scan:      timePerOp(func() { calibrationSink += uint64(core.ScanStep(a)) }, len(a), calibReps),
-		Probe:     timePerOp(func() { calibrationSink += uint64(core.ProbeStep(a, needles)) }, len(needles)*12, calibReps), // log₂(4k) = 12 halvings per search
-		Hash:      timePerOp(func() { calibrationSink += uint64(fam.HashStep(a)) }, len(a), calibReps),
-		Filter:    timePerOp(func() { calibrationSink += uint64(fam.FilterStep(img, a)) }, len(a), calibReps),
-		GapDecode: timePerOp(func() { calibrationSink += uint64(core.GapStep(a)) }, len(a), calibReps),
-	}
-	buf := make([]uint32, 0, anchorSize)
-	var sc core.Scratch
-	if rgsA, err1 := core.NewRanGroupScanList(fam, a, 4); err1 == nil {
-		if rgsB, err2 := core.NewRanGroupScanList(fam, b, 4); err2 == nil {
-			c.GroupElem = timePerOp(func() {
-				buf = core.IntersectRanGroupScanInto(buf[:0], &sc, rgsA, rgsB)
-				calibrationSink += uint64(len(buf))
-			}, 2*calibSize, calibReps)
-		}
-	}
-	calibrateRaw(c, buf)
-	sanitize(&c.MergeElem, def.MergeElem)
-	sanitize(&c.GallopProbe, def.GallopProbe)
-	sanitize(&c.BitProbeElem, def.BitProbeElem)
-	sanitize(&c.GroupElem, def.GroupElem)
-	sanitize(&c.BitsegWord, def.BitsegWord)
-	sanitize(&c.Scan, def.Scan)
-	sanitize(&c.Probe, def.Probe)
-	sanitize(&c.Hash, def.Hash)
-	sanitize(&c.Filter, def.Filter)
-	sanitize(&c.GapDecode, def.GapDecode)
-	return c
-}
-
-// calibrateRaw times the four raw-list anchors on two anchorSize-element
-// lists (gaps of 1–16) and a probe side whose gaps are calibRatio times as
-// wide on average, into buf's capacity.
-func calibrateRaw(c *Costs, buf []uint32) {
-	a := core.CalibrationSetSeeded(0xCA11_DA7C, anchorSize)
-	b := core.CalibrationSetSeeded(0xCA11_DA7D, anchorSize)
-	small := core.CalibrationSetGaps(0xCA11_DA7E, anchorSize/calibRatio, 17*calibRatio-1)
-	c.MergeElem = timePerOp(func() {
-		buf = sets.IntersectInto(buf[:0], a, b)
-		calibrationSink += uint64(len(buf))
-	}, 2*anchorSize, anchorReps)
-	c.GallopProbe = timePerOp(func() {
-		buf = sets.IntersectGallopInto(buf[:0], small, b)
-		calibrationSink += uint64(len(buf))
-	}, len(small), calibReps)
-	w := new(sets.BitProbeWindow)
-	c.BitProbeElem = timePerOp(func() {
-		buf = sets.IntersectBitProbeInto(buf[:0], a, b, w)
-		calibrationSink += uint64(len(buf))
-	}, 2*anchorSize, anchorReps)
-	if bsA, err1 := bitseg.FromSorted(a); err1 == nil {
-		if bsB, err2 := bitseg.FromSorted(b); err2 == nil {
-			words := min(bsA.Chunks(), bsB.Chunks()) * bitseg.ChunkWords
-			c.BitsegWord = timePerOp(func() {
-				buf = bitseg.IntersectInto(buf[:0], bsA, bsB)
-				calibrationSink += uint64(len(buf))
-			}, words, calibReps)
-		}
-	}
-}
-
-// calibrationSink keeps the timed loops observable so the compiler cannot
-// eliminate them.
-var calibrationSink uint64
-
-// sanitize replaces implausible calibration readings (≤ 0, NaN, or further
-// than 50× from the reference value in either direction) with the default.
-func sanitize(v *float64, def float64) {
-	if !(*v > def/50 && *v < def*50) { // also catches NaN
-		*v = def
-	}
-}
-
-// timePerOp times f (which performs ops primitive operations per call) and
-// returns the minimum observed ns per operation across reps runs.
-func timePerOp(f func(), ops, reps int) float64 {
-	best := math.Inf(1)
-	for rep := 0; rep < reps; rep++ {
-		start := time.Now()
-		f()
-		if d := float64(time.Since(start).Nanoseconds()) / float64(ops); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-var (
-	calibrateOnce sync.Once
-	calibrated    *Costs
-)
-
-// Calibrated returns the process-wide calibrated coefficients, measuring
-// them on first use.
-func Calibrated() *Costs {
-	calibrateOnce.Do(func() { calibrated = Calibrate() })
-	return calibrated
-}
+// refDepth is the search depth log₂(2+16) the per-probe Gallop anchor
+// embeds: it was timed on a probe side 16 times smaller than the list it
+// searched.
+var refDepth = math.Log2(2 + 16)
 
 // Kernel identifies the physical operator chosen for an intersection.
 // BitProbe, Gallop, BitsegAnd and Merge run over raw lists (the engine's
 // sorted []uint32 lists and intermediate results, and EncRaw in
 // internal/compress); BitsegAnd, RGSPair, LookupProbe, FilterChain and
-// DecodeAll over the compressed encodings. Merge is the KernelsHeuristic
-// kernel, and the cost-based chooser picks it only for an empty operand.
+// DecodeAll over the compressed encodings. The chooser picks Merge only
+// for an empty operand.
 // HashBin and GroupScan name the paper's §3.4 and Algorithm 5 list kernels:
 // they remain public through fastintersect, and their values keep the
 // per-kernel metric series stable, but no serving path chooses them. New
@@ -296,44 +170,6 @@ func (k Kernel) String() string {
 	return "Kernel(?)"
 }
 
-// KernelPolicy selects how kernels are chosen.
-type KernelPolicy uint8
-
-const (
-	// KernelsCost picks the cheapest kernel under the calibrated cost model
-	// (the default).
-	KernelsCost KernelPolicy = iota
-	// KernelsHeuristic reproduces the pre-planner fixed rules — always-merge
-	// for raw lists and the shape dispatch for compressed ones — as the
-	// baseline the plan-quality experiment compares against.
-	KernelsHeuristic
-)
-
-// Order selects how AND operands are ordered.
-type Order uint8
-
-const (
-	// OrderCost orders term operands by ascending size and composite
-	// operands by ascending estimated cardinality, so cheap short-circuits
-	// come first (the default).
-	OrderCost Order = iota
-	// OrderDF orders term operands by ascending document frequency and
-	// leaves composite operands in query order — the pre-planner baseline.
-	OrderDF
-	// OrderWorst orders term operands by DESCENDING size: the adversarial
-	// ordering the plan-quality experiment uses to bound the value of
-	// ordering at all.
-	OrderWorst
-)
-
-// Policy bundles the planner's tunables. The zero value is the cost-based
-// default; the other combinations exist for the harness's plan-quality
-// experiment and for debugging.
-type Policy struct {
-	Order   Order
-	Kernels KernelPolicy
-}
-
 // logRatio is log₂(2 + a/b), the recurring search-depth term.
 func logRatio(a, b int) float64 {
 	if b <= 0 {
@@ -343,7 +179,7 @@ func logRatio(a, b int) float64 {
 }
 
 // probeDepth scales a per-probe anchor by the search depth relative to the
-// calibration shape, floored at 1: shallower-than-reference searches still
+// reference shape, floored at 1: shallower-than-reference searches still
 // pay the anchor's fixed per-probe overhead (a near-balanced gallop steps
 // by one with a search each time — it never undercuts the reference probe).
 func probeDepth(n, n0 int) float64 {
@@ -486,9 +322,8 @@ func probeCost(c *Costs, op Operand, p int) float64 {
 // strategy for k ≥ 2 operands given in ascending length order (ops[0] is
 // the probe side). All-raw operands choose among BitProbe, Gallop and —
 // when every span is known — BitsegAnd; any compressed operand brings in
-// the compressed-tier strategies. Under KernelsHeuristic raw operands
-// always merge and compressed ones follow the pre-planner shape dispatch.
-func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
+// the compressed-tier strategies.
+func ChooseStored(c *Costs, ops []Operand) Kernel {
 	allRaw, allLookup, allBitseg, spans := true, true, true, true
 	span := 0
 	for _, op := range ops {
@@ -510,19 +345,9 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 		if !spans {
 			span = 0
 		}
-		return chooseRaw(c, pol, ops, span)
+		return chooseRaw(c, ops, span)
 	}
 	pairRGS := len(ops) == 2 && ops[0].Shape == ShapeLowbits && ops[1].Shape == ShapeLowbits
-	if pol == KernelsHeuristic {
-		switch {
-		case pairRGS:
-			return KernelRGSPair
-		case allLookup:
-			return KernelLookupProbe
-		default:
-			return KernelFilterChain
-		}
-	}
 	n0 := ops[0].Len
 	chain := decodeCost(c, ops[0])
 	decodeAll := decodeCost(c, ops[0])
@@ -547,7 +372,7 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 		}
 	}
 	if pairRGS {
-		// The stored RGS kernel is the calibrated group scan plus the final
+		// The stored RGS kernel is the GroupElem-priced scan plus the final
 		// result sort (the groups emit permutation order).
 		total := float64(ops[0].Len + ops[1].Len)
 		rgs := (c.GroupElem*total + c.Probe*float64(n0)) * c.corr(KernelRGSPair)
@@ -562,10 +387,7 @@ func ChooseStored(c *Costs, pol KernelPolicy, ops []Operand) Kernel {
 // operands: the cheapest under the corrected list formulas, BitProbe on
 // ties. Merge is no cost-based candidate: BitProbe does the same linear
 // pass without a mispredicted comparison per element.
-func chooseRaw(c *Costs, pol KernelPolicy, ops []Operand, span int) Kernel {
-	if pol == KernelsHeuristic {
-		return KernelMerge
-	}
+func chooseRaw(c *Costs, ops []Operand, span int) Kernel {
 	for _, op := range ops {
 		if op.Len == 0 {
 			return KernelMerge // trivially empty; avoid building structures

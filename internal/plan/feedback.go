@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// Feedback closes the loop between the calibrated cost model and what
+// Feedback closes the loop between the committed cost model and what
 // execution actually measured. The engine feeds it sampled per-operator
 // actuals (OpActual harvested from the trace arena) tagged with the plan's
 // estimates (Op.Rows, Op.Cost); every fbRefitEvery observations a re-fit
@@ -78,7 +78,7 @@ const (
 )
 
 // NewFeedback returns a store layered over the given base coefficients
-// (typically the startup-calibrated Costs). Until the first effective
+// (typically DefaultCosts). Until the first effective
 // refit, Costs() returns base unchanged.
 func NewFeedback(base *Costs) *Feedback {
 	f := &Feedback{base: base}

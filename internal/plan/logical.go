@@ -1,17 +1,18 @@
 // Package plan is the engine's query planner: the logical AND/OR/NOT tree
-// and its normalizer (the canonical form the result cache keys on), a
-// calibrated cost model over the paper's intersection kernels, and a
-// physical planner that lowers a normalized tree to explicit operators —
-// kernel choice and operand order. One chooser, ChooseStored, prices every
+// and its normalizer (the canonical form the result cache keys on), a cost
+// model over the paper's intersection kernels, and a physical planner that
+// lowers a normalized tree to explicit operators — kernel choice and
+// operand order. One chooser, ChooseStored, prices every
 // conjunction: the engine's raw lists (and its intermediate results) among
 // BitProbe, Gallop and BitsegAnd, and internal/compress's compressed lists
 // among the stored-tier strategies.
 //
 // The package is deliberately a leaf: it knows set sizes and storage shapes
 // (Operand), not posting lists, so internal/engine and internal/compress can
-// both consult the same cost model without an import cycle. Calibration
-// (cost.go) measures the per-element price of the primitive operations the
-// kernels are built from via internal/core's cost hooks.
+// both consult the same cost model without an import cycle. Its
+// coefficients are one committed table (DefaultCosts, cost.go), measured
+// once against the real kernels; the feedback loop (feedback.go) is the
+// only runtime correction.
 package plan
 
 import (

@@ -60,8 +60,6 @@ type Plan struct {
 	// Canon is the canonical (normalized) query string the plan was built
 	// from — the same string the result cache keys on.
 	Canon string
-	// Policy the plan was built under.
-	Policy Policy
 	// Ops holds the operators post-order; the root is Ops[len(Ops)-1].
 	Ops []Op
 
@@ -92,24 +90,23 @@ func (p *Plan) Reset() {
 }
 
 // Build lowers a normalized, bounded logical tree to a physical plan
-// against the given index statistics: term operands of every conjunction
-// are ordered per pol.Order and kernels chosen per pol.Kernels through the
-// cost model. The plan is rebuilt in place (dst is reset first) and
-// returned.
-func Build(dst *Plan, n Node, canon string, st Stats, c *Costs, pol Policy) *Plan {
+// against the given index statistics: the term operands of every
+// conjunction are ordered by ascending size, its composite operands by
+// ascending estimated cardinality (so cheap short-circuits come first),
+// and kernels are chosen through the cost model. The plan is rebuilt in
+// place (dst is reset first) and returned.
+func Build(dst *Plan, n Node, canon string, st Stats, c *Costs) *Plan {
 	dst.Reset()
 	dst.Canon = canon
-	dst.Policy = pol
-	b := builder{p: dst, st: st, c: c, pol: pol}
+	b := builder{p: dst, st: st, c: c}
 	b.build(n)
 	return dst
 }
 
 type builder struct {
-	p   *Plan
-	st  Stats
-	c   *Costs
-	pol Policy
+	p  *Plan
+	st Stats
+	c  *Costs
 }
 
 // emit appends op and returns its index.
@@ -174,7 +171,7 @@ func (b *builder) buildAnd(n And) int32 {
 			p.tmp = append(p.tmp, b.buildTerm(t))
 		}
 	}
-	b.orderByRows(p.tmp[termMark:], b.pol.Order)
+	b.orderByRows(p.tmp[termMark:])
 	terms := b.seal(termMark)
 
 	kidMark := len(p.tmp)
@@ -185,10 +182,8 @@ func (b *builder) buildAnd(n And) int32 {
 			p.tmp = append(p.tmp, b.build(k))
 		}
 	}
-	if b.pol.Order == OrderCost {
-		// Cheapest composite first: an empty kid short-circuits the rest.
-		b.orderByRows(p.tmp[kidMark:], OrderCost)
-	}
+	// Cheapest composite first: an empty kid short-circuits the rest.
+	b.orderByRows(p.tmp[kidMark:])
 	kids := b.seal(kidMark)
 
 	negMark := len(p.tmp)
@@ -217,7 +212,7 @@ func (b *builder) buildAnd(n And) int32 {
 			p.ops = append(p.ops, Operand{Len: to.Rows, Span: u})
 		}
 		if terms.n >= 2 {
-			op.Kernel = ChooseStored(b.c, b.pol.Kernels, p.ops)
+			op.Kernel = ChooseStored(b.c, p.ops)
 			op.Cost = PriceStored(b.c, op.Kernel, p.ops)
 		}
 		rows, haveRows = estAnd(p.buf, u), true
@@ -238,21 +233,13 @@ func (b *builder) buildAnd(n And) int32 {
 	return b.emit(op)
 }
 
-// orderByRows sorts operand indexes by estimated cardinality in place — a
-// stable insertion sort, since operand lists are small and the hot path
-// must not allocate (a sort-func closure would).
-func (b *builder) orderByRows(idxs []int32, ord Order) {
+// orderByRows sorts operand indexes by ascending estimated cardinality in
+// place — a stable insertion sort, since operand lists are small and the
+// hot path must not allocate (a sort-func closure would).
+func (b *builder) orderByRows(idxs []int32) {
 	ops := b.p.Ops
-	desc := ord == OrderWorst // OrderCost and OrderDF both ascend
 	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0; j-- {
-			before := ops[idxs[j]].Rows < ops[idxs[j-1]].Rows
-			if desc {
-				before = ops[idxs[j]].Rows > ops[idxs[j-1]].Rows
-			}
-			if !before {
-				break
-			}
+		for j := i; j > 0 && ops[idxs[j]].Rows < ops[idxs[j-1]].Rows; j-- {
 			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
 		}
 	}

@@ -102,7 +102,7 @@ func FuzzIntersectBitProbe(f *testing.F) {
 // as many in the larger, over 64 distinct pairs so that the lists leave
 // the cache as the engine's do. It reports nanoseconds per input element;
 // the planner prices BitProbe per input element and Gallop per probe, so
-// the crossover the chooser computes from calibrated anchors can be read
+// the crossover the chooser computes from its committed anchors can be read
 // against the ratio where the timings cross.
 func BenchmarkIntersectBitProbeCrossover(b *testing.B) {
 	const small, pairs = 600, 64
