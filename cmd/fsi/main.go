@@ -28,9 +28,19 @@ import (
 	"fastintersect/internal/plan"
 )
 
+// algoHelp is the -algo flag's help: every name ParseAlgorithm accepts,
+// Auto first, read from the library's registry.
+func algoHelp() string {
+	names := []string{fastintersect.Auto.String()}
+	for _, a := range fastintersect.Algorithms() {
+		names = append(names, a.String())
+	}
+	return "algorithm: " + strings.Join(names, ", ")
+}
+
 func main() {
 	var (
-		algoName = flag.String("algo", "Auto", "algorithm: Auto, RanGroupScan, RanGroup, IntGroup, HashBin, Merge, Hash, SkipList, SvS, Adaptive, BaezaYates, SmallAdaptive, Lookup, BPP")
+		algoName = flag.String("algo", "Auto", algoHelp())
 		timing   = flag.Bool("time", false, "print preprocessing and intersection times")
 		explain  = flag.Bool("explain", false, "print the physical plan (chosen kernel, operand order, cost coefficients) to stderr before intersecting")
 	)

@@ -61,7 +61,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8466", "listen address (serve mode)")
 		shards      = flag.Int("shards", 4, "index shards")
-		workers     = flag.Int("workers", 0, "shard-query worker pool size (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "queries evaluated at once, each on its own goroutine over every shard (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache", 4096, "result-cache entries (0 disables)")
 		docs        = flag.Uint("docs", 200_000, "synthetic corpus: number of documents")
 		terms       = flag.Int("terms", 20_000, "synthetic corpus: vocabulary size")
@@ -660,9 +660,9 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	start := time.Now()
-	// One admission slot covers the whole batch: the engine already
-	// serializes its shard work through the bounded worker pool, so a batch
-	// is one unit of inflight load, not len(Queries) units.
+	// One admission slot covers the whole batch: the engine evaluates the
+	// whole batch on one goroutine under one worker slot, so a batch is one
+	// unit of inflight load, not len(Queries) units.
 	tk, err := s.gate.Acquire(ctx, clientKey(r))
 	if err != nil {
 		s.writeQueryError(w, fmt.Sprintf("<batch of %d>", len(req.Queries)), start, err)

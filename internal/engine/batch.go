@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"fastintersect/internal/plan"
-	"fastintersect/internal/sets"
 )
 
 // BatchResult pairs one query of a QueryBatch call with its outcome.
@@ -21,10 +19,9 @@ type BatchResult struct {
 //   - queries that normalize to the same canonical form are parsed, planned
 //     and executed once (they share one *Result);
 //   - all cache misses of the batch are planned against one statistics
-//     snapshot and evaluated per shard by ONE pooled execution context, so
-//     its buffers and frames are shared across the whole batch;
-//   - each shard is visited once for the whole batch instead of once per
-//     query, halving fan-out scheduling overhead for small queries.
+//     snapshot and evaluated by ONE pooled execution context under one
+//     bounded worker slot, so its buffers and frames are shared across the
+//     whole batch.
 //
 // Results are positionally aligned with queries. Parse failures are
 // reported per query; an evaluation error fails only the queries sharing
@@ -38,8 +35,7 @@ func (e *Engine) QueryBatch(queries []string) []BatchResult {
 // only Result.Count (Docs stays nil), and the batch skips result
 // materialization the same way QueryCount does — per-shard result lengths
 // are summed without building merged slices. Deduplication, shared
-// planning and the per-shard execution-context sharing are identical to
-// QueryBatch.
+// planning and the execution-context sharing are identical to QueryBatch.
 func (e *Engine) QueryBatchCount(queries []string) []BatchResult {
 	return e.QueryBatchCountContext(context.Background(), queries)
 }
@@ -52,10 +48,10 @@ func (e *Engine) QueryBatchCountContext(ctx context.Context, queries []string) [
 
 // QueryBatchContext is QueryBatch under a request context: a cancelled or
 // expired ctx aborts the remaining evaluations, and every query that did not
-// complete before the abort reports ctx's error. Shard workers observe the
-// context between queries and inside the exec loops (the same polling Query
-// uses), so a batch never outlives its deadline by more than one poll
-// interval per worker.
+// complete before the abort reports ctx's error. The evaluation observes
+// the context at every shard entry and inside the exec loops (the same
+// polling Query uses), so a batch never outlives its deadline by more than
+// one poll interval.
 func (e *Engine) QueryBatchContext(ctx context.Context, queries []string) []BatchResult {
 	return e.queryBatch(ctx, queries, false)
 }
@@ -136,9 +132,12 @@ type batchPending struct {
 	idxs []int // positions in the caller-aligned result slice
 }
 
-// runBatch plans every pending canonical form once and evaluates all plans
-// shard by shard: one execution context per shard runs the whole batch, so
-// its buffers are shared across queries.
+// runBatch plans every pending canonical form once and evaluates the plans
+// one after another on the calling goroutine, under one bounded worker
+// slot and one pooled execution context whose buffers the whole batch
+// shares. An evaluation error fails only the canonical form that hit it;
+// a cancelled context fails every form not yet evaluated, at its first
+// shard's entry check.
 func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batchPending, gen uint64, countOnly bool) {
 	var stats *planStats
 	for _, u := range pending {
@@ -149,85 +148,31 @@ func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batch
 		}
 		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts())
 	}
-
-	nS := len(shards)
-	docsM := make([][]uint32, len(pending)*nS)
-	ownedM := make([]bool, len(pending)*nS)
-	errsM := make([]error, len(pending)*nS)
-	ctxs := make([]*execCtx, nS)
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			// One bounded worker slot per shard, for the whole batch. A
-			// cancelled context skips the shard entirely; evalShard's entry
-			// check then fails each query with the context error below.
-			acquireErr := e.acquireWorker(ctx)
-			if acquireErr == nil {
-				defer func() { <-e.workers }()
-			}
-			c := getExecCtx()
-			c.attachCtx(ctx)
-			ctxs[i] = c
-			for j, u := range pending {
-				cell := j*nS + i
-				if acquireErr != nil {
-					errsM[cell] = acquireErr
-					continue
-				}
-				docsM[cell], ownedM[cell], errsM[cell] = e.evalShard(c, s, i, &u.pc.plan)
-			}
-		}(i, s)
+	acquireErr := e.acquireWorker(ctx)
+	if acquireErr == nil {
+		defer func() { <-e.workers }()
 	}
-	wg.Wait()
-
-	for j, u := range pending {
-		row := docsM[j*nS : (j+1)*nS]
-		var evalErr error
-		for _, err := range errsM[j*nS : (j+1)*nS] {
-			if err != nil {
-				evalErr = err
-				break
-			}
-		}
-		if evalErr != nil {
-			e.met.queryErrors.Add(uint64(len(u.idxs)))
-			u.err = evalErr
-		} else if countOnly {
-			// Shards partition the docID space: disjoint results, so the
-			// count is the plain sum and no merged slice is built (or
-			// cached — nothing was materialized).
-			total := 0
-			for _, r := range row {
-				total += len(r)
-			}
-			u.res = &Result{Count: total, Normalized: u.key}
-		} else {
-			total := 0
-			for _, r := range row {
-				total += len(r)
-			}
-			merged := sets.UnionKInto(make([]uint32, 0, total), row...)
-			e.cache.put(u.key, merged, gen)
-			u.res = &Result{Docs: merged, Count: len(merged), Normalized: u.key}
-		}
-	}
-
-	for i, c := range ctxs {
-		if c == nil {
-			continue
-		}
-		for j := range pending {
-			cell := j*nS + i
-			if ownedM[cell] {
-				c.putBuf(docsM[cell])
-			}
-		}
-		putExecCtx(c)
-	}
+	c := getExecCtx()
+	c.attachCtx(ctx)
 	for _, u := range pending {
+		var merged []uint32
+		total, err := 0, acquireErr
+		if err == nil {
+			merged, total, err = e.runShards(c, shards, &u.pc.plan, nil, countOnly)
+		}
+		switch {
+		case err != nil:
+			e.met.queryErrors.Add(uint64(len(u.idxs)))
+			u.err = err
+		case countOnly:
+			// Nothing was materialized, so nothing is cached.
+			u.res = &Result{Count: total, Normalized: u.key}
+		default:
+			e.cache.put(u.key, merged, gen)
+			u.res = &Result{Docs: merged, Count: total, Normalized: u.key}
+		}
 		putPlanCtx(u.pc)
 		u.pc = nil
 	}
+	putExecCtx(c)
 }

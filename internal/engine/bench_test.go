@@ -57,7 +57,7 @@ func buildBenchEngineCfg(tb testing.TB, cfg Config) *Engine {
 
 // BenchmarkQueryMixed measures the steady-state serving path on the mixed
 // AND/OR workload with the result cache disabled, so every iteration pays
-// the full parse → plan → shard fan-out → merge pipeline. B/op and
+// the full parse → plan → per-shard evaluation → merge pipeline. B/op and
 // allocs/op here are the numbers the ExecContext pooling is accountable
 // for; TestQueryAllocs pins them as a regression bound.
 func BenchmarkQueryMixed(b *testing.B) {

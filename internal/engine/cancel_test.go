@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"fastintersect/internal/bitseg"
 	"fastintersect/internal/race"
+	"fastintersect/internal/sets"
 )
 
 // numGoroutineSettled samples runtime.NumGoroutine after giving transient
@@ -26,9 +28,10 @@ func numGoroutineSettled(baseline int) int {
 }
 
 // TestQueryContextDeadlineMidFanout is the tentpole cancellation test: a
-// deadline expiring while shard workers are mid-evaluation must surface
-// context.DeadlineExceeded and must not leak the fan-out goroutines —
-// workers abort at their next poll and the fan-out always rejoins.
+// deadline expiring while a 4-shard query is mid-evaluation must surface
+// context.DeadlineExceeded, leave no goroutine behind and leave the engine
+// answering exactly — the evaluation aborts at its next poll and returns
+// its pooled context clean.
 func TestQueryContextDeadlineMidFanout(t *testing.T) {
 	e := buildTestEngine(t, Config{
 		Shards:    4,
@@ -53,19 +56,71 @@ func TestQueryContextDeadlineMidFanout(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
 
-	// The engine must stay fully usable after aborts: pooled contexts were
-	// returned clean.
-	e2 := buildTestEngine(t, Config{Shards: 4, CacheSize: 0}, 2000)
-	_ = e2 // fresh engine sanity path
-	eNoFault := buildTestEngine(t, Config{Shards: 4, CacheSize: 0}, 2000)
-	res, err := eNoFault.Query("m2 AND m3")
+	// The engine whose queries aborted must stay fully usable: pooled
+	// contexts were returned clean, so once its faults are disarmed it
+	// answers exactly what a fault-free engine does.
+	e.cfg.Faults = nil
+	res, err := e.Query("m2 AND m3")
 	if err != nil || len(res.Docs) == 0 {
 		t.Fatalf("post-abort query: res=%v err=%v", res, err)
+	}
+	want, err := buildTestEngine(t, Config{Shards: 4, CacheSize: 0}, 2000).Query("m2 AND m3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sets.Equal(res.Docs, want.Docs) {
+		t.Fatalf("post-abort query returned %d docs, want the fault-free engine's %d", len(res.Docs), len(want.Docs))
+	}
+}
+
+// TestFaultDelayStartsNoGoroutine pins the execution model: a query
+// evaluates its shards one after another on the calling goroutine. With
+// every shard held 20ms by an injected delay, the goroutine count sampled
+// while a 4-shard Query, QueryCount or QueryBatch runs never exceeds the
+// settled baseline plus the goroutine making the call; a per-shard fan-out
+// would add one goroutine per shard in flight.
+func TestFaultDelayStartsNoGoroutine(t *testing.T) {
+	e := buildTestEngine(t, Config{
+		Shards:    4,
+		CacheSize: 0,
+		Faults:    &FaultPlan{Shard: -1, Delay: 20 * time.Millisecond},
+	}, 2000)
+	const q = "m2 AND m3"
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Query", func() error { _, err := e.Query(q); return err }},
+		{"QueryCount", func() error { _, err := e.QueryCount(q); return err }},
+		{"QueryBatch", func() error { return e.QueryBatch([]string{q, "m5"})[1].Err }},
+	}
+	base := runtime.NumGoroutine() + 1 // each subtest runs on a goroutine of its own
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			base := numGoroutineSettled(base)
+			done := make(chan error, 1)
+			go func() { done <- tc.call() }()
+			peak := 0
+			for {
+				peak = max(peak, runtime.NumGoroutine())
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					if peak > base+1 {
+						t.Fatalf("%d goroutines during the call, want at most %d: the settled %d plus the caller", peak, base+1, base)
+					}
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		})
 	}
 }
 
 // TestQueryContextPreCancelled: an already-cancelled context never reaches
-// the shard fan-out.
+// shard evaluation.
 func TestQueryContextPreCancelled(t *testing.T) {
 	e := buildTestEngine(t, Config{Shards: 2, CacheSize: 0}, 500)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,10 +149,9 @@ func TestQueryContextNilAndBackground(t *testing.T) {
 	}
 }
 
-// TestFaultPanicBarrier: an injected worker panic becomes a query error —
-// the process survives, the error names the shard, and the engine keeps
-// serving afterwards. Covers the single-shard inline path and the
-// multi-shard fan-out.
+// TestFaultPanicBarrier: an injected panic becomes a query error — the
+// process survives, the error names the shard, and the engine keeps
+// serving afterwards. Covers one shard and a 4-shard loop.
 func TestFaultPanicBarrier(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -121,19 +175,25 @@ func TestFaultPanicBarrier(t *testing.T) {
 }
 
 // TestPanicBarrierDropsProbeWindow: a panic can cut a BitProbe run short
-// with bits still set in the context's window, and the caller pools that
-// context again once evalShard has converted the panic; the barrier must
-// drop the window, or a later pair would probe a dirty one.
+// with bits still set in the context's window, or a BitsegAnd run with its
+// operands still in the context's scratch, and the context evaluates again
+// once evalShard has converted the panic (pooled, or on a batch's next
+// query); the barrier must drop both, or a later pair would probe a dirty
+// window and a later BitsegAnd would intersect stale operands too.
 func TestPanicBarrierDropsProbeWindow(t *testing.T) {
 	e := New(Config{Faults: &FaultPlan{Shard: -1, PanicEvery: 1}})
 	c := getExecCtx()
 	defer putExecCtx(c)
-	c.window()[0] = 1 // what a run cut short leaves behind
+	c.window()[0] = 1                         // what a run cut short leaves behind
+	c.bits = append(c.bits, new(bitseg.List)) // likewise
 	if _, _, err := e.evalShard(c, nil, 0, nil); err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic conversion", err)
 	}
 	if c.probe != nil {
 		t.Fatal("the panic barrier kept the BitProbe window of a run it cut short")
+	}
+	if len(c.bits) != 0 {
+		t.Fatal("the panic barrier kept the BitsegAnd operands of a run it cut short")
 	}
 }
 

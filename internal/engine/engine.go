@@ -21,18 +21,21 @@
 //
 // A query is parsed and normalized by internal/plan (the canonical form is
 // the cache key), looked up in an LRU result cache, and on a miss lowered
-// to one physical plan against engine-aggregate statistics and fanned out
-// to every shard through a bounded worker pool; each shard executes the
-// plan (see exec.go), re-pricing kernels on its actual operand sizes
-// through the planner's cost model, and the per-shard sorted results are
-// merged. The cost model prices with the planner's committed table
-// (plan.DefaultCosts, or Config.PlanCosts), corrected at run time only by
-// the opt-in feedback loop (Config.PlanFeedback), so a plan depends on the
-// query and the index, never on the host the process started on. Cache
+// to one physical plan against engine-aggregate statistics and evaluated
+// on every shard in turn, on the calling goroutine under one bounded
+// worker slot; each shard executes the plan (see exec.go), re-pricing
+// kernels on its actual operand sizes through the planner's cost model,
+// and the per-shard sorted results are merged. A query starts no
+// goroutine: parallelism comes from concurrent queries, while Install,
+// merges and snapshot loads still build in parallel. The cost model prices
+// with the planner's committed table (plan.DefaultCosts, or
+// Config.PlanCosts), corrected at run time only by the opt-in feedback
+// loop (Config.PlanFeedback), so a plan depends on the query and the
+// index, never on the host the process started on. Cache
 // entries are stamped with the engine's index generation — every mutation
 // and rebuild bumps it — so a cached result can never resurrect a deleted
 // document. Explain returns the executed plan; QueryBatch amortizes
-// planning and shard fan-out across many queries.
+// parsing, planning and one execution context across many queries.
 //
 // Every frozen posting list is a segment.List: an exact-size sorted
 // []uint32 with its span and its lazily attached bitseg form, whichever
@@ -62,8 +65,10 @@ import (
 type Config struct {
 	// Shards is the number of hash partitions (default 1).
 	Shards int
-	// Workers bounds the pool evaluating shard sub-queries across ALL
-	// in-flight queries (default GOMAXPROCS).
+	// Workers bounds how many queries evaluate at once (default
+	// GOMAXPROCS): each query, or QueryBatch call, holds one slot while it
+	// evaluates its shards one after another. It also sets the build
+	// parallelism of Install, merges and snapshot loads.
 	Workers int
 	// CacheSize is the result-cache capacity in entries (0 disables it).
 	CacheSize int
@@ -146,7 +151,7 @@ type Engine struct {
 	met *engineMetrics
 
 	// faultCtr sequences Config.Faults.{ErrEvery,PanicEvery} injections so
-	// "every Nth evaluation" is exact across concurrent shard workers.
+	// "every Nth evaluation" is exact across concurrent queries.
 	faultCtr atomic.Uint64
 }
 
@@ -672,130 +677,71 @@ func (e *Engine) acquireWorker(ctx context.Context) error {
 	}
 }
 
-// executePlan runs one physical plan over the shard set and merges the
-// per-shard sorted results into a fresh slice, returning the merged docs
-// and their count. Under countOnly the merge is elided entirely: the
-// per-shard result lengths are summed (shards partition the docID space,
-// so the sorted per-shard results are disjoint) and the docs return is
-// nil — no merged slice is built or copied. When the query is traced
-// (tr and agg non-nil, always together), each shard evaluation records its
-// per-operator actuals into a context-local traceRec, and the recordings
-// are merged into agg — the per-shard spans and the exec/merge stage
-// timings land on tr.
+// executePlan runs one physical plan over the shard set on the calling
+// goroutine, under one bounded worker slot and one pooled execCtx, and
+// returns the merged docs and their count (see runShards). When the query
+// is traced (tr and agg non-nil, always together), every shard records its
+// per-operator actuals straight into agg, and the per-shard spans and the
+// exec/merge stage timings land on tr.
 //
-// Abort discipline: a cancelled context or a failing/panicking shard never
-// leaks resources. Worker slots are released by deferred receives, every
-// execCtx drawn here is returned through putQueryCtx/putExecCtx on all
-// paths, and the fan-out always rejoins (wg.Wait) before returning — a
-// worker observing the cancellation aborts at its next poll, so no
-// goroutine outlives the call.
+// Abort discipline: a cancelled context or a failing/panicking shard stops
+// the loop at that shard and never leaks resources. The worker slot is
+// released by a deferred receive, the execCtx returns to the pool on every
+// path, and no goroutine is started, so none can outlive the call.
 func (e *Engine) executePlan(ctx context.Context, shards []*shard, pp *plan.Plan, tr *obs.Trace, agg *traceRec, countOnly bool) ([]uint32, int, error) {
-	if len(shards) == 1 {
-		// Single shard: evaluate inline, skipping the fan-out goroutine but
-		// still holding a bounded worker slot — Config.Workers caps shard
-		// evaluations across ALL in-flight queries regardless of shape.
-		if err := e.acquireWorker(ctx); err != nil {
-			return nil, 0, err
-		}
-		defer func() { <-e.workers }()
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		c := getExecCtx()
-		c.attachCtx(ctx)
-		c.rec = agg // nil for untraced queries
-		docs, owned, err := e.evalShard(c, shards[0], 0, pp)
-		// agg is owned by the caller: detach it before the context returns
-		// to the pool on every path, or putExecCtx would recycle it.
-		c.rec = nil
-		if err != nil {
-			putExecCtx(c)
-			return nil, 0, err
-		}
-		if tr != nil {
-			stamp(tr, obs.StageExec, &t0)
-			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: 0, Rows: len(docs), Ns: tr.Stages[obs.StageExec]})
-		}
-		count := len(docs)
-		var merged []uint32
-		if !countOnly {
-			merged = make([]uint32, count)
-			copy(merged, docs)
-		}
-		if owned {
-			c.putBuf(docs)
-		}
-		putExecCtx(c)
-		stamp(tr, obs.StageMerge, &t0)
-		return merged, count, nil
+	if err := e.acquireWorker(ctx); err != nil {
+		return nil, 0, err
 	}
-	var t0 time.Time
+	defer func() { <-e.workers }()
+	c := getExecCtx()
+	c.attachCtx(ctx)
+	c.rec = agg // nil for untraced queries
+	merged, count, err := e.runShards(c, shards, pp, tr, countOnly)
+	// agg is owned by the caller: detach it before the context returns to
+	// the pool, or putExecCtx would recycle it.
+	c.rec = nil
+	putExecCtx(c)
+	return merged, count, err
+}
+
+// runShards evaluates p on every shard in turn on c, stopping at the first
+// error, and merges the per-shard sorted results into a fresh slice. Under
+// countOnly the merge is elided entirely: the per-shard result lengths are
+// summed (shards partition the docID space, so the sorted per-shard
+// results are disjoint) and the docs return is nil. Every shard result
+// stays parked on c until the merge has consumed it, and is recycled on
+// every path before runShards returns.
+func (e *Engine) runShards(c *execCtx, shards []*shard, p *plan.Plan, tr *obs.Trace, countOnly bool) ([]uint32, int, error) {
+	var t0, last time.Time
 	if tr != nil {
 		t0 = time.Now()
+		last = t0
 	}
-	qc := getQueryCtx(len(shards))
-	var wg sync.WaitGroup
+	total := 0
 	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			if err := e.acquireWorker(ctx); err != nil {
-				qc.errs[i] = err // no slot held, no context drawn
-				return
-			}
-			defer func() { <-e.workers }()
-			c := getExecCtx()
-			c.attachCtx(ctx)
-			qc.ctxs[i] = c
-			if agg != nil {
-				c.rec = getTraceRec(len(pp.Ops))
-				shardStart := time.Now()
-				qc.results[i], qc.owned[i], qc.errs[i] = e.evalShard(c, s, i, pp)
-				c.rec.shardNs = time.Since(shardStart).Nanoseconds()
-				return
-			}
-			qc.results[i], qc.owned[i], qc.errs[i] = e.evalShard(c, s, i, pp)
-		}(i, s)
-	}
-	wg.Wait()
-	if agg != nil {
-		// Harvest the per-shard recordings before the contexts are pooled:
-		// putQueryCtx → putExecCtx would recycle them unread (that fallback
-		// is the cleanup for the error return below).
-		for i, c := range qc.ctxs {
-			if c == nil || c.rec == nil {
-				continue
-			}
-			agg.merge(c.rec)
-			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: i, Rows: len(qc.results[i]), Ns: c.rec.shardNs})
-			putTraceRec(c.rec)
-			c.rec = nil
-		}
-	}
-	for _, err := range qc.errs {
+		docs, owned, err := e.evalShard(c, s, i, p)
 		if err != nil {
-			putQueryCtx(qc)
+			c.dropResults()
 			return nil, 0, err
+		}
+		c.results = append(c.results, docs)
+		c.owned = append(c.owned, owned)
+		total += len(docs)
+		if tr != nil {
+			now := time.Now()
+			tr.Shards = append(tr.Shards, obs.ShardSpan{Shard: i, Rows: len(docs), Ns: now.Sub(last).Nanoseconds()})
+			last = now
 		}
 	}
 	stamp(tr, obs.StageExec, &t0)
-	// Shards partition the document space, so the per-shard sorted results
-	// are disjoint and merging is a pure interleave; the k-way union writes
-	// into a fresh exactly-sized slice, so the merged result never aliases
-	// a posting list or a pooled buffer. Disjointness also means a count
-	// needs no merge at all — the lengths simply add.
-	total := 0
-	for _, r := range qc.results {
-		total += len(r)
+	// Disjoint shards make merging a pure interleave; the k-way union
+	// writes into a fresh exactly-sized slice, so the merged result never
+	// aliases a posting list or a pooled buffer.
+	var merged []uint32
+	if !countOnly {
+		merged = sets.UnionKInto(make([]uint32, 0, total), c.results...)
 	}
-	if countOnly {
-		putQueryCtx(qc)
-		stamp(tr, obs.StageMerge, &t0)
-		return nil, total, nil
-	}
-	merged := sets.UnionKInto(make([]uint32, 0, total), qc.results...)
-	putQueryCtx(qc)
+	c.dropResults()
 	stamp(tr, obs.StageMerge, &t0)
 	return merged, total, nil
 }

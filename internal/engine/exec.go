@@ -134,7 +134,7 @@ func recTerm(c *execCtx, ti int32, n int) {
 // so the pick stands for the pair) and otherwise through the chain. A
 // traced conjunction (rec non-nil) records each kernel that ran and the
 // price it was chosen at. The kernels run in their own functions, keeping
-// this frame — on every per-shard goroutine's stack — small.
+// this frame — on the stack of every query's evaluation — small.
 func (e *Engine) intersect(c *execCtx, rec *opAcc, ops []operand) []uint32 {
 	c.ops = c.ops[:0]
 	for _, o := range ops {

@@ -9,11 +9,12 @@ import (
 	"fastintersect/internal/sets"
 )
 
-// execCtx is the engine's per-shard-evaluation execution context: it owns
-// every piece of transient memory evalShard needs — a free list of result
-// buffers, kernel scratch and a free list of evaluation frames. One
-// context serves one evalShard call at a time; Query draws one per shard
-// from the package pool so concurrent shard evaluations never share
+// execCtx is the engine's per-query execution context: it owns every
+// piece of transient memory evalShard needs — a free list of result
+// buffers, kernel scratch and a free list of evaluation frames — and the
+// shard results parked until the merge. A query (or a whole QueryBatch)
+// draws one from the package pool and evaluates its shards one after
+// another on the calling goroutine, so concurrent queries never share
 // scratch.
 //
 // Ownership rules (the "memory discipline" ARCHITECTURE.md documents):
@@ -33,6 +34,12 @@ type execCtx struct {
 	pool []*evalFrame
 	ops  []plan.Operand // scratch for per-segment kernel pricing
 	bits []*bitseg.List // scratch for BitsegAnd's operands; cleared after each run
+
+	// results and owned are the evaluated shards' results and their
+	// ownership flags, parked until runShards merges them; dropResults
+	// recycles the owned ones.
+	results [][]uint32
+	owned   []bool
 
 	// probe is BitProbe's bitmap window (32 KB whatever the docID
 	// universe), allocated on first use. Every kernel run leaves it all
@@ -175,47 +182,15 @@ func (c *execCtx) releaseFrame(f *evalFrame) {
 	c.pool = append(c.pool, f)
 }
 
-// queryCtx is the per-query fan-out state: one slot per shard for the
-// result, error and execution context of that shard's evaluation. Pooled so
-// steady-state queries reuse the slot arrays.
-type queryCtx struct {
-	results [][]uint32
-	owned   []bool
-	errs    []error
-	ctxs    []*execCtx
-}
-
-var queryCtxPool = sync.Pool{New: func() any { return new(queryCtx) }}
-
-func getQueryCtx(shards int) *queryCtx {
-	q := queryCtxPool.Get().(*queryCtx)
-	if cap(q.results) < shards {
-		q.results = make([][]uint32, shards)
-		q.owned = make([]bool, shards)
-		q.errs = make([]error, shards)
-		q.ctxs = make([]*execCtx, shards)
-	}
-	q.results = q.results[:shards]
-	q.owned = q.owned[:shards]
-	q.errs = q.errs[:shards]
-	q.ctxs = q.ctxs[:shards]
-	return q
-}
-
-// putQueryCtx recycles every shard's result buffer into its own context,
-// releases the contexts and returns the slot arrays to the pool.
-func putQueryCtx(q *queryCtx) {
-	for i := range q.results {
-		if q.ctxs[i] != nil {
-			if q.owned[i] {
-				q.ctxs[i].putBuf(q.results[i])
-			}
-			putExecCtx(q.ctxs[i])
+// dropResults recycles every parked shard result the context owns and
+// empties the parking slots.
+func (c *execCtx) dropResults() {
+	for i, r := range c.results {
+		if c.owned[i] {
+			c.putBuf(r)
 		}
-		q.results[i] = nil
-		q.owned[i] = false
-		q.errs[i] = nil
-		q.ctxs[i] = nil
 	}
-	queryCtxPool.Put(q)
+	clear(c.results)
+	c.results = c.results[:0]
+	c.owned = c.owned[:0]
 }

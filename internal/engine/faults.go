@@ -18,15 +18,16 @@ import (
 // panics to drive the abort paths. Production engines leave Config.Faults
 // nil and pay one pointer check per shard evaluation.
 //
-// evalShard is the single entry point every execution path (Query fan-out,
-// single-shard inline, QueryBatch) uses to evaluate one shard: it applies
-// the fault plan, checks the request context at shard entry, and converts a
-// worker panic into a query error instead of killing the process. The
-// recover barrier runs after evalSegments' own deferred unlocks, so a
+// evalShard is the single entry point every execution path (Query and its
+// count, explain and analyze forms, QueryBatch) uses to evaluate one shard:
+// it applies the fault plan, checks the request context at shard entry,
+// and converts a panic into a query error instead of killing the process.
+// The recover barrier runs after evalSegments' own deferred unlocks, so a
 // panicking evaluation releases its shard lock normally; buffers parked in
-// un-released frames are abandoned to the GC (never recycled), and so is
-// the BitProbe window, so a pooled context can not be corrupted by an
-// abandoned evaluation.
+// un-released frames are abandoned to the GC (never recycled), and so are
+// the BitProbe window and BitsegAnd's operand scratch, so a context —
+// pooled again, or evaluating a batch's next query — can not be corrupted
+// by an abandoned evaluation.
 
 // ErrInjected is the error produced by FaultPlan.ErrEvery injections.
 var ErrInjected = errors.New("engine: injected fault")
@@ -100,6 +101,8 @@ func (e *Engine) evalShard(c *execCtx, s *shard, shardIdx int, p *plan.Plan) (do
 	defer func() {
 		if r := recover(); r != nil {
 			c.probe = nil // a kernel run cut short may have left bits set
+			clear(c.bits)
+			c.bits = c.bits[:0]
 			docs, owned = nil, false
 			err = fmt.Errorf("engine: shard %d: panic during evaluation: %v", shardIdx, r)
 		}

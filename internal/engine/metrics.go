@@ -236,15 +236,13 @@ func (a *opAcc) ranKernel(k plan.Kernel, est float64) {
 	a.estNs += est
 }
 
-// traceRec is the per-execution-context recording arena of a traced query:
-// one opAcc per plan operator (indexed parallel to plan.Ops) plus the
-// shard-level span. It rides on execCtx.rec — evalOp records into it only
+// traceRec is the recording arena of a traced query: one opAcc per plan
+// operator (indexed parallel to plan.Ops), accumulated over every segment
+// of every shard. It rides on execCtx.rec — evalOp records into it only
 // when it is non-nil, so untraced queries pay a single nil check per
 // operator. Pooled, like every other per-query structure.
 type traceRec struct {
-	ops       []opAcc
-	shardRows int64
-	shardNs   int64
+	ops []opAcc
 }
 
 var traceRecPool = sync.Pool{New: func() any { return new(traceRec) }}
@@ -260,8 +258,6 @@ func getTraceRec(n int) *traceRec {
 			r.ops[i] = opAcc{}
 		}
 	}
-	r.shardRows = 0
-	r.shardNs = 0
 	return r
 }
 
@@ -269,21 +265,5 @@ func getTraceRec(n int) *traceRec {
 func putTraceRec(r *traceRec) {
 	if r != nil {
 		traceRecPool.Put(r)
-	}
-}
-
-// merge folds another shard's recording into r (the query-level aggregate).
-func (r *traceRec) merge(o *traceRec) {
-	for i := range o.ops {
-		r.ops[i].execs += o.ops[i].execs
-		r.ops[i].rows += o.ops[i].rows
-		r.ops[i].ns += o.ops[i].ns
-		r.ops[i].estNs += o.ops[i].estNs
-		if k := o.ops[i].kernel; k != plan.KernelNone && (r.ops[i].kernel == plan.KernelNone || o.ops[i].kernelEst > r.ops[i].kernelEst) {
-			// Shards re-price independently but over statistically identical
-			// halves, so they almost always agree; the costliest run names
-			// the operator, as within a shard.
-			r.ops[i].kernel, r.ops[i].kernelEst = k, o.ops[i].kernelEst
-		}
 	}
 }

@@ -224,11 +224,12 @@ func TestQueryAllocsTraced(t *testing.T) {
 		// TraceSample beyond any loop below: tracing never fires, bounds
 		// match TestQueryAllocs exactly.
 		{"sampled-off-1shard", Config{Shards: 1, TraceSample: 1 << 30}, 1, 30},
-		{"sampled-off-4shard", Config{Shards: 4, TraceSample: 1 << 30}, 4, 70},
+		{"sampled-off-4shard", Config{Shards: 4, TraceSample: 1 << 30}, 4, 30},
 		// Every query traced: trace, stage stamps and per-op recording all
-		// ride pooled arenas.
+		// ride pooled arenas, and every shard records into the query's one
+		// arena, so 4 shards fit the 1-shard bound.
 		{"traced-1shard", Config{Shards: 1, TraceSample: 1}, 1, 40},
-		{"traced-4shard", Config{Shards: 4, TraceSample: 1}, 4, 85},
+		{"traced-4shard", Config{Shards: 4, TraceSample: 1}, 4, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -200,7 +200,7 @@ func runRatio(cfg Config) []*Table {
 		Title:   fmt.Sprintf("Intersection time (ms), |L2| = %d, varying sr = |L2|/|L1|, r = 1%%·|L1|", n2),
 		Columns: append([]string{"sr", "|L1|"}, algoNames(algos)...),
 		Notes: []string{
-			"paper shape: RanGroupScan best for sr < 32; Hash/Lookup best for sr ≥ 100; RanGroupScan close to the best everywhere",
+			"paper shape: RanGroupScan best for sr < 32; Hash/Lookup best for sr ≥ 100",
 		},
 	}
 	t.NoteEmptyFilter(cfg, algos)
@@ -222,23 +222,25 @@ func runRatio(cfg Config) []*Table {
 		}
 		t.AddRow(row...)
 	}
-	if note := ratioHashBinNote(algos, srs, times); note != "" {
-		t.Notes = append(t.Notes, note)
+	for _, algo := range []fastintersect.Algorithm{fastintersect.RanGroupScan, fastintersect.HashBin} {
+		if note := ratioCloseNote(algo, algos, srs, times); note != "" {
+			t.Notes = append(t.Notes, note)
+		}
 	}
 	return []*Table{t}
 }
 
-// hashBinCloseRatio is the most times the fastest algorithm's time HashBin
-// may take on a row for the ratio note to call it close to the best.
-const hashBinCloseRatio = 2
+// closeRatio is the most times the fastest algorithm's time an algorithm
+// may take on a row for the ratio notes to call it close to the best.
+const closeRatio = 2
 
-// ratioHashBinNote reads HashBin's worst ratio to the fastest algorithm of
-// any row from times (times[r][c] timed algos[c] at size ratio srs[r]) and
-// says whether HashBin stays close to the best everywhere, as the paper
-// reports. It is empty when HashBin is not among algos.
-func ratioHashBinNote(algos []fastintersect.Algorithm, srs []int, times [][]time.Duration) string {
-	hb := slices.Index(algos, fastintersect.HashBin)
-	if hb < 0 || len(times) == 0 {
+// ratioCloseNote reads algo's worst ratio to the fastest algorithm of any
+// row from times (times[r][c] timed algos[c] at size ratio srs[r]) and says
+// whether algo stays close to the best everywhere, as the paper reports of
+// RanGroupScan and HashBin. It is empty when algo is not among algos.
+func ratioCloseNote(algo fastintersect.Algorithm, algos []fastintersect.Algorithm, srs []int, times [][]time.Duration) string {
+	ai := slices.Index(algos, algo)
+	if ai < 0 || len(times) == 0 {
 		return ""
 	}
 	worst, wr, wb := 0.0, 0, 0
@@ -249,15 +251,15 @@ func ratioHashBinNote(algos []fastintersect.Algorithm, srs []int, times [][]time
 				best = c
 			}
 		}
-		if x := float64(row[hb]) / float64(max(row[best], 1)); x > worst {
+		if x := float64(row[ai]) / float64(max(row[best], 1)); x > worst {
 			worst, wr, wb = x, r, best
 		}
 	}
-	verdict := "HashBin is close to the best everywhere, as in the paper"
-	if worst > hashBinCloseRatio {
-		verdict = "HashBin is not close to the best everywhere here, unlike the paper"
+	verdict := fmt.Sprintf("%v is close to the best everywhere, as in the paper", algo)
+	if worst > closeRatio {
+		verdict = fmt.Sprintf("%v is not close to the best everywhere here, unlike the paper", algo)
 	}
-	return fmt.Sprintf("HashBin's worst row is sr = %d, at %.2f× %v's time: %s", srs[wr], worst, algos[wb], verdict)
+	return fmt.Sprintf("%v's worst row is sr = %d, at %.2f× %v's time: %s", algo, srs[wr], worst, algos[wb], verdict)
 }
 
 func runSizes(cfg Config) []*Table {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,12 +140,68 @@ func TestRatioHashBinNote(t *testing.T) {
 			"HashBin's worst row is sr = 625, at 32.50× Hash's time: HashBin is not close to the best everywhere here, unlike the paper",
 		},
 	} {
-		if got := ratioHashBinNote(algos, srs, tc.times); got != tc.want {
+		if got := ratioCloseNote(fastintersect.HashBin, algos, srs, tc.times); got != tc.want {
 			t.Errorf("times %v: note %q, want %q", tc.times, got, tc.want)
 		}
 	}
-	if got := ratioHashBinNote(algos[:2], srs, [][]time.Duration{{1, 2}, {3, 4}}); got != "" {
+	if got := ratioCloseNote(fastintersect.HashBin, algos[:2], srs, [][]time.Duration{{1, 2}, {3, 4}}); got != "" {
 		t.Errorf("HashBin filtered out: note %q, want none", got)
+	}
+}
+
+// TestRatioRanGroupScanNote checks the ratio experiment's RanGroupScan note
+// on one synthetic table each way: close to the best at every size ratio,
+// as the paper reports, and far behind Hash at sr = 625.
+func TestRatioRanGroupScanNote(t *testing.T) {
+	algos := []fastintersect.Algorithm{fastintersect.Merge, fastintersect.Hash, fastintersect.RanGroupScan}
+	srs := []int{1, 625}
+	msec := func(x float64) time.Duration { return time.Duration(x * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		times [][]time.Duration
+		want  string
+	}{
+		{
+			[][]time.Duration{{msec(16), msec(30), msec(8)}, {msec(2.7), msec(0.02), msec(0.025)}},
+			"RanGroupScan's worst row is sr = 625, at 1.25× Hash's time: RanGroupScan is close to the best everywhere, as in the paper",
+		},
+		{
+			[][]time.Duration{{msec(16), msec(30), msec(8)}, {msec(2.7), msec(0.02), msec(5.3)}},
+			"RanGroupScan's worst row is sr = 625, at 265.00× Hash's time: RanGroupScan is not close to the best everywhere here, unlike the paper",
+		},
+	} {
+		if got := ratioCloseNote(fastintersect.RanGroupScan, algos, srs, tc.times); got != tc.want {
+			t.Errorf("times %v: note %q, want %q", tc.times, got, tc.want)
+		}
+	}
+}
+
+// TestFig7WinnerNote checks fig7's winner note on synthetic win counts (one
+// per realAlgorithms entry) each way: RanGroupScan winning the most
+// queries, as in the paper, and Hash winning them.
+func TestFig7WinnerNote(t *testing.T) {
+	wins := func(counts map[fastintersect.Algorithm]int) []int {
+		w := make([]int, len(realAlgorithms))
+		for a, n := range counts {
+			w[slices.Index(realAlgorithms, a)] = n
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		wins []int
+		want string
+	}{
+		{
+			wins(map[fastintersect.Algorithm]int{fastintersect.RanGroupScan: 620, fastintersect.RanGroup: 160, fastintersect.Hash: 220}),
+			"RanGroupScan is fastest on the most queries (62.0%, the paper's 61.6%): the paper's best overall is reproduced",
+		},
+		{
+			wins(map[fastintersect.Algorithm]int{fastintersect.Hash: 940, fastintersect.RanGroupScan: 15, fastintersect.Merge: 45}),
+			"Hash is fastest on the most queries (94.0%), RanGroupScan on 1.5% against the paper's 61.6%: the paper's RanGroupScan best overall is not reproduced",
+		},
+	} {
+		if got := fig7WinnerNote(tc.wins); got != tc.want {
+			t.Errorf("wins %v: note %q, want %q", tc.wins, got, tc.want)
+		}
 	}
 }
 

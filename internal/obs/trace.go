@@ -15,7 +15,7 @@ const (
 	StageNormalize              // AST flatten/sort/dedup → canonical form
 	StagePlan                   // physical plan build (cost model)
 	StageCache                  // result-cache probe
-	StageExec                   // per-shard evaluation (fan-out included)
+	StageExec                   // every shard's evaluation, in turn
 	StageMerge                  // k-way union of shard results
 	NumStages
 )
