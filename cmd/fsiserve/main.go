@@ -77,7 +77,6 @@ func main() {
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		slowlogMS   = flag.Int("slowlog-ms", 250, "slow-query log threshold in milliseconds (0 disables /debug/slowlog)")
 		traceSample = flag.Int("trace-sample", 0, "trace 1 in N queries with stage/operator timing (0 = engine default of 64)")
-		feedback    = flag.Bool("plan-feedback", true, "adaptive planning: harvest sampled per-operator actuals and re-fit per-kernel cost corrections at runtime")
 
 		maxInflight = flag.Int("max-inflight", 0, "admission: max concurrently executing requests (0 = 2×GOMAXPROCS)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission: max requests queued for a slot (0 = 4×max-inflight, negative = no queue)")
@@ -112,7 +111,6 @@ func main() {
 		CacheSize:        *cacheSize,
 		CompactThreshold: *compactAt,
 		TraceSample:      *traceSample,
-		PlanFeedback:     *feedback,
 	})
 	if *snapDir != "" && engine.SnapshotExists(*snapDir) {
 		// Restart path: the serialized tier (frozen segments with their

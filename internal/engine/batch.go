@@ -146,7 +146,7 @@ func (e *Engine) runBatch(ctx context.Context, shards []*shard, pending []*batch
 			u.pc.stats.fill(shards)
 			stats = &u.pc.stats
 		}
-		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.planCosts())
+		plan.Build(&u.pc.plan, u.ast, u.key, stats, e.costs)
 	}
 	acquireErr := e.acquireWorker(ctx)
 	if acquireErr == nil {

@@ -28,10 +28,10 @@
 // and the per-shard sorted results are merged. A query starts no
 // goroutine: parallelism comes from concurrent queries, while Install,
 // merges and snapshot loads still build in parallel. The cost model prices
-// with the planner's committed table (plan.DefaultCosts, or
-// Config.PlanCosts), corrected at run time only by the opt-in feedback
-// loop (Config.PlanFeedback), so a plan depends on the query and the
-// index, never on the host the process started on. Cache
+// with one table, the planner's committed plan.DefaultCosts or the one
+// Config.PlanCosts supplies, and nothing corrects it at run time: a plan
+// depends on the query and the index, never on the host or on the traffic
+// served before it. Cache
 // entries are stamped with the engine's index generation — every mutation
 // and rebuild bumps it — so a cached result can never resurrect a deleted
 // document. Explain returns the executed plan; QueryBatch amortizes
@@ -85,17 +85,12 @@ type Config struct {
 	// 4). Smaller values favor query latency (fewer segments per query),
 	// larger values favor write amplification.
 	MaxSegments int
-	// PlanCosts overrides the cost-model coefficients the query planner
-	// prices kernels with, for tests that pin or distort a choice. Nil
-	// prices with the committed table, plan.DefaultCosts.
+	// PlanCosts is the cost table the query planner and every shard's
+	// re-pricing read, as it is: nothing corrects it at run time. Nil
+	// prices with the committed table, plan.DefaultCosts. A host whose
+	// kernels run at other speeds, or a test that pins or distorts a
+	// choice, supplies its own; kernel choice never changes results.
 	PlanCosts *plan.Costs
-	// PlanFeedback turns on the adaptive planning loop: sampled per-operator
-	// actuals are harvested into a plan.Feedback store whose periodic re-fit
-	// derives per-kernel correction factors on top of the base
-	// coefficients, re-pricing future plans (and invalidating cached ones
-	// through the feedback epoch). Purely a performance feature — kernel
-	// choice never changes results — and off by default.
-	PlanFeedback bool
 	// TraceSample traces 1 in N queries with per-stage and per-operator
 	// timing (0 = the package default of 64). Sampled traces feed the stage
 	// histograms and per-kernel counters on Metrics(); unsampled queries
@@ -120,8 +115,7 @@ type Config struct {
 // compaction swaps a shard's segments.
 type Engine struct {
 	cfg     Config
-	costs   *plan.Costs    // cost-model coefficients (configured or the committed table)
-	fb      *plan.Feedback // adaptive-planning store, nil unless Config.PlanFeedback
+	costs   *plan.Costs // cost-model coefficients (configured or the committed table)
 	workers chan struct{}
 	cache   *cache
 	plans   *planCache
@@ -179,23 +173,8 @@ func New(cfg Config) *Engine {
 		cache:   newCache(cfg.CacheSize),
 		plans:   newPlanCache(),
 	}
-	if cfg.PlanFeedback {
-		e.fb = plan.NewFeedback(costs)
-	}
 	e.met = newEngineMetrics(e, cfg)
 	return e
-}
-
-// planCosts returns the coefficients queries price kernels with: the
-// feedback store's corrected snapshot when the adaptive loop is on, the
-// configured or committed base otherwise. The snapshot is immutable; both
-// plan building and per-shard re-pricing read through here so a published
-// correction reaches every chooser.
-func (e *Engine) planCosts() *plan.Costs {
-	if e.fb != nil {
-		return e.fb.Costs()
-	}
-	return e.costs
 }
 
 // Metrics returns the engine's metric registry — operation counters, the
@@ -389,11 +368,10 @@ func (e *Engine) ExplainContext(ctx context.Context, q string) (*Result, string,
 // ExplainAnalyze executes the query with a full per-operator trace —
 // bypassing the result cache, so the plan really runs — and renders the
 // executed plan with measured rows and time next to each operator's
-// estimates, followed by the stage and per-shard timing breakdown. This is
-// the planner feedback surface: est_rows vs act_rows per operator is
-// exactly the signal the ROADMAP's self-tuning planner consumes. The
-// result is still written to the cache, so an analyzed query warms it like
-// any other.
+// estimates, followed by the stage and per-shard timing breakdown: est_rows
+// beside act_rows per operator shows where execution departs from the cost
+// model's estimates. The result is still written to the cache, so an
+// analyzed query warms it like any other.
 func (e *Engine) ExplainAnalyze(q string) (*Result, string, error) {
 	return e.execute(context.Background(), q, modeAnalyze)
 }
@@ -549,15 +527,8 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 	// The stats epoch is loaded BEFORE the statistics are read: if an
 	// Install or snapshot load swaps shards in between, the plan built below
 	// is stamped with the superseded epoch and rebuilt on its next lookup
-	// instead of lingering with the old corpus's estimates. The feedback
-	// epoch is folded in the same way: both counters only ever increase, so
-	// their sum strictly increases whenever either bumps, and a published
-	// correction snapshot re-prices every cached plan without plancache
-	// changes.
+	// instead of lingering with the old corpus's estimates.
 	epoch := e.statsEpoch.Load()
-	if e.fb != nil {
-		epoch += e.fb.Epoch()
-	}
 	cacheablePlan := mode == modeQuery || mode == modeCount
 	var pp *plan.Plan
 	var pc *planCtx
@@ -574,10 +545,10 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 			// queries); Explain/Analyze rebuild into the pooled arena so
 			// their rendering always reflects current statistics.
 			e.met.planMisses.Inc()
-			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.planCosts())
+			pp = plan.Build(new(plan.Plan), ast, key, &pc.stats, e.costs)
 			e.plans.put(key, pp, epoch)
 		} else {
-			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.planCosts())
+			pp = plan.Build(&pc.plan, ast, key, &pc.stats, e.costs)
 		}
 	}
 	stamp(tr, obs.StagePlan, &t0)
@@ -600,10 +571,7 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 		return nil, "", err
 	}
 	if tr != nil {
-		e.met.recordKernels(pp, agg)
-		if e.fb != nil {
-			harvestFeedback(e.fb, pp, agg)
-		}
+		e.met.recordKernels(agg)
 	}
 	if mode == modeAnalyze {
 		expl = renderAnalyze(pc, pp, agg, tr)
@@ -814,23 +782,10 @@ type Stats struct {
 	Delta            DeltaStats `json:"delta"`
 	Workers          int        `json:"workers"`
 	Cache            CacheStats `json:"cache"`
-	// PlanFeedback reports whether the adaptive planning loop is on; the
-	// fields below it are zero when it is off. FeedbackEpoch counts
-	// published correction snapshots (each invalidates the plan cache),
-	// FeedbackRefits the re-fit passes run, FeedbackObservations the
-	// harvested operator samples, EstRowsError the last window's relative
-	// cardinality-estimate error, and KernelCorrections the current
-	// non-unit multiplicative corrections by kernel name.
-	PlanFeedback         bool               `json:"plan_feedback"`
-	FeedbackEpoch        uint64             `json:"feedback_epoch,omitempty"`
-	FeedbackRefits       uint64             `json:"feedback_refits,omitempty"`
-	FeedbackObservations uint64             `json:"feedback_observations,omitempty"`
-	EstRowsError         float64            `json:"est_rows_error,omitempty"`
-	KernelCorrections    map[string]float64 `json:"kernel_corrections,omitempty"`
-	// KernelExecs counts conjunction-kernel executions observed in sampled
-	// traces, by the kernel that actually ran (the shard-level re-pricing,
-	// not the logical plan's pick). Only non-zero kernels appear; nil when
-	// metrics are disabled.
+	// KernelExecs counts the intersection-kernel runs of sampled queries
+	// by the kernel that ran: one per pair of a pairwise chain and one per
+	// BitsegAnd, in every segment of every shard. Only non-zero kernels
+	// appear; nil when metrics are disabled.
 	KernelExecs map[string]uint64 `json:"kernel_execs,omitempty"`
 }
 
@@ -865,21 +820,6 @@ func (e *Engine) Stats() Stats {
 					st.KernelExecs = map[string]uint64{}
 				}
 				st.KernelExecs[k.String()] = n
-			}
-		}
-	}
-	if e.fb != nil {
-		st.PlanFeedback = true
-		st.FeedbackEpoch = e.fb.Epoch()
-		st.FeedbackRefits = e.fb.Refits()
-		st.FeedbackObservations = e.fb.Observations()
-		st.EstRowsError = e.fb.RowsError()
-		for k := plan.Kernel(1); int(k) < plan.KernelCount; k++ {
-			if c := e.fb.Correction(k); c != 1 {
-				if st.KernelCorrections == nil {
-					st.KernelCorrections = map[string]float64{}
-				}
-				st.KernelCorrections[k.String()] = c
 			}
 		}
 	}

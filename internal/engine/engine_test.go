@@ -158,17 +158,20 @@ func TestEngineShardCountInvariance(t *testing.T) {
 var rawKernels = []plan.Kernel{plan.KernelGallop, plan.KernelBitsegAnd, plan.KernelBitProbe}
 
 // forceKernel returns an engine configuration under which the raw-list
-// chooser picks k wherever it is applicable, by pricing out the rest
-// through their correction factors.
+// chooser picks k wherever it is applicable, by pricing the rest out
+// through their anchors.
 func forceKernel(k plan.Kernel) Config {
-	cfg := Config{Shards: 4, TraceSample: 1}
-	cfg.PlanCosts = plan.DefaultCosts()
-	for _, other := range rawKernels {
-		if other != k {
-			cfg.PlanCosts.Corr[other] = 1e9
-		}
+	c := plan.DefaultCosts()
+	if k != plan.KernelGallop {
+		c.GallopProbe = 1e9
 	}
-	return cfg
+	if k != plan.KernelBitProbe {
+		c.BitProbeElem = 1e9
+	}
+	if k != plan.KernelBitsegAnd {
+		c.BitsegWord = 1e9
+	}
+	return Config{Shards: 4, TraceSample: 1, PlanCosts: c}
 }
 
 // TestEngineEveryKernelAgrees forces each raw-list kernel through the
@@ -182,9 +185,8 @@ func TestEngineEveryKernelAgrees(t *testing.T) {
 		for _, tq := range testQueries {
 			checkQuery(t, e, numDocs, tq.q, tq.pred)
 		}
-		// Checked on the base-only tier: with segments, the costliest run
-		// names each traced operator, and under these corrections that may
-		// be an active list's priced-out kernel.
+		// Checked on the base-only tier, where every operand is a frozen
+		// list and so every kernel is applicable.
 		if got := e.Stats().KernelExecs; got[k.String()] == 0 {
 			t.Errorf("forced %v, but it never ran (kernel executions %v)", k, got)
 		}

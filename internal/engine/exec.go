@@ -131,11 +131,11 @@ func recTerm(c *execCtx, ti int32, n int) {
 // lengths and spans, into a fresh context buffer. ops[0] is the probe
 // side. BitsegAnd runs over every operand at once; any other pick runs
 // pairwise, straight away for a lone pair (a span prices only BitsegAnd,
-// so the pick stands for the pair) and otherwise through the chain. A
-// traced conjunction (rec non-nil) records each kernel that ran and the
-// price it was chosen at. The kernels run in their own functions, keeping
-// this frame — on the stack of every query's evaluation — small.
-func (e *Engine) intersect(c *execCtx, rec *opAcc, ops []operand) []uint32 {
+// so the pick stands for the pair) and otherwise through the chain. The
+// kernels run in their own functions, keeping this frame — on the stack of
+// every query's evaluation — small; in a traced query each records its
+// run under the kernel that ran.
+func (e *Engine) intersect(c *execCtx, ops []operand) []uint32 {
 	c.ops = c.ops[:0]
 	for _, o := range ops {
 		span := 0
@@ -144,69 +144,80 @@ func (e *Engine) intersect(c *execCtx, rec *opAcc, ops []operand) []uint32 {
 		}
 		c.ops = append(c.ops, plan.Operand{Len: len(o.docs), Span: span})
 	}
-	costs := e.planCosts()
-	k := plan.ChooseStored(costs, c.ops)
-	if rec != nil && (k == plan.KernelBitsegAnd || len(ops) == 2) {
-		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
-	}
+	k := plan.ChooseStored(e.costs, c.ops)
 	switch {
 	case k == plan.KernelBitsegAnd:
 		return c.bitsegAnd(ops)
 	case len(ops) == 2:
 		return c.run(k, c.getBuf(), ops[0].docs, ops[1].docs)
 	}
-	return c.chain(costs, rec, ops)
+	return c.chain(e.costs, ops)
 }
 
 // chain intersects ops pairwise from the probe side, ping-ponging between
 // two context buffers. Each pair runs the kernel plan.ChooseStored picks on
 // that pair's actual lengths (span 0: a pair never runs BitsegAnd), so a
 // conjunction's balanced first pair probes and its skewed tail gallops.
-func (c *execCtx) chain(costs *plan.Costs, rec *opAcc, ops []operand) []uint32 {
-	cur := c.pair(costs, rec, c.getBuf(), ops[0].docs, ops[1].docs)
+func (c *execCtx) chain(costs *plan.Costs, ops []operand) []uint32 {
+	cur := c.pair(costs, c.getBuf(), ops[0].docs, ops[1].docs)
 	spare := c.getBuf()
 	for _, o := range ops[2:] {
 		if len(cur) == 0 {
 			break
 		}
-		cur, spare = c.pair(costs, rec, spare, cur, o.docs), cur[:0]
+		cur, spare = c.pair(costs, spare, cur, o.docs), cur[:0]
 	}
 	c.putBuf(spare)
 	return cur
 }
 
 // pair appends a ∩ b to dst with the kernel plan.ChooseStored picks for
-// their lengths, recording it in rec when the conjunction is traced.
-func (c *execCtx) pair(costs *plan.Costs, rec *opAcc, dst, a, b []uint32) []uint32 {
+// their lengths.
+func (c *execCtx) pair(costs *plan.Costs, dst, a, b []uint32) []uint32 {
 	c.ops = append(c.ops[:0], plan.Operand{Len: len(a)}, plan.Operand{Len: len(b)})
-	k := plan.ChooseStored(costs, c.ops)
-	if rec != nil {
-		rec.ranKernel(k, plan.PriceStored(costs, k, c.ops))
-	}
-	return c.run(k, dst, a, b)
+	return c.run(plan.ChooseStored(costs, c.ops), dst, a, b)
 }
 
 // run appends a ∩ b to dst with pair kernel k: BitProbe, Gallop or Merge.
+// A traced query records the run, its output rows and its time.
 func (c *execCtx) run(k plan.Kernel, dst, a, b []uint32) []uint32 {
+	var start time.Time
+	if c.rec != nil {
+		start = time.Now()
+	}
+	var out []uint32
 	switch k {
 	case plan.KernelBitProbe:
-		return sets.IntersectBitProbeInto(dst, a, b, c.window())
+		out = sets.IntersectBitProbeInto(dst, a, b, c.window())
 	case plan.KernelGallop:
-		return sets.IntersectGallopInto(dst, a, b)
+		out = sets.IntersectGallopInto(dst, a, b)
+	default:
+		out = sets.IntersectInto(dst, a, b)
 	}
-	return sets.IntersectInto(dst, a, b)
+	if c.rec != nil {
+		c.rec.kernelRun(k, start, len(out)-len(dst))
+	}
+	return out
 }
 
 // bitsegAnd runs the k-way word kernel over the operands' bitseg forms,
-// attaching each on its first use. The chooser prices BitsegAnd only when
-// every operand is a frozen list.
+// attaching each on its first use; a traced query records the run, the
+// attaching included. The chooser prices BitsegAnd only when every operand
+// is a frozen list.
 func (c *execCtx) bitsegAnd(ops []operand) []uint32 {
+	var start time.Time
+	if c.rec != nil {
+		start = time.Now()
+	}
 	for _, o := range ops {
 		c.bits = append(c.bits, o.list.Bitseg())
 	}
 	out := bitseg.IntersectKInto(c.getBuf(), c.bits...)
 	clear(c.bits)
 	c.bits = c.bits[:0]
+	if c.rec != nil {
+		c.rec.kernelRun(plan.KernelBitsegAnd, start, len(out))
+	}
 	return out
 }
 
@@ -237,11 +248,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 	haveBase := false // distinguishes "no term operands" from an empty base intersection
 	switch {
 	case len(f.ops) >= 2:
-		var rec *opAcc
-		if c.rec != nil {
-			rec = &c.rec.ops[i]
-		}
-		cur = e.intersect(c, rec, f.ops)
+		cur = e.intersect(c, f.ops)
 		curOwned = true
 		haveBase = true
 	case len(f.ops) == 1:
@@ -284,7 +291,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 		// chooser, both sides without a list (the pair kernels are
 		// symmetric).
 		f.pair[0], f.pair[1] = operand{docs: cur}, operand{docs: s}
-		out := e.intersect(c, nil, f.pair[:])
+		out := e.intersect(c, f.pair[:])
 		if curOwned {
 			c.putBuf(cur)
 		}

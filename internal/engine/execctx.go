@@ -47,10 +47,11 @@ type execCtx struct {
 	// may not have.
 	probe *sets.BitProbeWindow
 
-	// rec, when non-nil, makes evalOp record per-operator actuals (execs,
-	// rows, inclusive ns) into it — set by executePlan for traced queries,
-	// indexed parallel to the executing plan's Ops. Untraced queries pay
-	// one nil check per operator.
+	// rec, when non-nil, makes evaluation record per-operator actuals
+	// (execs, rows, inclusive ns), indexed parallel to the executing plan's
+	// Ops, and each kernel run under the kernel that ran — set by
+	// executePlan for traced queries. Untraced queries pay one nil check
+	// per operator and kernel run.
 	rec *traceRec
 
 	// ctx, when non-nil, is a cancellable request context: the exec loops

@@ -121,7 +121,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			var ps planStats
 			ps.fill(e.shards)
 			for term, want := range ref.answers {
-				pp := plan.Build(new(plan.Plan), plan.Term(term), term, &ps, e.planCosts())
+				pp := plan.Build(new(plan.Plan), plan.Term(term), term, &ps, e.costs)
 				got, _, err := e.executePlan(context.Background(), e.shards, pp, nil, nil, false)
 				if err != nil {
 					t.Fatalf("storage byte %d: term %q: %v", st, term, err)

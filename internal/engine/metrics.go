@@ -3,6 +3,7 @@ package engine
 import (
 	"strconv"
 	"sync"
+	"time"
 
 	"fastintersect/internal/obs"
 	"fastintersect/internal/plan"
@@ -10,7 +11,7 @@ import (
 
 // engineMetrics is the engine's observability surface: sharded counters for
 // the operation mix, log₂ histograms for end-to-end and per-stage latency,
-// and per-kernel execution counters fed by sampled traces. Every engine
+// and per-kernel run counters fed by sampled traces. Every engine
 // owns a private obs.Registry (exposed via Engine.Metrics), so two engines
 // in one process never mix series and tests need no global reset.
 //
@@ -80,11 +81,11 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 	for k := 1; k < plan.KernelCount; k++ { // skip KernelNone
 		name := plan.Kernel(k).String()
 		m.kernelExecs[k] = r.Counter(`fsi_kernel_executions_total{kernel="`+name+`"}`,
-			"Conjunction-kernel executions observed in sampled queries.")
+			"Intersection-kernel runs in sampled queries: one per pair of a pairwise chain, one per BitsegAnd.")
 		m.kernelRows[k] = r.Counter(`fsi_kernel_rows_total{kernel="`+name+`"}`,
-			"Output rows produced by each kernel in sampled queries.")
+			"Output rows of the kernel's runs in sampled queries.")
 		m.kernelNs[k] = r.Counter(`fsi_kernel_ns_total{kernel="`+name+`"}`,
-			"Wall nanoseconds spent in each kernel in sampled queries (inclusive of operand fetch).")
+			"Wall nanoseconds inside the kernel's runs in sampled queries (operand fetch excluded; a BitsegAnd run includes attaching its lists' bitseg forms on first use).")
 	}
 	r.CounterFunc("fsi_cache_hits_total", "Result-cache hits.",
 		func() uint64 { return e.cache.stats().Hits })
@@ -104,24 +105,6 @@ func newEngineMetrics(e *Engine, cfg Config) *engineMetrics {
 		func() float64 { return float64(e.statsEpoch.Load()) })
 	r.GaugeFunc("fsi_plan_cache_entries", "Plan-cache resident entries.",
 		func() float64 { return float64(e.plans.entries()) })
-	if e.fb != nil {
-		fb := e.fb
-		r.GaugeFunc("fsi_plan_est_rows_error",
-			"Relative cardinality-estimate error of the last feedback window (Σ|act−est|/Σact).",
-			fb.RowsError)
-		r.CounterFunc("fsi_plan_refits_total", "Feedback re-fit passes run.", fb.Refits)
-		r.CounterFunc("fsi_plan_feedback_observations_total",
-			"Sampled per-operator actuals harvested into the feedback store.", fb.Observations)
-		r.GaugeFunc("fsi_plan_feedback_epoch",
-			"Published correction snapshots (each re-prices every cached plan).",
-			func() float64 { return float64(fb.Epoch()) })
-		for k := 1; k < plan.KernelCount; k++ {
-			k := plan.Kernel(k)
-			r.GaugeFunc(`fsi_plan_kernel_correction{kernel="`+k.String()+`"}`,
-				"Live multiplicative cost correction for the kernel (1 = the cost table trusted as-is).",
-				func() float64 { return fb.Correction(k) })
-		}
-	}
 	shardCount := cfg.Shards
 	if shardCount <= 0 {
 		shardCount = 1
@@ -150,99 +133,47 @@ func (m *engineMetrics) sampleTrace() bool {
 	return m.enabled && m.sampler.Sample()
 }
 
-// recordKernels folds one traced query's per-operator actuals into the
-// per-kernel counters: only conjunctions that ran a real multi-operand
-// kernel contribute, and their time is inclusive of operand fetch (that is
-// what the kernel tier is accountable for end to end).
-func (m *engineMetrics) recordKernels(pp *plan.Plan, agg *traceRec) {
+// recordKernels folds one traced query's kernel runs into the per-kernel
+// counters.
+func (m *engineMetrics) recordKernels(agg *traceRec) {
 	if !m.enabled {
 		return
 	}
-	for i := range pp.Ops {
-		op := &pp.Ops[i]
-		if op.Kind != plan.OpAnd || op.Kernel == plan.KernelNone {
-			continue
+	for k := range agg.kernels {
+		if a := &agg.kernels[k]; a.execs > 0 {
+			m.kernelExecs[k].Add(uint64(a.execs))
+			m.kernelRows[k].Add(uint64(a.rows))
+			m.kernelNs[k].Add(uint64(a.ns))
 		}
-		a := &agg.ops[i]
-		if a.execs == 0 {
-			continue
-		}
-		// Prefer the kernel the shards actually ran; the plan-level pick is
-		// the fallback for paths that don't re-price (empty operands and
-		// single-operand degenerations).
-		k := a.kernel
-		if k == plan.KernelNone {
-			k = op.Kernel
-		}
-		m.kernelExecs[k].Add(uint64(a.execs))
-		m.kernelRows[k].Add(uint64(a.rows))
-		m.kernelNs[k].Add(uint64(a.ns))
 	}
 }
 
-// harvestFeedback folds one traced query's per-operator actuals into the
-// adaptive-planning store — the same walk as recordKernels, but pairing
-// each actual with the estimate the cost model made for it, so the re-fit
-// can compare what was promised against what execution delivered.
-//
-// The pairing is execution-level when available: evalAndOp re-prices every
-// conjunction on the shard's actual sizes and spans, and records both the
-// kernel that ran and the corrected cost that pricing promised (summed
-// across shards, like the actual ns — the two sides are commensurable).
-// The logical plan's Op.Kernel/Op.Cost, priced at the universe span, is
-// only the fallback for paths that never re-price; attributing a merge's
-// nanoseconds to whichever kernel looked cheap at plan time would teach
-// the loop to correct a kernel that never ran.
-func harvestFeedback(fb *plan.Feedback, pp *plan.Plan, agg *traceRec) {
-	for i := range pp.Ops {
-		op := &pp.Ops[i]
-		if op.Kind != plan.OpAnd || op.Kernel == plan.KernelNone {
-			continue
-		}
-		a := &agg.ops[i]
-		if a.execs == 0 {
-			continue
-		}
-		k, est := a.kernel, a.estNs
-		if k == plan.KernelNone {
-			k, est = op.Kernel, op.Cost
-		}
-		fb.Observe(k, op.Rows, est, a.execs, a.rows, a.ns)
-	}
-}
-
-// opAcc accumulates one plan operator's executions during a traced query.
-// kernel and estNs are the execution-level truth for conjunctions: the
-// kernel the segment's re-pricing actually ran (the logical plan's pick can
-// differ — it prices every operand at the universe span) and the corrected
-// cost that re-pricing promised, summed across segments and shards like
-// ns. When segments ran different kernels for one operator, the run with
-// the largest estimate (kernelEst) names it — usually the largest segment,
-// whose lists dominate the work.
+// opAcc accumulates executions during a traced query: their count, output
+// rows and wall time, summed over every segment of every shard.
 type opAcc struct {
-	execs     int64
-	rows      int64
-	ns        int64
-	kernel    plan.Kernel
-	kernelEst float64
-	estNs     float64
-}
-
-// ranKernel records one kernel run of the operator priced at est.
-func (a *opAcc) ranKernel(k plan.Kernel, est float64) {
-	if a.kernel == plan.KernelNone || est > a.kernelEst {
-		a.kernel, a.kernelEst = k, est
-	}
-	a.estNs += est
+	execs int64
+	rows  int64
+	ns    int64
 }
 
 // traceRec is the recording arena of a traced query: one opAcc per plan
-// operator (indexed parallel to plan.Ops), accumulated over every segment
-// of every shard. It rides on execCtx.rec — evalOp records into it only
-// when it is non-nil, so untraced queries pay a single nil check per
-// operator. Pooled, like every other per-query structure.
+// operator (indexed parallel to plan.Ops) and one per kernel, each run of
+// a pair or BitsegAnd kernel counted under the kernel that ran. It rides
+// on execCtx.rec — evaluation records into it only when it is non-nil, so
+// untraced queries pay a single nil check per operator and kernel run.
+// Pooled, like every other per-query structure.
 type traceRec struct {
-	ops []opAcc
+	ops     []opAcc
+	kernels [plan.KernelCount]opAcc
+}
+
+// kernelRun records one run of kernel k that started at start and wrote
+// rows output rows.
+func (r *traceRec) kernelRun(k plan.Kernel, start time.Time, rows int) {
+	a := &r.kernels[k]
+	a.execs++
+	a.rows += int64(rows)
+	a.ns += time.Since(start).Nanoseconds()
 }
 
 var traceRecPool = sync.Pool{New: func() any { return new(traceRec) }}
@@ -250,6 +181,7 @@ var traceRecPool = sync.Pool{New: func() any { return new(traceRec) }}
 // getTraceRec returns a zeroed recording arena sized for n plan operators.
 func getTraceRec(n int) *traceRec {
 	r := traceRecPool.Get().(*traceRec)
+	r.kernels = [plan.KernelCount]opAcc{}
 	if cap(r.ops) < n {
 		r.ops = make([]opAcc, n)
 	} else {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"strconv"
@@ -10,12 +11,13 @@ import (
 	"time"
 
 	"fastintersect/internal/obs"
+	"fastintersect/internal/plan"
 	"fastintersect/internal/race"
 )
 
-// TestExplainAnalyze pins the planner-feedback surface: the rendered plan
-// must carry measured rows and time per operator next to the estimates,
-// under both shard shapes.
+// TestExplainAnalyze pins the estimate-versus-execution surface: the
+// rendered plan must carry measured rows and time per operator next to the
+// estimates, under both shard shapes.
 func TestExplainAnalyze(t *testing.T) {
 	const numDocs = 20_000
 	for _, shards := range []int{1, 4} {
@@ -110,6 +112,55 @@ func TestTraceSampling(t *testing.T) {
 	// Counters stay on regardless: they are the Stats() source of truth.
 	if st := off.Stats(); st.Queries != queries {
 		t.Errorf("NoMetrics engine counted %d queries, want %d", st.Queries, queries)
+	}
+}
+
+// TestTraceCountsEveryKernelRun pins the per-kernel counters to the
+// kernel runs themselves. In "b a c" the first pair (b, a) is balanced, so
+// it runs BitProbe; its result is 80 times smaller than c, so the second
+// pair runs Gallop. Over a 2²⁴-docID span the lists are too sparse for
+// BitsegAnd. Each shard holds one segment, so every traced query must
+// record one BitProbe run and one Gallop run per shard, each with its own
+// output rows.
+func TestTraceCountsEveryKernelRun(t *testing.T) {
+	const shards, queries, span = 2, 50, 1 << 24
+	e := New(Config{Shards: shards, TraceSample: 1})
+	b := e.NewBuilder()
+	for term, stride := range map[string]int{"a": 8192, "b": 10240, "c": 512} {
+		var docs []uint32
+		for d := 0; d < span; d += stride {
+			docs = append(docs, uint32(d))
+		}
+		if err := b.AddPosting(term, docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Install(b); err != nil {
+		t.Fatal(err)
+	}
+	// a ∩ b holds the multiples of lcm(8192, 10240) = 40960, and c keeps
+	// every one of them.
+	const rows = (span + 40960 - 1) / 40960
+	for i := 0; i < queries; i++ {
+		res, err := e.Query("b a c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != rows {
+			t.Fatalf("query returned %d docs, want %d", res.Count, rows)
+		}
+	}
+	want := map[string]uint64{"BitProbe": shards * queries, "Gallop": shards * queries}
+	if got := e.Stats().KernelExecs; !maps.Equal(got, want) {
+		t.Fatalf("kernel runs %v, want %v: one BitProbe and one Gallop per shard and query", got, want)
+	}
+	for _, k := range []plan.Kernel{plan.KernelBitProbe, plan.KernelGallop} {
+		if got := e.met.kernelRows[k].Value(); got != rows*queries {
+			t.Errorf("%v rows %d, want %d", k, got, rows*queries)
+		}
+		if e.met.kernelNs[k].Value() == 0 {
+			t.Errorf("%v recorded no time", k)
+		}
 	}
 }
 

@@ -34,6 +34,43 @@ func TestPlanCacheInvalidatedByInstall(t *testing.T) {
 	}
 }
 
+// TestPlansIgnoreTraffic pins that serving queries never changes a plan:
+// with every query traced and the result cache off, so that each one runs
+// its plan, the Explain text of every test query reads the same after
+// 5,000 queries as before them.
+func TestPlansIgnoreTraffic(t *testing.T) {
+	const numDocs = 20_000
+	e := buildTestEngine(t, Config{Shards: 2, TraceSample: 1, CacheSize: 0}, numDocs)
+	explain := func() []string {
+		out := make([]string, len(testQueries))
+		for i, tq := range testQueries {
+			_, expl, err := e.Explain(tq.q)
+			if (err != nil) != (tq.pred == nil) {
+				t.Fatalf("Explain(%q): %v", tq.q, err)
+			}
+			out[i] = expl
+		}
+		return out
+	}
+	before := explain()
+	for served := 0; served < 5000; {
+		for _, tq := range testQueries {
+			if tq.pred == nil {
+				continue
+			}
+			if _, err := e.Query(tq.q); err != nil {
+				t.Fatalf("Query(%q): %v", tq.q, err)
+			}
+			served++
+		}
+	}
+	for i, after := range explain() {
+		if after != before[i] {
+			t.Errorf("plan for %q moved with traffic:\nbefore:\n%s\nafter:\n%s", testQueries[i].q, before[i], after)
+		}
+	}
+}
+
 // TestChurnBitsegCompaction races queries against mutations and compaction
 // swaps on shards whose lists are dense enough for the planner to run the
 // bitmap kernel (BitsegAnd over the lists' lazily attached bitseg forms),

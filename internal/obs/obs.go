@@ -1,8 +1,9 @@
 // Package obs is the query-path observability layer: the measurement
-// machinery every scaling decision in this repo leans on — the planner
-// feedback loop (estimated vs. actual rows per operator), the kernel-tier
-// cost anchors (per-kernel timing counters), and the serving surfaces
-// (latency percentiles, slow queries, per-endpoint request accounting).
+// machinery every scaling decision in this repo leans on — estimated
+// against actual rows and time per plan operator (explain=analyze), the
+// per-kernel run counters that check the committed cost table's anchors,
+// and the serving surfaces (latency percentiles, slow queries,
+// per-endpoint request accounting).
 //
 // It provides four pieces, all free of external dependencies and all safe
 // for concurrent use:

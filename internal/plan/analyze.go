@@ -8,8 +8,8 @@ import (
 // OpActual is what actually happened at one plan operator during an
 // executed query, indexed parallel to Plan.Ops. The engine fills one per
 // operator while evaluating a traced query; multi-shard executions sum the
-// shards. It is the measured half of the planner feedback loop — the
-// estimate half lives in Op.Rows/Op.Cost.
+// shards. ExplainAnalyze renders it beside the estimates in Op.Rows and
+// Op.Cost, which shows where the cost model and the execution disagree.
 type OpActual struct {
 	// Execs is how many times the operator ran (once per shard it was
 	// evaluated on; 0 if a short-circuit skipped it).

@@ -24,9 +24,10 @@ import (
 //	BitsegAnd      BitsegWord · 64 words · E[aligned chunks] · (k−1) + Scan · E[|out|]
 //
 // The primitive coefficients price the compressed tier's decode-vs-probe
-// decisions (see PriceStored). Every planner reads the committed table
-// DefaultCosts; Config.PlanCosts overrides it, and the feedback loop
-// (feedback.go) is the only runtime correction.
+// decisions (see PriceStored). Every planner prices with one table, taken
+// as it is: the committed DefaultCosts, or the table an engine is given
+// in Config.PlanCosts. Nothing corrects it at run time, so the same query
+// over the same index gets the same plan on every host and every run.
 type Costs struct {
 	// MergeElem is the ns per element of a two-pointer linear merge.
 	MergeElem float64
@@ -55,28 +56,12 @@ type Costs struct {
 	Filter float64
 	// GapDecode is the ns per element decoded from a γ/δ gap-coded bucket.
 	GapDecode float64
-
-	// Corr holds per-kernel multiplicative correction factors learned from
-	// runtime feedback (see feedback.go): the priced cost of kernel k is
-	// scaled by Corr[k] wherever the choosers compare candidates. A zero
-	// entry means "no correction" (factor 1), so the zero value of Costs —
-	// and DefaultCosts — prices exactly as before the feedback loop
-	// existed. Corrections never change results, only which
-	// (parity-identical) kernel wins a comparison.
-	Corr [KernelCount]float64
-}
-
-// corr returns the correction factor for kernel k (1 when unset).
-func (c *Costs) corr(k Kernel) float64 {
-	if v := c.Corr[k]; v > 0 {
-		return v
-	}
-	return 1
 }
 
 // DefaultCosts returns the committed coefficient table, a fresh copy per
 // call so callers may adjust it. Plans depend only on the query, the index
-// and this table, never on the host at start-up.
+// and this table: never on the host at start-up, and never on the traffic
+// served since.
 //
 // Each value is the median, to four significant figures, of 12
 // fresh-process runs of the start-up calibration the planner used to
@@ -209,8 +194,8 @@ func bitsegCost(c *Costs, ops []Operand, span int) float64 {
 }
 
 // rawCost prices one raw-list kernel — Merge, BitProbe, Gallop or
-// BitsegAnd — over ops with the paper's bounds (see Costs), before
-// corrections; span (universe extent) feeds only BitsegAnd.
+// BitsegAnd — over ops with the paper's bounds (see Costs); span (universe
+// extent) feeds only BitsegAnd.
 func rawCost(c *Costs, k Kernel, ops []Operand, span int) float64 {
 	n0, total := ops[0].Len, 0
 	for _, op := range ops {
@@ -355,19 +340,19 @@ func ChooseStored(c *Costs, ops []Operand) Kernel {
 		chain += probeCost(c, op, n0)
 		decodeAll += decodeCost(c, op) + c.MergeElem*float64(op.Len+n0)
 	}
-	best, k := chain*c.corr(KernelFilterChain), KernelFilterChain
-	if da := decodeAll * c.corr(KernelDecodeAll); da < best {
-		best, k = da, KernelDecodeAll
+	best, k := chain, KernelFilterChain
+	if decodeAll < best {
+		best, k = decodeAll, KernelDecodeAll
 	}
-	if lp := chain * c.corr(KernelLookupProbe); allLookup && lp <= best {
+	if allLookup && chain <= best {
 		// Same bucket probes as the chain, but consecutive probes share
 		// bucket decodes; prefer it on ties.
-		best, k = lp, KernelLookupProbe
+		k = KernelLookupProbe
 	}
 	if allBitseg && span > 0 {
 		// The lists already carry the hybrid representation: run the k-way
 		// word kernel directly, no decode at all.
-		if bc := bitsegCost(c, ops, span) * c.corr(KernelBitsegAnd); bc < best {
+		if bc := bitsegCost(c, ops, span); bc < best {
 			best, k = bc, KernelBitsegAnd
 		}
 	}
@@ -375,8 +360,7 @@ func ChooseStored(c *Costs, ops []Operand) Kernel {
 		// The stored RGS kernel is the GroupElem-priced scan plus the final
 		// result sort (the groups emit permutation order).
 		total := float64(ops[0].Len + ops[1].Len)
-		rgs := (c.GroupElem*total + c.Probe*float64(n0)) * c.corr(KernelRGSPair)
-		if rgs < best {
+		if rgs := c.GroupElem*total + c.Probe*float64(n0); rgs < best {
 			k = KernelRGSPair
 		}
 	}
@@ -384,32 +368,29 @@ func ChooseStored(c *Costs, ops []Operand) Kernel {
 }
 
 // chooseRaw picks BitProbe, Gallop or (span > 0) BitsegAnd for raw
-// operands: the cheapest under the corrected list formulas, BitProbe on
-// ties. Merge is no cost-based candidate: BitProbe does the same linear
-// pass without a mispredicted comparison per element.
+// operands: the cheapest under the list formulas, BitProbe on ties. Merge
+// is no cost-based candidate: BitProbe does the same linear pass without a
+// mispredicted comparison per element.
 func chooseRaw(c *Costs, ops []Operand, span int) Kernel {
 	for _, op := range ops {
 		if op.Len == 0 {
 			return KernelMerge // trivially empty; avoid building structures
 		}
 	}
-	best, k := rawCost(c, KernelBitProbe, ops, span)*c.corr(KernelBitProbe), KernelBitProbe
-	if g := rawCost(c, KernelGallop, ops, span) * c.corr(KernelGallop); g < best {
+	best, k := rawCost(c, KernelBitProbe, ops, span), KernelBitProbe
+	if g := rawCost(c, KernelGallop, ops, span); g < best {
 		best, k = g, KernelGallop
 	}
 	if span > 0 {
-		if b := rawCost(c, KernelBitsegAnd, ops, span) * c.corr(KernelBitsegAnd); b < best {
+		if rawCost(c, KernelBitsegAnd, ops, span) < best {
 			k = KernelBitsegAnd
 		}
 	}
 	return k
 }
 
-// PriceStored prices kernel k over ops with the live corrections applied —
-// the figure ChooseStored compared when it picked k. Plans carry it as the
-// operator cost Explain renders, and the engine uses it at execution time
-// to pair each re-priced kernel run with the estimate the feedback loop
-// should hold it to.
+// PriceStored prices kernel k over ops: the figure ChooseStored compared
+// when it picked k. Plans carry it as the operator cost Explain renders.
 func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
 	if len(ops) == 0 {
 		return 0
@@ -417,10 +398,10 @@ func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
 	n0 := ops[0].Len
 	switch k {
 	case KernelMerge, KernelGallop, KernelBitProbe:
-		return rawCost(c, k, ops, 0) * c.corr(k)
+		return rawCost(c, k, ops, 0)
 	case KernelRGSPair:
 		total := float64(ops[0].Len + ops[1].Len)
-		return (c.GroupElem*total + c.Probe*float64(n0)) * c.corr(k)
+		return c.GroupElem*total + c.Probe*float64(n0)
 	case KernelBitsegAnd:
 		span := 0
 		for _, op := range ops {
@@ -431,18 +412,18 @@ func PriceStored(c *Costs, k Kernel, ops []Operand) float64 {
 		if span == 0 {
 			span = 1
 		}
-		return bitsegCost(c, ops, span) * c.corr(k)
+		return bitsegCost(c, ops, span)
 	case KernelDecodeAll:
 		cost := decodeCost(c, ops[0])
 		for _, op := range ops[1:] {
 			cost += decodeCost(c, op) + c.MergeElem*float64(op.Len+n0)
 		}
-		return cost * c.corr(k)
+		return cost
 	default: // FilterChain, LookupProbe
 		cost := decodeCost(c, ops[0])
 		for _, op := range ops[1:] {
 			cost += probeCost(c, op, n0)
 		}
-		return cost * c.corr(k)
+		return cost
 	}
 }

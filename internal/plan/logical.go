@@ -11,8 +11,8 @@
 // (Operand), not posting lists, so internal/engine and internal/compress can
 // both consult the same cost model without an import cycle. Its
 // coefficients are one committed table (DefaultCosts, cost.go), measured
-// once against the real kernels; the feedback loop (feedback.go) is the
-// only runtime correction.
+// once against the real kernels and never corrected at run time; a caller
+// that needs other prices passes another table.
 package plan
 
 import (
