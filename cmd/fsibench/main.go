@@ -8,15 +8,14 @@
 //	fsibench -list
 //	fsibench -exp fig4                 # one experiment, small scale
 //	fsibench -exp all -scale full      # the whole evaluation, paper scale
-//	fsibench -overload-json BENCH_overload.json # machine-readable saturation sweep (shedding vs unbounded queue)
 //
 // The engine itself — throughput, latency, allocations, segment lifecycle
 // and per-stage time — is measured by the layered benchmark in perfbench/
-// (bash perfbench/run.sh).
+// (bash perfbench/run.sh). Admission control under saturation is checked by
+// TestOverloadShedding in internal/admission.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,13 +28,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment ID to run, or 'all'")
-		scale   = flag.String("scale", "small", "'small' (minutes) or 'full' (paper-scale sizes)")
-		reps    = flag.Int("reps", 3, "timing repetitions (minimum is reported)")
-		seed    = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
-		list    = flag.Bool("list", false, "list experiment IDs and exit")
-		algos   = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
-		overOut = flag.String("overload-json", "", "run the saturation experiment (open-loop offered load at multiples of capacity, shedding vs unbounded queue) and write it as JSON to this file (accepted p50/p99 and goodput per point), then exit")
+		exp   = flag.String("exp", "all", "experiment ID to run, or 'all'")
+		scale = flag.String("scale", "small", "'small' (minutes) or 'full' (paper-scale sizes)")
+		reps  = flag.Int("reps", 3, "timing repetitions (minimum is reported)")
+		seed  = flag.Uint64("seed", 0x5EED_F00D, "workload seed")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
+		algos = flag.String("algos", "", "comma-separated algorithm filter (e.g. 'Merge,RanGroupScan'); empty = each experiment's defaults")
 	)
 	flag.Parse()
 
@@ -59,23 +57,6 @@ func main() {
 	if cfg.Scale != "small" && cfg.Scale != "full" {
 		fmt.Fprintln(os.Stderr, "fsibench: -scale must be 'small' or 'full'")
 		os.Exit(2)
-	}
-	writeJSON := func(path string, rep any) {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsibench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fsibench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *overOut != "" {
-		rep := harness.OverloadBench(cfg)
-		writeJSON(*overOut, rep)
-		fmt.Printf("wrote %s (%d points, capacity %.0f qps)\n", *overOut, len(rep.Points), rep.CapacityQPS)
-		return
 	}
 	run := func(e harness.Experiment) {
 		start := time.Now()

@@ -19,14 +19,11 @@
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/.
 //
-// With -load N it instead replays N queries from the synthetic query
-// stream through the engine at -concurrency workers and reports QPS and
-// latency percentiles; -batch M submits the replay through the batch path
-// (QueryBatch) in chunks of M:
-//
-//	fsiserve -shards 8 -load 50000 -concurrency 16
-//	fsiserve -load 50000 -batch 64  # batched replay (shared planning per chunk)
 //	fsiserve -addr :8466            # then: curl 'localhost:8466/query?q=t0+AND+t17'
+//
+// The engine's throughput and latency are measured by the layered
+// benchmark in perfbench/ (bash perfbench/run.sh) and by the go test
+// benchmarks in internal/engine; fsiserve itself only serves.
 //
 // With -snapshot-dir D the whole segment tier is restored from D at startup
 // when a snapshot exists there (skipping the index build) and saved back to
@@ -45,9 +42,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -65,15 +60,9 @@ func main() {
 		cacheSize   = flag.Int("cache", 4096, "result-cache entries (0 disables)")
 		docs        = flag.Uint("docs", 200_000, "synthetic corpus: number of documents")
 		terms       = flag.Int("terms", 20_000, "synthetic corpus: vocabulary size")
-		queries     = flag.Int("queries", 2_000, "synthetic corpus: base query count")
 		seed        = flag.Uint64("seed", 0xC0FFEE, "corpus seed")
 		compactAt   = flag.Int("compact", 50_000, "active-segment postings per shard that trigger a background compaction (0 = never compact automatically)")
-		load        = flag.Int("load", 0, "load-generator mode: replay N queries and exit (0 = serve)")
-		concurrency = flag.Int("concurrency", 8, "load-generator worker goroutines")
-		batchN      = flag.Int("batch", 0, "load-generator: submit queries through the batch path (QueryBatch) in chunks of this size (0 or 1 = one Query call per query)")
 		snapDir     = flag.String("snapshot-dir", "", "segment-snapshot directory: restore the whole tier from it at startup when a snapshot exists (skipping the index build), and save the tier into it on graceful shutdown")
-		orFrac      = flag.Float64("or", 0.10, "load-generator fraction of queries with an OR branch")
-		notFrac     = flag.Float64("not", 0.05, "load-generator fraction of queries with a NOT term")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		slowlogMS   = flag.Int("slowlog-ms", 250, "slow-query log threshold in milliseconds (0 disables /debug/slowlog)")
 		traceSample = flag.Int("trace-sample", 0, "trace 1 in N queries with stage/operator timing (0 = engine default of 64)")
@@ -90,16 +79,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fsiserve: -docs %d exceeds the uint32 docID space\n", *docs)
 		os.Exit(2)
 	}
-	// The corpus generator samples up to 5 distinct terms per query from a
-	// head band of the vocabulary; tiny vocabularies cannot satisfy that.
-	if *terms < 16 {
-		fmt.Fprintf(os.Stderr, "fsiserve: -terms must be at least 16 (got %d)\n", *terms)
+	if *terms < 1 {
+		fmt.Fprintf(os.Stderr, "fsiserve: -terms must be at least 1 (got %d)\n", *terms)
 		os.Exit(2)
 	}
 	cfg := workload.SmallRealConfig()
 	cfg.NumDocs = uint32(*docs)
 	cfg.NumTerms = *terms
-	cfg.NumQueries = *queries
+	cfg.NumQueries = 0 // clients send the queries; the corpus is its postings
 	cfg.Seed = *seed
 	fmt.Fprintf(os.Stderr, "fsiserve: generating corpus (%d docs, %d terms)...\n", cfg.NumDocs, cfg.NumTerms)
 	genStart := time.Now()
@@ -131,12 +118,6 @@ func main() {
 		st.Docs, st.Terms, st.Shards, float64(st.Postings.StoredBytes)/1e6,
 		time.Since(genStart).Round(time.Millisecond))
 
-	if *load > 0 {
-		runLoad(eng, corpus, *load, *concurrency, *batchN, workload.StreamConfig{
-			OrFrac: *orFrac, NotFrac: *notFrac, Seed: *seed + 1,
-		})
-		return
-	}
 	opts := serverOptions{
 		snapshotDir: *snapDir,
 		pprof:       *pprofOn,
@@ -791,106 +772,4 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// runLoad replays a synthetic query stream through the engine and reports
-// throughput and latency percentiles. With batch > 1 the stream is submitted
-// through the engine's batch path (QueryBatch) in chunks of that size —
-// duplicate canonical forms in a chunk are planned once and misses share
-// execution contexts — and each query is charged its chunk's amortized
-// latency.
-func runLoad(eng *engine.Engine, corpus *workload.Real, n, concurrency, batch int, scfg workload.StreamConfig) {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	stream := corpus.QueryStream(n, scfg)
-	if len(stream) == 0 {
-		fmt.Fprintln(os.Stderr, "fsiserve: empty query stream (need -load > 0 and -queries > 0)")
-		os.Exit(2)
-	}
-	n = len(stream)
-	if batch > 1 {
-		fmt.Fprintf(os.Stderr, "fsiserve: replaying %d queries at concurrency %d in batches of %d...\n", n, concurrency, batch)
-	} else {
-		fmt.Fprintf(os.Stderr, "fsiserve: replaying %d queries at concurrency %d...\n", n, concurrency)
-	}
-	latencies := make([]time.Duration, n)
-	var queryErrs uint64
-	var next int64
-	var mu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < concurrency; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := int(next)
-				next += int64(batch)
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				chunk := stream[i:min(i+batch, n)]
-				qs := time.Now()
-				var errs uint64
-				if batch == 1 {
-					if _, err := eng.Query(chunk[0]); err != nil {
-						errs++
-					}
-					latencies[i] = time.Since(qs)
-				} else {
-					for _, br := range eng.QueryBatch(chunk) {
-						if br.Err != nil {
-							errs++
-						}
-					}
-					per := time.Since(qs) / time.Duration(len(chunk))
-					for j := range chunk {
-						latencies[i+j] = per
-					}
-				}
-				if errs > 0 {
-					mu.Lock()
-					queryErrs += errs
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	slices.Sort(latencies)
-	st := eng.Stats()
-	fmt.Printf("queries      %d\n", n)
-	fmt.Printf("errors       %d\n", queryErrs)
-	fmt.Printf("wall         %v\n", wall.Round(time.Millisecond))
-	fmt.Printf("qps          %.0f\n", float64(n)/wall.Seconds())
-	fmt.Printf("latency p50  %v\n", percentile(latencies, 50).Round(time.Microsecond))
-	fmt.Printf("latency p90  %v\n", percentile(latencies, 90).Round(time.Microsecond))
-	fmt.Printf("latency p99  %v\n", percentile(latencies, 99).Round(time.Microsecond))
-	fmt.Printf("latency max  %v\n", latencies[len(latencies)-1].Round(time.Microsecond))
-	fmt.Printf("cache        %d hits / %d misses / %d evictions\n",
-		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions)
-}
-
-// percentile returns the p-th percentile (nearest-rank) of sorted
-// latencies.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

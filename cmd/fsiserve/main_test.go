@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fastintersect"
 	"fastintersect/internal/engine"
@@ -608,25 +607,6 @@ func TestServeQueryBatch(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: HTTP %d, want 400", bad, resp.StatusCode)
 		}
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	durs := make([]time.Duration, 100)
-	for i := range durs {
-		durs[i] = time.Duration(i+1) * time.Millisecond
-	}
-	if got := percentile(durs, 50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := percentile(durs, 99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := percentile(durs[:1], 99); got != 1*time.Millisecond {
-		t.Fatalf("p99 of singleton = %v", got)
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Fatalf("p50 of empty = %v", got)
 	}
 }
 

@@ -52,15 +52,15 @@
 // kernels, inspectable via Engine.Explain / the HTTP explain=1 parameter —
 // an LRU result cache keyed by the normalized (canonical) query, batch
 // execution (Engine.QueryBatch) that plans once per canonical form and shares
-// execution contexts across a batch, and an HTTP JSON API with a
-// built-in load generator — the search-engine setting that motivates the
-// paper, end to end. The corpus stays live: each shard is a tier of frozen
-// segments (the one an install builds is simply the first) and one active
-// write segment, each with its own tombstone set, so documents added or
-// deleted at serving time (Engine.AddDocument / DeleteDocument, or POST
-// /index/doc over HTTP) are queryable immediately, and background
-// compactions freeze and merge the tier. One plan evaluator runs over every
-// segment. See ARCHITECTURE.md's mutable-tier section for the design.
+// execution contexts across a batch, and an HTTP JSON API — the
+// search-engine setting that motivates the paper, end to end. The corpus
+// stays live: each shard is a tier of frozen segments (the one an install
+// builds is simply the first) and one active write segment, each with its
+// own tombstone set, so documents added or deleted at serving time
+// (Engine.AddDocument / DeleteDocument, or POST /index/doc over HTTP) are
+// queryable immediately, and background compactions freeze and merge the
+// tier. One plan evaluator runs over every segment. See ARCHITECTURE.md's
+// mutable-tier section for the design.
 //
 // The serving tier holds every posting list as a plain exact-size sorted
 // []uint32 (internal/segment), intersected by merge, galloping or a

@@ -121,8 +121,8 @@ type Gate struct {
 // NewGate builds a Gate and registers its metrics — the
 // fsi_admission_{accepted,rejected,shed}_total counters (reason-labelled),
 // the fsi_inflight gauge and the fsi_queue_wait_seconds histogram — in reg.
-// A nil reg registers into a private registry (tests, harness runs that
-// only read Stats).
+// A nil reg registers into a private registry (tests that only read
+// Stats).
 func NewGate(cfg Config, reg *obs.Registry) *Gate {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -258,8 +258,8 @@ func (g *Gate) Drain(ctx context.Context) error {
 	}
 }
 
-// Stats is a point-in-time snapshot of the gate's accounting, used by the
-// harness to verify accepted + rejected + shed = offered.
+// Stats is a point-in-time snapshot of the gate's accounting, from which
+// tests verify accepted + rejected + shed = offered.
 type Stats struct {
 	Accepted uint64
 	Rejected uint64 // quota + deadline

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fastintersect/internal/workload"
@@ -70,4 +71,45 @@ func BenchmarkQueryMixed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkQueryBatch submits BenchmarkQueryMixed's stream through
+// QueryBatch in chunks of 64 and reports ns per query: a chunk's duplicate
+// canonical forms are planned and executed once, and its misses share one
+// execution context under one worker slot.
+func BenchmarkQueryBatch(b *testing.B) {
+	const chunk = 64 // divides len(queries), so a chunk never wraps
+	e := buildBenchEngineCfg(b, Config{Shards: 2})
+	_, queries := benchWorkload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += chunk {
+		off := i % len(queries)
+		for _, r := range e.QueryBatch(queries[off : off+min(chunk, b.N-i)]) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+}
+
+// BenchmarkQueryMixedParallel runs BenchmarkQueryMixed's stream from
+// GOMAXPROCS goroutines at once (b.RunParallel), so -cpu 1,2,4 sets how many
+// queries contend for the engine; BenchmarkQueryMixed is its one-goroutine
+// floor.
+func BenchmarkQueryMixedParallel(b *testing.B) {
+	e := buildBenchEngineCfg(b, Config{Shards: 2})
+	_, queries := benchWorkload(b)
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			q := queries[next.Add(1)%uint64(len(queries))]
+			if _, err := e.Query(q); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -103,9 +103,9 @@ type Config struct {
 	NoMetrics bool
 	// Faults, when non-nil, enables deterministic fault injection on the
 	// shard-evaluation path (added latency, forced errors, forced panics)
-	// for the overload experiments and the cancellation/panic-barrier
-	// tests. Nil — the production default — costs one pointer check per
-	// shard evaluation. See faults.go.
+	// for the engine's and fsiserve's cancellation, deadline and
+	// panic-barrier tests. Nil — the production default — costs one pointer
+	// check per shard evaluation. See faults.go.
 	Faults *FaultPlan
 }
 

@@ -11,12 +11,12 @@ import (
 
 // Fault injection and the shard-evaluation safety barrier.
 //
-// FaultPlan is the config-gated hook the overload experiments and the
-// robustness tests use to make shard evaluation deterministically slow,
-// failing or panicking — the saturation harness injects latency to pin the
-// engine's capacity, and the cancellation/panic tests inject errors and
-// panics to drive the abort paths. Production engines leave Config.Faults
-// nil and pay one pointer check per shard evaluation.
+// FaultPlan is the config-gated hook the robustness tests use to make shard
+// evaluation deterministically slow, failing or panicking: the engine's and
+// fsiserve's cancellation and deadline tests inject latency so a request
+// expires mid-query, and the panic-barrier tests inject errors and panics
+// to drive the abort paths. Production engines leave Config.Faults nil and
+// pay one pointer check per shard evaluation.
 //
 // evalShard is the single entry point every execution path (Query and its
 // count, explain and analyze forms, QueryBatch) uses to evaluate one shard:

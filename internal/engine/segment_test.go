@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,6 +341,52 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		checkTierQueries(t, e2, m, "post-load-compaction")
 	})
+}
+
+// TestSaveSnapshotConcurrent saves one multi-segment engine into one
+// directory from several goroutines at once. Every save must succeed, the
+// directory must hold only the snapshot's own files afterwards, and it must
+// load into a fresh engine that answers as the source does.
+func TestSaveSnapshotConcurrent(t *testing.T) {
+	cfg := Config{Shards: 2, MaxSegments: 3}
+	e := New(cfg)
+	m := newRefModel()
+	churnToTier(t, e, m, 4)
+	dir := filepath.Join(t.TempDir(), "snap")
+	const savers, rounds = 4, 8
+	var wg sync.WaitGroup
+	for range savers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if err := e.SaveSnapshot(dir); err != nil {
+					t.Errorf("SaveSnapshot: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range entries {
+		names = append(names, de.Name())
+	}
+	if want := []string{manifestName, shardFile(0), shardFile(1)}; !slices.Equal(names, want) {
+		t.Fatalf("snapshot directory holds %v, want %v", names, want)
+	}
+	e2 := New(cfg)
+	if err := e2.LoadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkTierQueries(t, e2, m, "post-load")
 }
 
 // TestSnapshotRejectsMismatch pins the manifest and header validation: a

@@ -70,10 +70,11 @@ func SnapshotExists(dir string) bool {
 // segments with their tombstones and its active segment — into dir (created
 // if missing), one file per shard plus a manifest. Each shard is written under
 // its read lock, so the file is an atomic cut of that shard; queries and
-// mutations on other shards proceed concurrently. Files are written to a
-// temp name and renamed, and the manifest is written last, so a crash
-// mid-save never leaves a loadable-looking partial snapshot. Returns
-// ErrNotBuilt before the first Install.
+// mutations on other shards proceed concurrently. Each file is written to a
+// temp file of its own and renamed (replaceFile), and the manifest is
+// written last, so a crash mid-save never leaves a loadable-looking partial
+// snapshot, and concurrent saves into one directory do not collide.
+// Returns ErrNotBuilt before the first Install.
 func (e *Engine) SaveSnapshot(dir string) error {
 	shards := e.snapshot()
 	if shards == nil {
@@ -98,11 +99,10 @@ func (e *Engine) SaveSnapshot(dir string) error {
 	if err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+	if err := replaceFile(filepath.Join(dir, manifestName), func(f io.Writer) error {
+		_, err := f.Write(append(data, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("engine: snapshot: %w", err)
 	}
 	return nil
@@ -110,37 +110,48 @@ func (e *Engine) SaveSnapshot(dir string) error {
 
 func shardFile(i int) string { return fmt.Sprintf("shard-%04d.seg", i) }
 
-func saveShard(path string, s *shard) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// replaceFile writes path through a temp file that os.CreateTemp names
+// uniquely in path's directory, then renames it over path. Two saves into
+// one directory therefore never write the same temp file, and each rename
+// installs one writer's whole file.
+func replaceFile(path string, write func(f io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp) //nolint:errcheck // no-op after the rename below
-	crc := crc32.NewIEEE()
-	w := bufio.NewWriter(io.MultiWriter(f, crc))
-
-	s.mu.RLock()
-	err = writeShardLocked(w, s)
-	s.mu.RUnlock()
-	if err != nil {
+	defer os.Remove(f.Name()) //nolint:errcheck // no-op after the rename below
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := f.Write(sum[:]); err != nil {
+	if err := f.Chmod(0o644); err != nil { // CreateTemp makes it 0600
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return os.Rename(f.Name(), path)
+}
+
+func saveShard(path string, s *shard) error {
+	return replaceFile(path, func(f io.Writer) error {
+		crc := crc32.NewIEEE()
+		w := bufio.NewWriter(io.MultiWriter(f, crc))
+		s.mu.RLock()
+		err := writeShardLocked(w, s)
+		s.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
+		var sum [4]byte
+		binary.BigEndian.PutUint32(sum[:], crc.Sum32())
+		_, err = f.Write(sum[:])
+		return err
+	})
 }
 
 // writeShardLocked streams one shard's tier; the header's storage byte

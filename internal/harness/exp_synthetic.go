@@ -95,7 +95,7 @@ func runFig4(cfg Config) []*Table {
 			"paper shape: RanGroupScan and IntGroup fastest (40-50% below Merge); Hash, SkipList, BPP worst; ordering stable across sizes",
 		},
 	}
-	t.NoteEmptyFilter(cfg, algos)
+	t.NoteFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed)
 	for _, n := range fig4Sizes(cfg) {
 		a, b := workload.PairWithIntersection(workload.DefaultUniverse, n, n, n/100, rng)
@@ -129,7 +129,7 @@ func runFig5(cfg Config) []*Table {
 			"paper shape: RanGroupScan/IntGroup best for r < 0.7n; Merge best beyond, with RanGroupScan a close 2nd up to r = n",
 		},
 	}
-	t.NoteEmptyFilter(cfg, algos)
+	t.NoteFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed + 5)
 	rs := []int{500, n / 100, n / 10, 3 * n / 10, n / 2, 7 * n / 10, 9 * n / 10, n}
 	for _, r := range rs {
@@ -165,7 +165,7 @@ func runFig6(cfg Config) []*Table {
 			"paper shape: RanGroupScan fastest, margin growing with k; RanGroup next; Merge strong among the rest",
 		},
 	}
-	t.NoteEmptyFilter(cfg, algos)
+	t.NoteFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed + 6)
 	for _, k := range []int{2, 3, 4} {
 		ns := make([]int, k)
@@ -203,7 +203,7 @@ func runRatio(cfg Config) []*Table {
 			"paper shape: RanGroupScan best for sr < 32; Hash/Lookup best for sr ≥ 100",
 		},
 	}
-	t.NoteEmptyFilter(cfg, algos)
+	t.NoteFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed + 7)
 	srs := []int{1, 4, 16, 32, 64, 128, 256, 625}
 	times := make([][]time.Duration, len(srs))

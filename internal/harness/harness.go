@@ -12,6 +12,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,13 +32,28 @@ type Config struct {
 	Algos []fastintersect.Algorithm
 }
 
-// NoteEmptyFilter appends a visible warning to a table when an -algos
-// filter removed every one of an experiment's algorithms (the run would
-// otherwise silently emit tables with no timing columns).
-func (t *Table) NoteEmptyFilter(c Config, algos []fastintersect.Algorithm) {
-	if len(c.Algos) > 0 && len(algos) == 0 {
-		t.Notes = append(t.Notes, "warning: -algos filter matches none of this experiment's algorithms; no timings measured")
+// NoteFilter appends a visible warning to a table naming every algorithm an
+// -algos filter requested that the table does not time. FilterAlgos only
+// narrows an experiment's fixed list, so a requested algorithm outside it
+// would otherwise be dropped without a word; when the filter matched none
+// of the list, the warning also says the table has no timings. algos is
+// the filtered list the table times.
+func (t *Table) NoteFilter(c Config, algos []fastintersect.Algorithm) {
+	var dropped []fastintersect.Algorithm
+	for _, a := range c.Algos {
+		if !slices.Contains(algos, a) && !slices.Contains(dropped, a) {
+			dropped = append(dropped, a)
+		}
 	}
+	if len(dropped) == 0 {
+		return
+	}
+	note := fmt.Sprintf("warning: -algos requested %s, which this experiment does not time",
+		strings.Join(algoNames(dropped), ", "))
+	if len(algos) == 0 {
+		note += "; no timings measured"
+	}
+	t.Notes = append(t.Notes, note)
 }
 
 // FilterAlgos restricts def to the members of c.Algos, preserving def's

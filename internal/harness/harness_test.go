@@ -21,7 +21,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig4", "fig5", "fig6", "ratio", "sizes", "fig7", "fig8",
 		"real-compressed", "fig9", "fig10", "fig11", "fig12", "intro-stats",
-		"ablation-width", "ablation-m", "ablation-parallel", "overload",
+		"ablation-width", "ablation-m", "ablation-parallel",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -88,6 +88,33 @@ func TestSortedKeys(t *testing.T) {
 	got := sortedKeys(map[int]string{3: "c", 1: "a", 2: "b"})
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("sortedKeys = %v", got)
+	}
+}
+
+// TestNoteFilter checks the -algos warning on synthetic configs: a filter
+// that matches part of an experiment's list names each requested algorithm
+// the table drops, one that matches none says so and that nothing was
+// timed, and no filter adds no note.
+func TestNoteFilter(t *testing.T) {
+	def := []fastintersect.Algorithm{fastintersect.Merge, fastintersect.Hash, fastintersect.RanGroupScan}
+	for _, tc := range []struct {
+		name  string
+		algos []fastintersect.Algorithm
+		want  []string
+	}{
+		{"partial", []fastintersect.Algorithm{fastintersect.Merge, fastintersect.BitProbe, fastintersect.Bitseg, fastintersect.BitProbe},
+			[]string{"warning: -algos requested BitProbe, Bitseg, which this experiment does not time"}},
+		{"none", []fastintersect.Algorithm{fastintersect.BitProbe},
+			[]string{"warning: -algos requested BitProbe, which this experiment does not time; no timings measured"}},
+		{"all", []fastintersect.Algorithm{fastintersect.Hash, fastintersect.Merge}, nil},
+		{"no-filter", nil, nil},
+	} {
+		cfg := Config{Algos: tc.algos}
+		tb := &Table{}
+		tb.NoteFilter(cfg, cfg.FilterAlgos(def))
+		if !slices.Equal(tb.Notes, tc.want) {
+			t.Errorf("%s: notes %q, want %q", tc.name, tb.Notes, tc.want)
+		}
 	}
 }
 

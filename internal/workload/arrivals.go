@@ -11,9 +11,9 @@ import (
 // the load window) of an open-loop Poisson process with mean rate qps:
 // inter-arrival gaps are exponentially distributed, so the stream has the
 // bursty moments a constant-gap generator hides. Open-loop is the point —
-// the saturation experiment offers load on this schedule regardless of how
-// the server is coping, which is what exposes queue collapse. Deterministic
-// in seed.
+// internal/admission's saturation test (TestOverloadShedding) offers load
+// on this schedule regardless of how the gate is coping, which is what
+// exposes queue collapse. Deterministic in seed.
 func Arrivals(n int, qps float64, seed uint64) []time.Duration {
 	if n <= 0 || qps <= 0 {
 		return nil
