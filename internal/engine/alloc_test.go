@@ -123,38 +123,45 @@ func TestQueryAllocs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := buildTestEngine(t, Config{Shards: tc.shards}, numDocs)
-			if tc.tier {
-				addTier(t, e, numDocs, 50)
-			}
-			if tc.name == "bitseg-kway-1shard" {
-				_, expl, err := e.Explain(tc.query)
+			// Warm, a query's head pairs that reach the pair cache's
+			// threshold hit it; with a zero budget the same query runs
+			// every kernel. Both paths must meet the row's bound.
+			for _, zeroPairs := range []bool{false, true} {
+				e := tunePairs(buildTestEngine(t, Config{Shards: tc.shards}, numDocs), pairMinLen, zeroPairs)
+				if tc.tier {
+					addTier(t, e, numDocs, 50)
+				}
+				if tc.name == "bitseg-kway-1shard" {
+					_, expl, err := e.Explain(tc.query)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !strings.Contains(expl, "kernel=BitsegAnd") {
+						t.Fatalf("the bitseg case needs a BitsegAnd plan, got:\n%s", expl)
+					}
+				}
+				run := e.Query
+				if tc.count {
+					run = e.QueryCount
+				}
+				for i := 0; i < 5; i++ { // warm pools and the pair cache
+					if _, err := run(tc.query); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				n := testing.AllocsPerRun(50, func() {
+					_, err = run(tc.query)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(expl, "kernel=BitsegAnd") {
-					t.Fatalf("the bitseg case needs a BitsegAnd plan, got:\n%s", expl)
+				t.Logf("%.1f allocs/op (zero pair-cache budget %v, %d pair hits; bound %v)",
+					n, zeroPairs, e.Stats().PairCache.Hits, tc.max)
+				if n > tc.max {
+					t.Fatalf("Query(%q) allocates %.1f times per op (zero pair-cache budget %v), want ≤ %v",
+						tc.query, n, zeroPairs, tc.max)
 				}
-			}
-			run := e.Query
-			if tc.count {
-				run = e.QueryCount
-			}
-			for i := 0; i < 5; i++ { // warm pools
-				if _, err := run(tc.query); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var err error
-			n := testing.AllocsPerRun(50, func() {
-				_, err = run(tc.query)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%.1f allocs/op (bound %v)", n, tc.max)
-			if n > tc.max {
-				t.Fatalf("Query(%q) allocates %.1f times per op, want ≤ %v", tc.query, n, tc.max)
 			}
 		})
 	}

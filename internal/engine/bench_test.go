@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,12 +39,38 @@ func benchWorkload(tb testing.TB) (*workload.Real, []string) {
 	return benchState.real, benchState.queries
 }
 
-// buildBenchEngineCfg builds the shared bench corpus into an engine with an
-// arbitrary configuration (the overhead guard compares instrumented vs.
-// NoMetrics on otherwise identical engines).
-func buildBenchEngineCfg(tb testing.TB, cfg Config) *Engine {
+// benchEngines are the engines the benchmarks and the overhead guard
+// share, one per configuration per process: a benchmark builds none of its
+// own, so none runs beside another's garbage or pays a 200k-document
+// build between rounds. Benchmarks that share an engine share its warm pair
+// cache too.
+var benchEngines struct {
+	sync.Mutex
+	m map[benchKey]*Engine
+}
+
+// benchKey is one bench engine's configuration, Workers resolved.
+type benchKey struct {
+	cfg       Config
+	zeroPairs bool // a zero pair-cache budget: no head pair is ever cached
+}
+
+// benchEngine returns the shared bench corpus built into an engine with
+// cfg, and with zeroPairs a zero pair-cache budget. Workers 0 resolves to
+// the current GOMAXPROCS, as in New, so each -cpu value gets an engine
+// whose worker bound matches it.
+func benchEngine(tb testing.TB, cfg Config, zeroPairs bool) *Engine {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	k := benchKey{cfg, zeroPairs}
+	benchEngines.Lock()
+	defer benchEngines.Unlock()
+	if e := benchEngines.m[k]; e != nil {
+		return e
+	}
 	real, _ := benchWorkload(tb)
-	e := New(cfg)
+	e := tunePairs(New(cfg), pairMinLen, zeroPairs)
 	b := e.NewBuilder()
 	for t, docs := range real.Postings {
 		if err := b.AddPosting(workload.TermName(t), docs); err != nil {
@@ -53,6 +80,11 @@ func buildBenchEngineCfg(tb testing.TB, cfg Config) *Engine {
 	if err := e.Install(b); err != nil {
 		tb.Fatal(err)
 	}
+	if benchEngines.m == nil {
+		benchEngines.m = map[benchKey]*Engine{}
+	}
+	benchEngines.m[k] = e
+	runtime.GC() // the build's garbage is not the timed loop's to collect
 	return e
 }
 
@@ -60,16 +92,25 @@ func buildBenchEngineCfg(tb testing.TB, cfg Config) *Engine {
 // AND/OR workload with the result cache disabled, so every iteration pays
 // the full parse → plan → per-shard evaluation → merge pipeline. B/op and
 // allocs/op here are the numbers the ExecContext pooling is accountable
-// for; TestQueryAllocs pins them as a regression bound.
+// for; TestQueryAllocs pins them as a regression bound. The stream repeats
+// every 256 queries, so "pair-cache" measures head pairs served from the
+// pair cache, and "zero-budget" the path that caches none.
 func BenchmarkQueryMixed(b *testing.B) {
-	e := buildBenchEngineCfg(b, Config{Shards: 2})
-	_, queries := benchWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(queries[i%len(queries)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name      string
+		zeroPairs bool
+	}{{"pair-cache", false}, {"zero-budget", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := benchEngine(b, Config{Shards: 2}, bc.zeroPairs)
+			_, queries := benchWorkload(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Query(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -79,7 +120,7 @@ func BenchmarkQueryMixed(b *testing.B) {
 // execution context under one worker slot.
 func BenchmarkQueryBatch(b *testing.B) {
 	const chunk = 64 // divides len(queries), so a chunk never wraps
-	e := buildBenchEngineCfg(b, Config{Shards: 2})
+	e := benchEngine(b, Config{Shards: 2}, false)
 	_, queries := benchWorkload(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -95,10 +136,10 @@ func BenchmarkQueryBatch(b *testing.B) {
 
 // BenchmarkQueryMixedParallel runs BenchmarkQueryMixed's stream from
 // GOMAXPROCS goroutines at once (b.RunParallel), so -cpu 1,2,4 sets how many
-// queries contend for the engine; BenchmarkQueryMixed is its one-goroutine
-// floor.
+// queries contend for the engine; BenchmarkQueryMixed/pair-cache is its
+// one-goroutine floor.
 func BenchmarkQueryMixedParallel(b *testing.B) {
-	e := buildBenchEngineCfg(b, Config{Shards: 2})
+	e := benchEngine(b, Config{Shards: 2}, false)
 	_, queries := benchWorkload(b)
 	var next atomic.Uint64
 	b.ReportAllocs()

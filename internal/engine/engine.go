@@ -25,14 +25,18 @@
 // on every shard in turn, on the calling goroutine under one bounded
 // worker slot; each shard executes the plan (see exec.go), re-pricing
 // kernels on its actual operand sizes through the planner's cost model,
-// and the per-shard sorted results are merged. A query starts no
-// goroutine: parallelism comes from concurrent queries, while Install,
-// merges and snapshot loads still build in parallel. The cost model prices
-// with one table, the planner's committed plan.DefaultCosts or the one
-// Config.PlanCosts supplies, and nothing corrects it at run time: a plan
-// depends on the query and the index, never on the host or on the traffic
-// served before it. Cache
-// entries are stamped with the engine's index generation — every mutation
+// and the per-shard sorted results are merged. In a frozen segment, a
+// conjunction whose two head lists both hold at least 2,500 docIDs takes
+// their intersection from the pair cache (see paircache.go): entries are
+// keyed per frozen segment, stay valid under every mutation and leave with
+// the segment, under one budget per engine; plans never consult it. A
+// query starts no goroutine: parallelism comes from concurrent queries,
+// while Install, merges and snapshot loads still build in parallel. The
+// cost model prices with one table, the planner's committed
+// plan.DefaultCosts or the one Config.PlanCosts supplies, and nothing
+// corrects it at run time: a plan depends on the query and the index,
+// never on the host or on the traffic served before it. Cache entries are
+// stamped with the engine's index generation — every mutation
 // and rebuild bumps it — so a cached result can never resurrect a deleted
 // document. Explain returns the executed plan; QueryBatch amortizes
 // parsing, planning and one execution context across many queries.
@@ -119,6 +123,7 @@ type Engine struct {
 	workers chan struct{}
 	cache   *cache
 	plans   *planCache
+	pairs   *pairCache // head-pair intersections per frozen segment (paircache.go)
 
 	mu     sync.RWMutex
 	shards []*shard
@@ -174,6 +179,7 @@ func New(cfg Config) *Engine {
 		plans:   newPlanCache(),
 	}
 	e.met = newEngineMetrics(e, cfg)
+	e.pairs = newPairCache(e.met.reg)
 	return e
 }
 
@@ -281,24 +287,37 @@ func (e *Engine) Install(b *Builder) error {
 	}
 	wg.Wait()
 	clear(b.shards)
+	e.swapShards(shards)
+	return nil
+}
+
+// swapShards publishes a shard set that Install or LoadSnapshot built,
+// bumping the generation and the stats epoch: a new corpus makes every
+// cached result and memoized plan stale. The outgoing shards are retired
+// BEFORE they become unreachable: a mutation that snapshotted the old set
+// re-checks the flag after locking its shard (see lockShard) and retries
+// against the new set, so an acknowledged AddDocument/DeleteDocument can
+// never land in a shard this swap discards. A retired shard's tier never
+// changes again, so its segments leave the pair cache with their entries
+// as the new set's join it.
+func (e *Engine) swapShards(shards []*shard) {
+	var added, retired []*segment.Frozen
+	for _, s := range shards {
+		added = append(added, s.segs...)
+	}
 	e.mu.Lock()
-	old := e.shards
-	// Retire the outgoing shards BEFORE they become unreachable: a mutation
-	// that snapshotted the old set re-checks the flag after locking its
-	// shard (see lockShard) and retries against the new set, so an
-	// acknowledged AddDocument/DeleteDocument can never land in a shard
-	// this swap discards.
-	for _, s := range old {
+	for _, s := range e.shards {
 		s.mu.Lock()
 		s.retired = true
+		retired = append(retired, s.segs...)
 		s.mu.Unlock()
 	}
+	e.pairs.replace(retired, added...)
 	e.shards = shards
 	e.mu.Unlock()
 	e.gen.Add(1)
-	e.statsEpoch.Add(1) // a new corpus: every memoized plan is stale
+	e.statsEpoch.Add(1)
 	e.met.rebuilds.Inc()
-	return nil
 }
 
 // shardWorkers is the build parallelism each shard gets when every shard
@@ -597,7 +616,7 @@ func renderAnalyze(pc *planCtx, pp *plan.Plan, agg *traceRec, tr *obs.Trace) str
 	}
 	pc.actuals = pc.actuals[:len(agg.ops)]
 	for i, a := range agg.ops {
-		pc.actuals[i] = plan.OpActual{Execs: a.execs, Rows: a.rows, Ns: a.ns}
+		pc.actuals[i] = plan.OpActual{Execs: a.execs, Rows: a.rows, Ns: a.ns, PairHits: a.pairHits}
 	}
 	var sb strings.Builder
 	sb.WriteString(pp.ExplainAnalyze(pc.actuals))
@@ -782,6 +801,9 @@ type Stats struct {
 	Delta            DeltaStats `json:"delta"`
 	Workers          int        `json:"workers"`
 	Cache            CacheStats `json:"cache"`
+	// PairCache reports the cache of head-pair intersections (see
+	// paircache.go) from its fsi_pair_cache_* series.
+	PairCache PairCacheStats `json:"pair_cache"`
 	// KernelExecs counts the intersection-kernel runs of sampled queries
 	// by the kernel that ran: one per pair of a pairwise chain and one per
 	// BitsegAnd, in every segment of every shard. Only non-zero kernels
@@ -811,6 +833,7 @@ func (e *Engine) Stats() Stats {
 		StatsEpoch:      e.statsEpoch.Load(),
 		Workers:         e.cfg.Workers,
 		Cache:           e.cache.stats(),
+		PairCache:       e.pairs.stats(),
 	}
 	st.PlanCacheEntries = e.plans.entries()
 	if e.met.enabled {

@@ -154,6 +154,50 @@ func (e *Engine) intersect(c *execCtx, ops []operand) []uint32 {
 	return c.chain(e.costs, ops)
 }
 
+// intersectTerms intersects conjunction i's term operands ops (at least
+// two, in plan order) under evalOp's ownership rules. In a frozen segment
+// whose first two operands both hold at least T docIDs, their intersection
+// comes from the pair cache (see paircache.go): a hit runs the rest of the
+// conjunction on the cached list, which is read-only; a key's second
+// sighting computes the pair on its own, admits it and runs the rest on
+// it. Everything else — the first sighting included — intersects ops as
+// if there were no cache.
+func (e *Engine) intersectTerms(c *execCtx, src source, p *plan.Plan, i int32, ops []operand) ([]uint32, bool) {
+	pc := e.pairs
+	if src.seg == nil || len(ops[0].docs) < pc.minLen || len(ops[1].docs) < pc.minLen {
+		return e.intersect(c, ops), true
+	}
+	ts := p.TermOps(&p.Ops[i])
+	k := pairKey{seg: src.seg, a: p.Ops[ts[0]].Term, b: p.Ops[ts[1]].Term}
+	if k.b < k.a {
+		k.a, k.b = k.b, k.a
+	}
+	head, hit := pc.get(k)
+	owned := false
+	switch {
+	case hit:
+		if c.rec != nil {
+			c.rec.ops[i].pairHits++
+		}
+	case pc.sighted(k):
+		head, owned = e.intersect(c, ops[:2]), true
+		pc.admit(k, head)
+	default:
+		return e.intersect(c, ops), true
+	}
+	if len(ops) == 2 || len(head) == 0 {
+		return head, owned
+	}
+	// The rest re-prices with the pair's result in front; it carries no
+	// list, so it never prices BitsegAnd.
+	ops[1] = operand{docs: head}
+	out := e.intersect(c, ops[1:])
+	if owned {
+		c.putBuf(head)
+	}
+	return out, true
+}
+
 // chain intersects ops pairwise from the probe side, ping-ponging between
 // two context buffers. Each pair runs the kernel plan.ChooseStored picks on
 // that pair's actual lengths (span 0: a pair never runs BitsegAnd), so a
@@ -248,8 +292,7 @@ func (e *Engine) evalAndOp(c *execCtx, src source, p *plan.Plan, i int32) ([]uin
 	haveBase := false // distinguishes "no term operands" from an empty base intersection
 	switch {
 	case len(f.ops) >= 2:
-		cur = e.intersect(c, f.ops)
-		curOwned = true
+		cur, curOwned = e.intersectTerms(c, src, p, i, f.ops)
 		haveBase = true
 	case len(f.ops) == 1:
 		cur = f.ops[0].docs

@@ -154,6 +154,9 @@ type opAcc struct {
 	execs int64
 	rows  int64
 	ns    int64
+	// pairHits counts the segments that served a conjunction's head pair
+	// from the pair cache.
+	pairHits int64
 }
 
 // traceRec is the recording arena of a traced query: one opAcc per plan

@@ -58,6 +58,9 @@ import (
 // (segment.Merge). The visible document set is unchanged by freezes and
 // merges, which is why none of them bump the cache generation; they only
 // move postings between raw segments, so none bumps the stats epoch either.
+// Every change of the frozen tier reaches the pair cache (e.pairs.replace)
+// under the shard lock: a freeze or merge registers its new segment, and a
+// merge's swap drops its inputs' cached pairs with them.
 type shard struct {
 	mu     sync.RWMutex
 	segs   []*segment.Frozen
@@ -67,12 +70,15 @@ type shard struct {
 	retired    bool // set (before the swap) by Install replacing this shard
 }
 
-// appendSeg adds f to the tier unless it holds no document: a shard keeps
-// no empty segment. Caller holds s.mu or owns s exclusively.
-func (s *shard) appendSeg(f *segment.Frozen) {
-	if f.NumDocs() > 0 {
-		s.segs = append(s.segs, f)
+// appendSeg adds f to the tier unless it holds no document, reporting
+// whether it did: a shard keeps no empty segment. Caller holds s.mu or owns
+// s exclusively.
+func (s *shard) appendSeg(f *segment.Frozen) bool {
+	if f.NumDocs() == 0 {
+		return false
 	}
+	s.segs = append(s.segs, f)
+	return true
 }
 
 // largestLocked returns the index of the segment holding the most postings
@@ -323,8 +329,10 @@ func (e *Engine) freezeActiveLocked(s *shard) {
 	if s.active.NumDocs() == 0 {
 		return
 	}
-	s.segs = append(s.segs, s.active.Freeze())
+	f := s.active.Freeze()
+	s.segs = append(s.segs, f)
 	s.active = segment.NewMutable()
+	e.pairs.replace(nil, f)
 	e.met.segmentFreezes.Inc()
 }
 
@@ -482,7 +490,11 @@ func (e *Engine) mergeSegments(s *shard, inputs []*segment.Frozen, snaps [][]uin
 	}
 	clear(s.segs[len(kept):]) // drop trailing refs so merged-away segments free
 	s.segs = kept
-	s.appendSeg(merged)
+	if s.appendSeg(merged) {
+		e.pairs.replace(inputs, merged)
+	} else {
+		e.pairs.replace(inputs)
+	}
 	e.met.compactionBytes.Add(4 * uint64(merged.NumPostings()))
 	if full {
 		e.met.compactions.Inc()

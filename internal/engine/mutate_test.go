@@ -721,16 +721,32 @@ func (m *refModel) match(pred func(has func(string) bool) bool) []uint32 {
 // compaction to a full one) and SaveSnapshot → LoadSnapshot into a fresh
 // engine. After every step each query of lifecycleQueries must return the
 // model's exact documents and Stats.Docs must equal the model's live count.
+// Each shard shape runs twice: with the pair cache's threshold lowered to
+// the model's list lengths, so conjunctions hit cached head pairs across
+// every step, and with a zero budget, so none is ever cached.
 func TestSegmentLifecycleMatchesModel(t *testing.T) {
 	for _, shards := range []int{1, 3} {
+		cfg := Config{Shards: shards, CacheSize: 16, CompactThreshold: 4, MaxSegments: 2}
+		seed := 0x11FE + uint64(shards)
 		t.Run(fmt.Sprintf("raw-%dshard", shards), func(t *testing.T) {
-			runLifecycleModel(t, Config{Shards: shards, CacheSize: 16, CompactThreshold: 4, MaxSegments: 2},
-				0x11FE+uint64(shards))
+			st := runLifecycleModel(t, func() *Engine { return tunePairs(New(cfg), 8, false) }, seed)
+			if st.Hits == 0 || st.Admissions == 0 {
+				t.Fatalf("the pair cache never served a head pair: %+v", st)
+			}
+		})
+		t.Run(fmt.Sprintf("raw-%dshard-zero-budget", shards), func(t *testing.T) {
+			st := runLifecycleModel(t, func() *Engine { return tunePairs(New(cfg), 8, true) }, seed)
+			if st.Hits != 0 || st.Admissions != 0 || st.Misses == 0 {
+				t.Fatalf("a zero budget cached head pairs, or no pair was eligible: %+v", st)
+			}
 		})
 	}
 }
 
-func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
+// runLifecycleModel drives one lifecycle sequence over engines from
+// newEngine (a snapshot step restores into a fresh one) and returns the
+// pair-cache counters summed over them.
+func runLifecycleModel(t *testing.T, newEngine func() *Engine, seed uint64) PairCacheStats {
 	rng := xhash.NewRNG(seed)
 	vocab := []string{"a", "b", "c", "d", "e"}
 	sample := func() []string {
@@ -745,8 +761,14 @@ func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
 	for d := uint32(0); d < 300; d++ {
 		m.add(d, sample())
 	}
-	e := New(cfg)
+	e := newEngine()
 	installRef(t, e, m)
+	var pairs PairCacheStats
+	addPairs := func(st PairCacheStats) {
+		pairs.Hits += st.Hits
+		pairs.Misses += st.Misses
+		pairs.Admissions += st.Admissions
+	}
 	nextID := uint32(300)
 	visible := func() []uint32 { return m.match(func(func(string) bool) bool { return true }) }
 
@@ -841,6 +863,7 @@ func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
 					break
 				}
 			}
+			checkPairInvariants(t, e, fmt.Sprintf("step %d (%s)", step, what))
 			// Refill so later steps keep a corpus to work on.
 			for i := 0; i < 60; i++ {
 				terms := sample()
@@ -857,10 +880,12 @@ func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
 				t.Fatal(err)
 			}
 			waitForIdleCompaction(t, e)
-			fresh := New(cfg)
+			checkPairInvariants(t, e, fmt.Sprintf("step %d (%s)", step, what))
+			fresh := newEngine()
 			if err := fresh.LoadSnapshot(dir); err != nil {
 				t.Fatal(err)
 			}
+			addPairs(e.Stats().PairCache)
 			e = fresh
 			snapshots++
 		}
@@ -874,4 +899,7 @@ func runLifecycleModel(t *testing.T, cfg Config, seed uint64) {
 	if st.SegmentFreezes == 0 {
 		t.Fatalf("sequence froze no segment: %+v", st)
 	}
+	checkPairInvariants(t, e, "end")
+	addPairs(st.PairCache)
+	return pairs
 }

@@ -317,8 +317,8 @@ func TestMetricsOverheadGuard(t *testing.T) {
 	if os.Getenv("FSI_OVERHEAD_GUARD") == "" {
 		t.Skip("set FSI_OVERHEAD_GUARD=1 to run the instrumentation overhead gate")
 	}
-	base := buildBenchEngineCfg(t, Config{Shards: 2, NoMetrics: true})
-	inst := buildBenchEngineCfg(t, Config{Shards: 2}) // default: metrics on, 1-in-64 tracing
+	base := benchEngine(t, Config{Shards: 2, NoMetrics: true}, false)
+	inst := benchEngine(t, Config{Shards: 2}, false) // default: metrics on, 1-in-64 tracing
 	_, queries := benchWorkload(t)
 	pass := func(e *Engine) time.Duration {
 		start := time.Now()

@@ -185,8 +185,8 @@ func writeShardLocked(w *bufio.Writer, s *shard) error {
 }
 
 // LoadSnapshot restores a snapshot written by SaveSnapshot into the engine,
-// replacing any installed index (the same retire-then-swap handshake Install
-// uses, so concurrent mutations land in the restored shard set). The
+// replacing any installed index (the swap Install runs, so concurrent
+// mutations land in the restored shard set). The
 // manifest's shard count must match the engine's configuration — a
 // snapshot is an image of a specific partitioning. Every frozen segment is
 // built afresh into raw lists by the parallel build Install runs; the
@@ -229,18 +229,7 @@ func (e *Engine) LoadSnapshot(dir string) error {
 			return fmt.Errorf("engine: snapshot shard %d: %w", i, err)
 		}
 	}
-	e.mu.Lock()
-	old := e.shards
-	for _, s := range old {
-		s.mu.Lock()
-		s.retired = true
-		s.mu.Unlock()
-	}
-	e.shards = shards
-	e.mu.Unlock()
-	e.gen.Add(1)
-	e.statsEpoch.Add(1) // a restored corpus: every memoized plan is stale
-	e.met.rebuilds.Inc()
+	e.swapShards(shards)
 	return nil
 }
 

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"fastintersect"
@@ -91,22 +93,62 @@ func runFig4(cfg Config) []*Table {
 		ID:      "fig4",
 		Title:   "Intersection time (ms), 2 sets of equal size, |L1∩L2| = 1%",
 		Columns: append([]string{"size"}, algoNames(algos)...),
-		Notes: []string{
-			"paper shape: RanGroupScan and IntGroup fastest (40-50% below Merge); Hash, SkipList, BPP worst; ordering stable across sizes",
-		},
 	}
 	t.NoteFilter(cfg, algos)
 	rng := xhash.NewRNG(cfg.Seed)
-	for _, n := range fig4Sizes(cfg) {
+	sizes := fig4Sizes(cfg)
+	times := make([][]time.Duration, len(sizes))
+	for r, n := range sizes {
 		a, b := workload.PairWithIntersection(workload.DefaultUniverse, n, n, n/100, rng)
 		lists := prepLists(cfg, 4, a, b)
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, algo := range algos {
-			row = append(row, ms(timeAlgo(cfg, algo, lists)))
+			d := timeAlgo(cfg, algo, lists)
+			times[r] = append(times[r], d)
+			row = append(row, ms(d))
 		}
 		t.AddRow(row...)
 	}
+	if note := fig4VerdictNote(algos, sizes, times); note != "" {
+		t.Notes = append(t.Notes, note)
+	}
 	return []*Table{t}
+}
+
+// fig4Fastest are the algorithms Figure 4 shows fastest, 40–50% below
+// Merge at every size.
+var fig4Fastest = []fastintersect.Algorithm{fastintersect.RanGroupScan, fastintersect.IntGroup}
+
+// fig4VerdictNote reads each of fig4Fastest's ratio to Merge at every size
+// from times (times[r][c] timed algos[c] at sizes[r]) and says "reproduced"
+// only when both are below Merge at every size, as in the paper. It is
+// empty when Merge or either of them is not among algos.
+func fig4VerdictNote(algos []fastintersect.Algorithm, sizes []int, times [][]time.Duration) string {
+	mi := slices.Index(algos, fastintersect.Merge)
+	if mi < 0 || len(times) == 0 {
+		return ""
+	}
+	var parts, above []string
+	for _, algo := range fig4Fastest {
+		ai := slices.Index(algos, algo)
+		if ai < 0 {
+			return ""
+		}
+		lo, hi := math.Inf(1), 0.0
+		for r, row := range times {
+			x := float64(row[ai]) / float64(max(row[mi], 1))
+			lo, hi = min(lo, x), max(hi, x)
+			if x >= 1 {
+				above = append(above, fmt.Sprintf("%v at size %d (%.2f×)", algo, sizes[r], x))
+			}
+		}
+		parts = append(parts, fmt.Sprintf("%v at %.2f–%.2f× Merge", algo, lo, hi))
+	}
+	verdict := "both below Merge at every size, as in the paper (40–50% below): reproduced"
+	if len(above) > 0 {
+		verdict = "not below Merge at every size, unlike the paper (40–50% below): not reproduced; at or above Merge: " + strings.Join(above, ", ")
+	}
+	return fmt.Sprintf("fig4: %s — %s", strings.Join(parts, ", "), verdict)
 }
 
 var fig5Algorithms = []fastintersect.Algorithm{

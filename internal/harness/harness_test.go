@@ -202,6 +202,36 @@ func TestRatioRanGroupScanNote(t *testing.T) {
 	}
 }
 
+// TestFig4VerdictNote checks fig4's verdict on one synthetic table each
+// way: RanGroupScan and IntGroup below Merge at every size, as the paper
+// reports, and IntGroup above Merge at one size. The verdict needs Merge
+// and both algorithms among the timed columns.
+func TestFig4VerdictNote(t *testing.T) {
+	algos := []fastintersect.Algorithm{fastintersect.Merge, fastintersect.Hash, fastintersect.IntGroup, fastintersect.RanGroupScan}
+	sizes := []int{125_000, 250_000}
+	msec := func(x float64) time.Duration { return time.Duration(x * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		times [][]time.Duration
+		want  string
+	}{
+		{
+			[][]time.Duration{{msec(1), msec(3), msec(0.6), msec(0.53)}, {msec(2), msec(6), msec(1.6), msec(1.42)}},
+			"fig4: RanGroupScan at 0.53–0.71× Merge, IntGroup at 0.60–0.80× Merge — both below Merge at every size, as in the paper (40–50% below): reproduced",
+		},
+		{
+			[][]time.Duration{{msec(1), msec(3), msec(0.6), msec(0.53)}, {msec(2), msec(6), msec(2.2), msec(1.42)}},
+			"fig4: RanGroupScan at 0.53–0.71× Merge, IntGroup at 0.60–1.10× Merge — not below Merge at every size, unlike the paper (40–50% below): not reproduced; at or above Merge: IntGroup at size 250000 (1.10×)",
+		},
+	} {
+		if got := fig4VerdictNote(algos, sizes, tc.times); got != tc.want {
+			t.Errorf("times %v:\nnote %q\nwant %q", tc.times, got, tc.want)
+		}
+	}
+	if got := fig4VerdictNote(algos[:3], sizes, [][]time.Duration{{1, 2, 3}, {4, 5, 6}}); got != "" {
+		t.Errorf("RanGroupScan filtered out: note %q, want none", got)
+	}
+}
+
 // TestFig7WinnerNote checks fig7's winner note on synthetic win counts (one
 // per realAlgorithms entry) each way: RanGroupScan winning the most
 // queries, as in the paper, and Hash winning them.

@@ -198,12 +198,36 @@ func TestRawBitsegLazyAttach(t *testing.T) {
 	}
 }
 
+// pairCacheRuns is how often the engine parity tests run each query: a
+// head pair whose lists reach the engine's pair-cache threshold is sighted
+// on the first run, admitted on the second and served from the cache on
+// the third.
+const pairCacheRuns = 3
+
+// queryParity runs q pairCacheRuns times on e and holds every answer to
+// want.
+func queryParity(t *testing.T, e *engine.Engine, q, tag string, want []uint32) {
+	t.Helper()
+	for run := 1; run <= pairCacheRuns; run++ {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s run %d: %v", tag, run, err)
+		}
+		if !sets.Equal(res.Docs, want) {
+			t.Errorf("%s run %d: %d results, want %d", tag, run, len(res.Docs), len(want))
+		}
+	}
+}
+
 // TestEngineParity drives the corpus through the full serving path: each
 // case's sets become posting lists, the conjunction of all terms is planned
 // and executed across two shards with the kernels the cost model picks,
-// and the merged result must equal the reference.
+// and the merged result must equal the reference on every run — the pair
+// cache's sighting, admission and hit alike. The dense cases' head lists
+// reach the cache's threshold in each shard, so some runs must hit.
 func TestEngineParity(t *testing.T) {
 	t.Run("raw-cost", func(t *testing.T) {
+		var hits uint64
 		for _, c := range Cases(corpusSeed) {
 			e := engine.New(engine.Config{Shards: 2, NoMetrics: true})
 			b := e.NewBuilder()
@@ -220,14 +244,11 @@ func TestEngineParity(t *testing.T) {
 			if err := e.Install(b); err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			res, err := e.Query(strings.Join(terms, " AND "))
-			if err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-			want := sets.IntersectReference(c.Sets...)
-			if !sets.Equal(res.Docs, want) {
-				t.Errorf("%s: %d results, want %d", c.Name, len(res.Docs), len(want))
-			}
+			queryParity(t, e, strings.Join(terms, " AND "), c.Name, sets.IntersectReference(c.Sets...))
+			hits += e.Stats().PairCache.Hits
+		}
+		if hits == 0 {
+			t.Fatal("no query was served a cached head pair")
 		}
 	})
 }
@@ -281,11 +302,15 @@ func TestCorpusWellFormed(t *testing.T) {
 // reference intersection must come back (a) from the multi-segment tier,
 // (b) after a size-tiered merge, and (c) from a fresh engine restored from a
 // snapshot of the tier — the serialize→restart→parity round trip over the
-// whole corpus. Runs under -race in CI's multi-segment gate.
+// whole corpus. Each check runs its query three times, so the dense cases'
+// installed segments serve their head pairs from the pair cache, with
+// tombstones subtracted after the cached pair. Runs under -race in CI's
+// multi-segment gate.
 func TestEngineParityMultiSegment(t *testing.T) {
 	t.Run("raw-cost", func(t *testing.T) {
 		snapRoot := t.TempDir()
 		totalFrozen := 0
+		var hits uint64
 		for ci, c := range Cases(corpusSeed) {
 			// Invert term → postings into doc → terms.
 			docTerms := map[uint32][]string{}
@@ -351,13 +376,7 @@ func TestEngineParityMultiSegment(t *testing.T) {
 			want := sets.IntersectReference(c.Sets...)
 			check := func(tag string, eng *engine.Engine) {
 				t.Helper()
-				res, err := eng.Query(strings.Join(terms, " AND "))
-				if err != nil {
-					t.Fatalf("%s/%s: %v", c.Name, tag, err)
-				}
-				if !sets.Equal(res.Docs, want) {
-					t.Errorf("%s/%s: %d results, want %d", c.Name, tag, len(res.Docs), len(want))
-				}
+				queryParity(t, eng, strings.Join(terms, " AND "), c.Name+"/"+tag, want)
 			}
 			check("tiered", e)
 			if err := e.MergeSegments(); err != nil {
@@ -373,9 +392,13 @@ func TestEngineParityMultiSegment(t *testing.T) {
 				t.Fatalf("%s: load: %v", c.Name, err)
 			}
 			check("restored", restored)
+			hits += e.Stats().PairCache.Hits + restored.Stats().PairCache.Hits
 		}
 		if totalFrozen == 0 {
 			t.Fatal("no case produced a frozen segment; the tier was never multi-segment")
+		}
+		if hits == 0 {
+			t.Fatal("no query was served a cached head pair")
 		}
 	})
 }

@@ -22,6 +22,9 @@ type OpActual struct {
 	// Term operands fetched inside a parent's evaluation record 0 — their
 	// time is accounted to the parent.
 	Ns int64
+	// PairHits is how many of an AND's executions took its head pair's
+	// intersection from the engine's pair cache, running no kernel for it.
+	PairHits int64
 }
 
 // ExplainAnalyze renders the executed plan like Explain, with each
@@ -130,5 +133,8 @@ func writeActuals(sb *strings.Builder, o *Op, a *OpActual, childNs int64) {
 	}
 	if a.Execs > 1 {
 		fmt.Fprintf(sb, " execs=%d", a.Execs)
+	}
+	if a.PairHits > 0 {
+		fmt.Fprintf(sb, " pair_cache_hits=%d", a.PairHits)
 	}
 }
