@@ -601,9 +601,9 @@ type batchResponse struct {
 
 // handleQueryBatch executes many queries as one engine batch: queries that
 // normalize to the same canonical form are planned and evaluated once, and
-// all cache misses share per-shard execution contexts. Per-query failures
-// land in the matching result slot; only a malformed body or a missing
-// index fails the whole request.
+// all cache misses run on one execution context under one worker slot.
+// Per-query failures land in the matching result slot; only a malformed
+// body or a missing index fails the whole request.
 func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))

@@ -444,8 +444,8 @@ const (
 
 // execute wraps executeQuery with the per-query observability: the query
 // counter, the latency histogram, the sampling decision and the trace
-// lifecycle. Timing is skipped entirely when neither the histograms nor a
-// trace want it.
+// lifecycle. The query is timed only when the histograms are on; a trace
+// times its own stages.
 func (e *Engine) execute(ctx context.Context, q string, mode execMode) (*Result, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -455,35 +455,26 @@ func (e *Engine) execute(ctx context.Context, q string, mode execMode) (*Result,
 	var tr *obs.Trace
 	if mode == modeAnalyze || m.sampleTrace() {
 		tr = obs.GetTrace()
-		tr.Query = q
 	}
 	var start time.Time
-	timed := m.enabled || tr != nil
-	if timed {
+	if m.enabled {
 		start = time.Now()
 	}
 	res, expl, err := e.executeQuery(ctx, q, mode, tr)
 	if err != nil {
 		m.queryErrors.Inc()
 	}
-	if timed {
-		total := time.Since(start)
-		if m.enabled {
-			m.latency.Observe(total)
-		}
+	if m.enabled {
+		m.latency.Observe(time.Since(start))
 		if tr != nil {
-			tr.TotalNs = total.Nanoseconds()
-			tr.Err = err != nil
-			if m.enabled {
-				for s, ns := range tr.Stages {
-					if ns > 0 {
-						m.stages[s].Observe(time.Duration(ns))
-					}
+			for s, ns := range tr.Stages {
+				if ns > 0 {
+					m.stages[s].Observe(time.Duration(ns))
 				}
 			}
-			obs.PutTrace(tr)
 		}
 	}
+	obs.PutTrace(tr)
 	return res, expl, err
 }
 
@@ -529,9 +520,6 @@ func (e *Engine) executeQuery(ctx context.Context, q string, mode execMode, tr *
 		// operator "(not executed)".
 		docs, hit = e.cache.get(key, gen)
 		stamp(tr, obs.StageCache, &t0)
-	}
-	if hit && tr != nil {
-		tr.Cached = true
 	}
 	if hit && mode == modeCount {
 		return &Result{Count: len(docs), Normalized: key, Cached: true}, "", nil

@@ -158,10 +158,10 @@ func (e *Engine) intersect(c *execCtx, ops []operand) []uint32 {
 // two, in plan order) under evalOp's ownership rules. In a frozen segment
 // whose first two operands both hold at least T docIDs, their intersection
 // comes from the pair cache (see paircache.go): a hit runs the rest of the
-// conjunction on the cached list, which is read-only; a key's second
-// sighting computes the pair on its own, admits it and runs the rest on
-// it. Everything else — the first sighting included — intersects ops as
-// if there were no cache.
+// conjunction on the cached list, which is read-only; a miss while the
+// budget has room computes the pair on its own, admits it and runs the
+// rest on it. Everything else — a miss without room included — intersects
+// ops as if there were no cache.
 func (e *Engine) intersectTerms(c *execCtx, src source, p *plan.Plan, i int32, ops []operand) ([]uint32, bool) {
 	pc := e.pairs
 	if src.seg == nil || len(ops[0].docs) < pc.minLen || len(ops[1].docs) < pc.minLen {
@@ -179,7 +179,7 @@ func (e *Engine) intersectTerms(c *execCtx, src source, p *plan.Plan, i int32, o
 		if c.rec != nil {
 			c.rec.ops[i].pairHits++
 		}
-	case pc.sighted(k):
+	case pc.room():
 		head, owned = e.intersect(c, ops[:2]), true
 		pc.admit(k, head)
 	default:

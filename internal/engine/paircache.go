@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"hash/maphash"
-	"math/bits"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,17 +26,19 @@ import (
 //
 // The evaluator (intersectTerms) consults the cache only when both head
 // lists of a conjunction hold at least pairMinLen docIDs in the segment.
-// The first sighting of a key runs the conjunction as if there were no
-// cache; the second, detected by a bounded record of recent keys (seen),
-// computes the pair on its own and admits it; later ones hit, and the rest
-// of the conjunction runs on the cached list. Plans never consult the
+// A hit runs the rest of the conjunction on the cached list. A miss while
+// the budget has room for another entry computes the pair on its own,
+// admits it if it fits and runs the rest on it; a miss without room runs
+// the conjunction as if there were no cache. Plans never consult the
 // cache: the segment re-prices what remains on actual lengths, and the
 // cached list carries no span, so it never prices BitsegAnd.
 //
 // The budget is one per engine: 1/pairBudgetDiv of the posting bytes the
 // registered frozen segments hold, tracked as the tier changes. Admission
-// and every tier change evict under it by CLOCK, whose reference bit each
-// hit sets.
+// is first-come and nothing is evicted: an entry stays until its segment
+// retires. Only a tier change that shrinks the budget below the bytes held
+// (a merge that purges tombstones) drops entries beyond that, until the
+// rest fit.
 
 // pairMinLen is T, the length both head lists must reach in a segment for
 // their pair to be cached: 2,500 docIDs, a df of about 10k over 4 shards.
@@ -50,12 +49,9 @@ const pairMinLen = 2500
 // pairBudgetDiv sets the budget: 1/16 of the frozen tier's posting bytes.
 const pairBudgetDiv = 16
 
-// pairEntryBytes is what an entry is charged beyond its docIDs: the entry,
-// its map and ring slots and its two key strings.
+// pairEntryBytes is what an entry is charged beyond its docIDs: its map
+// slot and its two key strings.
 const pairEntryBytes = 160
-
-// pairSeenBits sizes the record of recently seen keys: 4,096 slots.
-const pairSeenBits = 12
 
 // pairKey names one head pair in one frozen segment; a < b.
 type pairKey struct {
@@ -63,15 +59,8 @@ type pairKey struct {
 	a, b string
 }
 
-// pairEntry is one cached intersection. docs never changes after admission.
-type pairEntry struct {
-	key  pairKey
-	docs []uint32
-	ref  bool // CLOCK's reference bit, set on each hit; guarded by pairCache.mu
-}
-
-// size is the bytes an entry is charged against the budget.
-func (en *pairEntry) size() int64 { return pairEntryBytes + 4*int64(len(en.docs)) }
+// pairBytes is what an entry of n docIDs is charged against the budget.
+func pairBytes(n int) int64 { return pairEntryBytes + 4*int64(n) }
 
 // pairCache is the engine's cache of head-pair intersections. Lookups,
 // admissions and tier changes take mu, always after the owning shard's
@@ -81,38 +70,26 @@ type pairCache struct {
 	zero   bool // a zero budget: nothing is admitted (tests and benchmarks only)
 
 	mu      sync.Mutex
-	entries map[pairKey]*pairEntry
-	ring    []*pairEntry // CLOCK order; the hand points at the next to examine
-	hand    int
+	entries map[pairKey][]uint32         // never changed after admission
 	live    map[*segment.Frozen]struct{} // the tier's frozen segments
 
 	tier  atomic.Int64 // posting bytes of the live segments
 	bytes atomic.Int64 // bytes charged for the entries
 
-	// seen is the bounded record of recently seen keys: a key's hash in the
-	// slot its top bits pick. A collision overwrites the slot, so a key is
-	// admitted on its second sighting only if no other key took its slot in
-	// between.
-	seed maphash.Seed
-	seen [1 << pairSeenBits]atomic.Uint64
-
-	hits, misses, admissions, evictions *obs.Counter
+	hits, misses, admissions *obs.Counter
 }
 
 func newPairCache(r *obs.Registry) *pairCache {
 	pc := &pairCache{
 		minLen:  pairMinLen,
-		entries: map[pairKey]*pairEntry{},
+		entries: map[pairKey][]uint32{},
 		live:    map[*segment.Frozen]struct{}{},
-		seed:    maphash.MakeSeed(),
 		hits: r.Counter("fsi_pair_cache_hits_total",
 			"Conjunctions whose head pair a frozen segment served from the pair cache."),
 		misses: r.Counter("fsi_pair_cache_misses_total",
 			"Lookups of an eligible head pair (both lists at least T long) that found no entry."),
 		admissions: r.Counter("fsi_pair_cache_admissions_total",
-			"Head-pair intersections admitted to the pair cache (on a key's second sighting)."),
-		evictions: r.Counter("fsi_pair_cache_evictions_total",
-			"Pair-cache entries evicted under the budget (entries of retired segments are dropped, not counted)."),
+			"Head-pair intersections admitted to the pair cache (first come, while the budget has room)."),
 	}
 	r.GaugeFunc("fsi_pair_cache_bytes", "Bytes the pair cache's entries hold.",
 		func() float64 { return float64(pc.bytes.Load()) })
@@ -131,101 +108,63 @@ func (pc *pairCache) budget() int64 {
 	return pc.tier.Load() / pairBudgetDiv
 }
 
+// room reports whether the budget has room for one more entry.
+func (pc *pairCache) room() bool {
+	return pc.bytes.Load()+pairEntryBytes <= pc.budget()
+}
+
 func (pc *pairCache) numEntries() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return len(pc.ring)
+	return len(pc.entries)
 }
 
-// get returns k's cached intersection, setting its reference bit. It
-// allocates nothing.
+// get returns k's cached intersection. It allocates nothing.
 func (pc *pairCache) get(k pairKey) ([]uint32, bool) {
 	pc.mu.Lock()
-	en := pc.entries[k]
-	if en != nil {
-		en.ref = true
-	}
+	docs, ok := pc.entries[k]
 	pc.mu.Unlock()
-	if en == nil {
+	if !ok {
 		pc.misses.Inc()
 		return nil, false
 	}
 	pc.hits.Inc()
-	return en.docs, true
-}
-
-// sighted records a sighting of k and reports whether it is the second,
-// the one that admits. Under a zero budget nothing is recorded.
-func (pc *pairCache) sighted(k pairKey) bool {
-	if pc.budget() == 0 {
-		return false
-	}
-	h := maphash.Comparable(pc.seed, k.seg) ^ maphash.String(pc.seed, k.a) ^
-		bits.RotateLeft64(maphash.String(pc.seed, k.b), 32) | 1
-	slot := &pc.seen[h>>(64-pairSeenBits)]
-	if slot.CompareAndSwap(h, 0) {
-		return true
-	}
-	slot.Store(h)
-	return false
+	return docs, true
 }
 
 // admit caches an exact-size copy of docs, k's intersection, when k's
-// segment is live, k is not cached yet and the entry fits the budget,
-// evicting under it first.
+// segment is live, k is not cached yet and the entry fits in what the
+// budget leaves. Nothing is evicted to make room.
 func (pc *pairCache) admit(k pairKey, docs []uint32) {
-	size := pairEntryBytes + 4*int64(len(docs))
-	if size > pc.budget() {
+	size := pairBytes(len(docs))
+	if pc.bytes.Load()+size > pc.budget() {
 		return
 	}
-	en := &pairEntry{key: pairKey{seg: k.seg, a: strings.Clone(k.a), b: strings.Clone(k.b)}}
+	k.a, k.b = strings.Clone(k.a), strings.Clone(k.b)
+	var cp []uint32
 	if len(docs) > 0 {
 		// An exact-size copy: never the context buffer docs lives in.
-		en.docs = append(make([]uint32, 0, len(docs)), docs...)
+		cp = append(make([]uint32, 0, len(docs)), docs...)
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	budget := pc.budget()
-	if _, live := pc.live[k.seg]; !live || pc.entries[k] != nil || size > budget {
+	_, live := pc.live[k.seg]
+	_, dup := pc.entries[k]
+	if !live || dup || pc.bytes.Load()+size > pc.budget() {
 		return
 	}
-	pc.evictLocked(budget - size)
-	pc.entries[en.key] = en
-	// Inserted just behind the hand: the last entry the sweep examines.
-	pc.ring = slices.Insert(pc.ring, pc.hand, en)
-	pc.hand++
+	pc.entries[k] = cp
 	pc.bytes.Add(size)
 	pc.admissions.Inc()
 }
 
-// evictLocked evicts by CLOCK until the entries hold at most limit bytes:
-// the hand clears the reference bit of an entry hit since it last passed
-// and evicts the first entry it finds without one. Caller holds mu.
-func (pc *pairCache) evictLocked(limit int64) {
-	for pc.bytes.Load() > limit && len(pc.ring) > 0 {
-		if pc.hand >= len(pc.ring) {
-			pc.hand = 0
-		}
-		en := pc.ring[pc.hand]
-		if en.ref {
-			en.ref = false
-			pc.hand++
-			continue
-		}
-		delete(pc.entries, en.key)
-		pc.ring = slices.Delete(pc.ring, pc.hand, pc.hand+1)
-		pc.bytes.Add(-en.size())
-		pc.evictions.Inc()
-	}
-}
-
 // replace records a change of the frozen tier: added segments join it,
-// retired ones leave it with their entries, and the cache evicts under the
-// budget the change leaves. Callers hold the lock of the shard whose tier
-// changes, or own its segments exclusively — as swapShards owns a shard
-// set it has yet to publish and one it has retired, whose tiers never
-// change again — so a segment's registration and its retirement never
-// reorder.
+// retired ones leave it with their entries, and if the change leaves the
+// budget below the bytes held, entries leave in map order until the rest
+// fit. Callers hold the lock of the shard whose tier changes, or own its
+// segments exclusively — as swapShards owns a shard set it has yet to
+// publish and one it has retired, whose tiers never change again — so a
+// segment's registration and its retirement never reorder.
 func (pc *pairCache) replace(retired []*segment.Frozen, added ...*segment.Frozen) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -242,25 +181,20 @@ func (pc *pairCache) replace(retired []*segment.Frozen, added ...*segment.Frozen
 		}
 	}
 	if dropped {
-		kept, hand := pc.ring[:0], 0
-		for i, en := range pc.ring {
-			if i == pc.hand {
-				hand = len(kept)
+		for k, docs := range pc.entries {
+			if _, ok := pc.live[k.seg]; !ok {
+				delete(pc.entries, k)
+				pc.bytes.Add(-pairBytes(len(docs)))
 			}
-			if _, ok := pc.live[en.key.seg]; ok {
-				kept = append(kept, en)
-				continue
-			}
-			delete(pc.entries, en.key)
-			pc.bytes.Add(-en.size())
 		}
-		if pc.hand >= len(pc.ring) {
-			hand = len(kept)
-		}
-		clear(pc.ring[len(kept):])
-		pc.ring, pc.hand = kept, hand
 	}
-	pc.evictLocked(pc.budget())
+	for k, docs := range pc.entries {
+		if pc.bytes.Load() <= pc.budget() {
+			break
+		}
+		delete(pc.entries, k)
+		pc.bytes.Add(-pairBytes(len(docs)))
+	}
 }
 
 // PairCacheStats reports the pair cache from its fsi_pair_cache_* series.
@@ -268,7 +202,6 @@ type PairCacheStats struct {
 	Hits       uint64 `json:"hits"`
 	Misses     uint64 `json:"misses"`
 	Admissions uint64 `json:"admissions"`
-	Evictions  uint64 `json:"evictions"`
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
 	Budget     int64  `json:"budget_bytes"`
@@ -279,7 +212,6 @@ func (pc *pairCache) stats() PairCacheStats {
 		Hits:       pc.hits.Value(),
 		Misses:     pc.misses.Value(),
 		Admissions: pc.admissions.Value(),
-		Evictions:  pc.evictions.Value(),
 		Entries:    pc.numEntries(),
 		Bytes:      pc.bytes.Load(),
 		Budget:     pc.budget(),

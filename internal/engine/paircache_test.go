@@ -54,21 +54,15 @@ func checkPairInvariants(t *testing.T, e *Engine, step string) {
 	if got := pc.tier.Load(); got != tier {
 		t.Fatalf("%s: the pair cache counts %d tier bytes, the shards hold %d", step, got, tier)
 	}
-	if len(pc.entries) != len(pc.ring) {
-		t.Fatalf("%s: %d entries in the map, %d in the ring", step, len(pc.entries), len(pc.ring))
-	}
 	var bytes int64
-	for _, en := range pc.ring {
-		if !segs[en.key.seg] {
-			t.Fatalf("%s: the entry for (%s, %s) pins a retired segment", step, en.key.a, en.key.b)
+	for k, docs := range pc.entries {
+		if !segs[k.seg] {
+			t.Fatalf("%s: the entry for (%s, %s) pins a retired segment", step, k.a, k.b)
 		}
-		if pc.entries[en.key] != en {
-			t.Fatalf("%s: the ring's entry for (%s, %s) is not the map's", step, en.key.a, en.key.b)
-		}
-		bytes += en.size()
+		bytes += pairBytes(len(docs))
 	}
-	if st.Bytes != bytes || st.Entries != len(pc.ring) {
-		t.Fatalf("%s: gauges read %d bytes in %d entries, the entries hold %d in %d", step, st.Bytes, st.Entries, bytes, len(pc.ring))
+	if st.Bytes != bytes || st.Entries != len(pc.entries) {
+		t.Fatalf("%s: gauges read %d bytes in %d entries, the entries hold %d in %d", step, st.Bytes, st.Entries, bytes, len(pc.entries))
 	}
 	if bytes > st.Budget {
 		t.Fatalf("%s: %d bytes cached over a %d-byte budget", step, bytes, st.Budget)
@@ -91,17 +85,17 @@ func TestPairCacheServesAcrossDeletes(t *testing.T) {
 	const numDocs = 4000
 	e := tunePairs(buildTestEngine(t, Config{Shards: 2}, numDocs), 64, false)
 	m6 := func(d uint32) bool { return d%6 == 0 }
-	// Sighting, admission, hit — in each of the two shards.
+	// Admission, hit, hit — in each of the two shards.
 	runTimes(t, e, numDocs, "m2 AND m3", m6, 3)
 	st := e.Stats().PairCache
-	if st.Admissions != 2 || st.Hits != 2 || st.Entries != 2 {
-		t.Fatalf("after three runs: %+v, want 2 admissions, 2 hits and 2 entries", st)
+	if st.Admissions != 2 || st.Hits != 4 || st.Entries != 2 {
+		t.Fatalf("after three runs: %+v, want 2 admissions, 4 hits and 2 entries", st)
 	}
 	// A wider conjunction, spelled in another order, whose plan puts the
 	// same two terms first runs the rest on the cached list.
 	runTimes(t, e, numDocs, "all AND m3 AND m2", m6, 1)
-	if got := e.Stats().PairCache.Hits; got != 4 {
-		t.Fatalf("all AND m3 AND m2 took %d hits, want 2 more than 2", got)
+	if got := e.Stats().PairCache.Hits; got != 6 {
+		t.Fatalf("all AND m3 AND m2 took %d hits, want 2 more than 4", got)
 	}
 	const victim = 42 // in m2 ∩ m3, so in one shard's cached pair
 	if was, err := e.DeleteDocument(victim); err != nil || !was {
@@ -113,15 +107,15 @@ func TestPairCacheServesAcrossDeletes(t *testing.T) {
 	runTimes(t, e, numDocs, "m2 AND m3", deleted(m6), 1)
 	runTimes(t, e, numDocs, "m2 AND m3 AND all", deleted(m6), 1)
 	st = e.Stats().PairCache
-	if st.Admissions != 2 || st.Hits != 8 || st.Entries != 2 {
-		t.Fatalf("after the delete: %+v, want the 2 entries still serving (8 hits, no admission)", st)
+	if st.Admissions != 2 || st.Hits != 10 || st.Entries != 2 {
+		t.Fatalf("after the delete: %+v, want the 2 entries still serving (10 hits, no admission)", st)
 	}
 	if err := e.AddDocument(victim, testDocTerms(victim)); err != nil {
 		t.Fatal(err)
 	}
 	runTimes(t, e, numDocs, "m2 AND m3", m6, 1)
-	if got := e.Stats().PairCache.Hits; got != 10 {
-		t.Fatalf("after the re-add: %d hits, want 10", got)
+	if got := e.Stats().PairCache.Hits; got != 12 {
+		t.Fatalf("after the re-add: %d hits, want 12", got)
 	}
 	checkPairInvariants(t, e, "end")
 }
@@ -151,8 +145,8 @@ func TestPairCacheLifecycle(t *testing.T) {
 		checkPairInvariants(t, e, step)
 		return e.Stats().PairCache
 	}
-	if st := warm("tiered"); st.Entries != 3*2 || st.Evictions != 0 {
-		t.Fatalf("tiered: %+v, want 6 entries (3 segments × 2 shards) and no eviction", st)
+	if st := warm("tiered"); st.Entries != 3*2 || st.Admissions != 3*2 {
+		t.Fatalf("tiered: %+v, want 6 admissions and 6 entries (3 segments × 2 shards)", st)
 	}
 	if err := e.MergeSegments(); err != nil {
 		t.Fatal(err)
@@ -205,9 +199,11 @@ func TestPairCacheLifecycle(t *testing.T) {
 }
 
 // TestPairCacheBudget: the budget is 1/16 of the frozen tier's posting
-// bytes, and admission evicts by CLOCK under it — an entry hit since the
-// hand last passed survives, an unreferenced one goes — so the entries
-// never hold more than the budget.
+// bytes, and admission is first-come under it. Entries fill it; the next
+// that does not fit is refused with nothing evicted, while a smaller one
+// that still fits is admitted. A tier change that shrinks the budget below
+// the bytes held drops entries until the rest fit, and a segment the tier
+// does not hold is never cached.
 func TestPairCacheBudget(t *testing.T) {
 	e := tunePairs(New(Config{Shards: 1}), 1, false)
 	b := e.NewBuilder()
@@ -226,35 +222,48 @@ func TestPairCacheBudget(t *testing.T) {
 	if got, want := pc.budget(), int64(4*16_000/16); got != want {
 		t.Fatalf("budget %d, want %d", got, want)
 	}
-	// Each entry is charged 160 + 4·200 = 960 bytes: four fit in 4,000.
 	list := docs[:200]
-	key := func(i int) pairKey { return pairKey{seg: seg, a: "a", b: fmt.Sprint("b", i)} }
-	for i := 0; i < 4; i++ {
-		pc.admit(key(i), list)
-	}
-	if _, ok := pc.get(key(0)); !ok { // sets entry 0's reference bit
-		t.Fatal("entry 0 missing")
-	}
-	pc.admit(key(4), list)
-	st := e.Stats().PairCache
-	if st.Entries != 4 || st.Evictions != 1 || st.Bytes > st.Budget {
-		t.Fatalf("after a fifth admission: %+v, want 4 entries, 1 eviction, bytes within budget", st)
-	}
-	for i, want := range []bool{true, false, true, true, true} {
-		if _, ok := pc.get(key(i)); ok != want {
-			t.Errorf("entry %d cached = %v, want %v (the hit entry survives, the oldest unreferenced goes)", i, ok, want)
-		}
-	}
-	// An entry larger than the whole budget is never admitted.
-	pc.admit(key(5), docs[:2000])
-	if _, ok := pc.get(key(5)); ok {
-		t.Error("admitted an entry larger than the budget")
-	}
-	// A segment the tier does not hold is never cached.
-	other := segment.Build(map[string][]uint32{"x": {1, 2, 3}}, 1)
+	other := segment.Build(map[string][]uint32{"x": docs}, 1)
 	pc.admit(pairKey{seg: other, a: "a", b: "b"}, list)
 	if _, ok := pc.get(pairKey{seg: other, a: "a", b: "b"}); ok {
 		t.Error("admitted an entry for a segment outside the tier")
+	}
+	// Each entry is charged 160 + 4·200 = 960 bytes: four fit in 4,000 and
+	// leave 160, so the fifth is refused.
+	key := func(i int) pairKey { return pairKey{seg: seg, a: "a", b: fmt.Sprint("b", i)} }
+	for i := 0; i < 5; i++ {
+		pc.admit(key(i), list)
+	}
+	if st := e.Stats().PairCache; st.Admissions != 4 || st.Entries != 4 || st.Bytes != 4*960 {
+		t.Fatalf("after five 960-byte admissions: %+v, want the first 4 admitted", st)
+	}
+	// One docID (164 bytes) no longer fits; an empty intersection (160)
+	// does, and fills the budget exactly.
+	pc.admit(key(5), docs[:1])
+	pc.admit(key(6), nil)
+	for i := 0; i < 7; i++ {
+		if _, ok := pc.get(key(i)); ok != (i < 4 || i == 6) {
+			t.Errorf("entry %d cached = %v, want %v", i, ok, !ok)
+		}
+	}
+	if st := e.Stats().PairCache; st.Bytes != st.Budget {
+		t.Fatalf("%+v: want the budget full", st)
+	}
+	// Registering a second segment doubles the budget; four more entries
+	// fill it, and retiring the segment halves it again under them.
+	pc.replace(nil, other)
+	for i := 7; i < 12; i++ {
+		pc.admit(key(i), list)
+	}
+	held := e.Stats().PairCache
+	if held.Admissions != 9 || held.Bytes != 4000+4*960 {
+		t.Fatalf("with the budget doubled: %+v, want 9 admissions holding %d bytes", held, 4000+4*960)
+	}
+	pc.replace([]*segment.Frozen{other})
+	st := e.Stats().PairCache
+	if st.Bytes > st.Budget || st.Bytes <= st.Budget-960 || st.Admissions != held.Admissions {
+		t.Fatalf("after the budget shrank from %d to %d: %+v, want entries dropped only until the rest fit",
+			held.Budget, st.Budget, st)
 	}
 	checkPairInvariants(t, e, "end")
 }
@@ -304,7 +313,8 @@ func TestPairCacheHitAllocatesNothing(t *testing.T) {
 
 // TestPairCacheExplainAnalyze: explain=analyze prints, per conjunction, how
 // many segments served its head pair from the cache, and the kernel runs
-// those segments skipped are not counted.
+// those segments skipped are not counted. The first run admits the pair in
+// each shard and renders no hits; the second and third hit.
 func TestPairCacheExplainAnalyze(t *testing.T) {
 	e := tunePairs(buildTestEngine(t, Config{Shards: 2, TraceSample: 1}, 4000), 64, false)
 	const q = "m2 AND m3"
@@ -313,9 +323,9 @@ func TestPairCacheExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(expl, "pair_cache_hits") {
-		t.Fatalf("a first sighting rendered cache hits:\n%s", expl)
+		t.Fatalf("the admitting run rendered cache hits:\n%s", expl)
 	}
-	if _, err := e.Query(q); err != nil { // admission
+	if _, err := e.Query(q); err != nil { // a hit
 		t.Fatal(err)
 	}
 	runs := e.Stats().KernelExecs

@@ -199,9 +199,9 @@ func TestRawBitsegLazyAttach(t *testing.T) {
 }
 
 // pairCacheRuns is how often the engine parity tests run each query: a
-// head pair whose lists reach the engine's pair-cache threshold is sighted
-// on the first run, admitted on the second and served from the cache on
-// the third.
+// head pair whose lists reach the engine's pair-cache threshold is
+// admitted on the first run and served from the cache on the second and
+// third.
 const pairCacheRuns = 3
 
 // queryParity runs q pairCacheRuns times on e and holds every answer to
@@ -223,7 +223,7 @@ func queryParity(t *testing.T, e *engine.Engine, q, tag string, want []uint32) {
 // case's sets become posting lists, the conjunction of all terms is planned
 // and executed across two shards with the kernels the cost model picks,
 // and the merged result must equal the reference on every run — the pair
-// cache's sighting, admission and hit alike. The dense cases' head lists
+// cache's admission and hits alike. The dense cases' head lists
 // reach the cache's threshold in each shard, so some runs must hit.
 func TestEngineParity(t *testing.T) {
 	t.Run("raw-cost", func(t *testing.T) {

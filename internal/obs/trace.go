@@ -40,12 +40,8 @@ type ShardSpan struct {
 // are pooled (GetTrace/PutTrace) and carried through the engine's pooled
 // execution contexts, so a sampled query costs no steady-state allocations.
 type Trace struct {
-	Query   string
-	Cached  bool
-	Err     bool
-	TotalNs int64
-	Stages  [NumStages]int64 // ns per stage; 0 = not reached
-	Shards  []ShardSpan
+	Stages [NumStages]int64 // ns per stage; 0 = not reached
+	Shards []ShardSpan
 }
 
 var tracePool = sync.Pool{New: func() any { return &Trace{} }}
@@ -53,13 +49,7 @@ var tracePool = sync.Pool{New: func() any { return &Trace{} }}
 // GetTrace returns a reset Trace from the pool.
 func GetTrace() *Trace {
 	t := tracePool.Get().(*Trace)
-	t.Query = ""
-	t.Cached = false
-	t.Err = false
-	t.TotalNs = 0
-	for i := range t.Stages {
-		t.Stages[i] = 0
-	}
+	t.Stages = [NumStages]int64{}
 	t.Shards = t.Shards[:0]
 	return t
 }
